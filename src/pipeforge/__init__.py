@@ -40,13 +40,7 @@ from .model import (
     pipe_new,
 )
 from .netlist import Netlist, comb_order, lower
-from .protocol import (
-    FifoWiring,
-    HandshakePlan,
-    Protocol,
-    apply_protocol,
-    fifo_handshake_wiring,
-)
+from .protocol import HandshakePlan, Protocol, apply_protocol
 from .resolve import (
     INFINITE,
     DistributionReport,

@@ -159,6 +159,9 @@ class Shift(Expr):
     def eval(self, values, widths):
         w = self.width(widths)
         v = self.arg.eval(values, widths)
+        # every bit shifts out; testing first keeps a huge shl from allocating
+        if self.amount >= w:
+            return 0
         if self.op == "shl":
             return _mask(v << self.amount, w)
         return v >> self.amount

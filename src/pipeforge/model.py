@@ -95,7 +95,6 @@ class Relation:
     latency: int | None
     origin: RelationOrigin
     kind: RelationKind
-    protocol: str | None = None
     signals: list[str] = field(default_factory=list)
 
     @property

@@ -1,9 +1,11 @@
 """Primitive-level netlist IR and lowering from a resolved graph.
 
-Cells are wires (combinational assignments), registers, register chains,
-shift registers, constant-latency FIFOs and FIFO startup counters.  Every
-net has exactly one driver; ready/valid pipelines additionally carry a
-1-bit valid chain and a single global enable net implementing uniform
+Cells are combinational assignments, delay lines, constant-latency FIFOs
+and FIFO startup counters.  A delay line covers every register delay: a
+single register, a register chain (with or without the no-extract
+attribute) or a shift register, differing only in how it is emitted.
+Every net has exactly one driver; ready/valid pipelines additionally carry
+a 1-bit valid chain and a single global enable net implementing uniform
 backpressure (enable low freezes every sequential cell at once).
 """
 
@@ -14,7 +16,7 @@ from dataclasses import dataclass, field
 from . import expr as E
 from .errors import PipeforgeError, WidthMismatchError
 from .model import SignalStatus, SyncGraph, ZoneKind
-from .protocol import HandshakePlan, Protocol, fifo_handshake_wiring
+from .protocol import HandshakePlan, Protocol
 from .resolve import (
     Fifo,
     PrimitivePolicy,
@@ -32,26 +34,31 @@ class CombCell:
     expr: E.Expr
 
 
-@dataclass
-class RegCell:
-    out: str
-    inp: str
-    width: int
-    enable: str | None
-    no_extract: bool = False
+DELAY_STYLES = ("register", "no_extract", "srl")
 
 
 @dataclass
-class ShiftRegCell:
+class DelayCell:
+    """``out`` is ``inp`` delayed by ``depth`` enabled cycles.
+
+    Register-style lines (register, no_extract) name their depth - 1
+    intermediate nets in ``stages``, the kth being ``inp`` delayed k cycles;
+    an srl line is one shift-register instance and has none.
+    """
     out: str
     inp: str
     width: int
     depth: int
-    enable: str | None
+    style: str = "register"
+    stages: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if self.depth < 2:
-            raise PipeforgeError("shift register cells have depth >= 2")
+        if self.style not in DELAY_STYLES:
+            raise PipeforgeError(f"unknown delay style {self.style!r}")
+        if self.depth < (2 if self.style == "srl" else 1):
+            raise PipeforgeError(f"{self.style} delay lines are too short")
+        if len(self.stages) != (0 if self.style == "srl" else self.depth - 1):
+            raise PipeforgeError("delay line stage nets do not match its depth")
 
 
 @dataclass
@@ -75,14 +82,13 @@ class CounterCell:
     count: str  # current value, observable in traces
     zero: str   # 1-bit (count == 0)
     init: int
-    enable: str | None
 
     def __post_init__(self):
         if self.init < 1:
             raise PipeforgeError("startup counters have init >= 1")
 
 
-Cell = CombCell | RegCell | ShiftRegCell | FifoCell | CounterCell
+Cell = CombCell | DelayCell | FifoCell | CounterCell
 
 
 @dataclass
@@ -100,10 +106,11 @@ class Netlist:
         for c in self.cells:
             if isinstance(c, CombCell):
                 counts["comb"] += 1
-            elif isinstance(c, RegCell):
-                counts["reg"] += 1
-            elif isinstance(c, ShiftRegCell):
-                counts["shiftreg"] += 1
+            elif isinstance(c, DelayCell):
+                if c.style == "srl":
+                    counts["shiftreg"] += 1
+                else:
+                    counts["reg"] += c.depth
             elif isinstance(c, FifoCell):
                 counts["fifo"] += 1
             else:
@@ -113,9 +120,14 @@ class Netlist:
     def drivers(self) -> dict[str, Cell]:
         out: dict[str, Cell] = {}
         for c in self.cells:
-            outs = [c.out] if not isinstance(c, CounterCell) else [c.count, c.zero]
-            if isinstance(c, FifoCell):
-                outs += [c.full, c.empty]
+            if isinstance(c, CounterCell):
+                outs = [c.count, c.zero]
+            elif isinstance(c, FifoCell):
+                outs = [c.out, c.full, c.empty]
+            elif isinstance(c, DelayCell):
+                outs = [*c.stages, c.out]
+            else:
+                outs = [c.out]
             for n in outs:
                 if n in out:
                     raise PipeforgeError(f"net {n!r} has multiple drivers")
@@ -230,7 +242,7 @@ def lower(graph: SyncGraph, plan: HandshakePlan,
                 for d in range(plan.total_latency + 1)]
         nl.cells.append(CombCell(taps[0], E.Ref("in_valid")))
         for d in range(1, plan.total_latency + 1):
-            nl.cells.append(RegCell(taps[d], taps[d - 1], 1, nl.enable))
+            nl.cells.append(DelayCell(taps[d], taps[d - 1], 1, 1))
 
     order = graph.forward_order()
     for z in order:
@@ -246,32 +258,29 @@ def lower(graph: SyncGraph, plan: HandshakePlan,
         if isinstance(prim, Wire):
             nl.cells.append(CombCell(out, E.Ref(inp)))
         elif isinstance(prim, Register):
-            nl.cells.append(RegCell(out, inp, width, nl.enable))
+            nl.cells.append(DelayCell(out, inp, width, 1))
         elif isinstance(prim, RegisterChain):
-            prev = inp
-            for i in range(prim.n):
-                nxt = out if i == prim.n - 1 else names.alloc(
-                    f"{out}__d{i + 1}", width)
-                nl.cells.append(RegCell(nxt, prev, width, nl.enable,
-                                        no_extract=prim.no_extract))
-                prev = nxt
+            stages = tuple(names.alloc(f"{out}__d{i}", width)
+                           for i in range(1, prim.n))
+            style = "no_extract" if prim.no_extract else "register"
+            nl.cells.append(DelayCell(out, inp, width, prim.n, style, stages))
         elif isinstance(prim, ShiftRegister):
-            nl.cells.append(ShiftRegCell(out, inp, width, prim.n, nl.enable))
+            nl.cells.append(DelayCell(out, inp, width, prim.n, "srl"))
         else:
             _lower_fifo(nl, names, taps, prim, out, inp, sink_depth)
 
     def _lower_fifo(nl: Netlist, names: _Names, taps: list[str], prim: Fifo,
                     out: str, inp: str, sink_depth: int) -> None:
-        wiring = fifo_handshake_wiring(prim, plan.protocol)
         full = names.alloc(f"{out}__full", 1)
         empty = names.alloc(f"{out}__empty", 1)
         we = names.alloc(f"{out}__we", 1)
         re = names.alloc(f"{out}__re", 1)
-        if wiring.counter_init is not None:
-            cw = max(1, wiring.counter_init.bit_length())
-            cnt = names.alloc(f"{out}__read_start", cw)
+        if not rv:
+            # the FIFO's read latency gives the last of its depth cycles
+            init = prim.depth - 1
+            cnt = names.alloc(f"{out}__read_start", max(1, init.bit_length()))
             zero = names.alloc(f"{out}__read_start_zero", 1)
-            nl.cells.append(CounterCell(cnt, zero, wiring.counter_init, nl.enable))
+            nl.cells.append(CounterCell(cnt, zero, init))
             nl.cells.append(CombCell(we, E.Const(1, 1)))
             nl.cells.append(CombCell(re, E.Ref(zero)))
         else:

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 from .errors import MultiOutputBackpressureError
 from .model import SyncGraph
-from .resolve import Fifo
 
 
 class Protocol(enum.Enum):
@@ -29,16 +28,12 @@ class HandshakePlan:
     depths: dict[str, int]
     total_latency: int
 
-    @property
-    def valid_chain_length(self) -> int:
-        return self.total_latency
-
 
 def apply_protocol(graph: SyncGraph, protocol: Protocol) -> HandshakePlan:
     """Plan protocol signaling for a resolved graph.
 
     Raw pipelines get no ports; their FIFOs rely on startup counters instead
-    (see :func:`fifo_handshake_wiring`).  Ready/valid requires exactly one
+    (see :func:`pipeforge.netlist.lower`).  Ready/valid requires exactly one
     output zone, since a single ready net cannot arbitrate several sinks.
     """
     depths = graph.depths()
@@ -48,47 +43,3 @@ def apply_protocol(graph: SyncGraph, protocol: Protocol) -> HandshakePlan:
             f"ready/valid needs exactly one output zone, got {len(outs)}")
     total = max(depths[z] for z in outs)
     return HandshakePlan(protocol, depths, total)
-
-
-@dataclass(frozen=True)
-class FifoWiring:
-    """Symbolic control wiring for one constant-latency FIFO.
-
-    The tags are resolved to concrete nets during lowering:
-
-    * ``always``: tied high (raw mode writes every post-reset cycle)
-    * ``counter_zero``: startup counter has decremented to zero
-    * ``upstream_valid_and_not_full`` / ``downstream_ready_and_not_empty``:
-      the ready/valid handshake terms, additionally gated by the global
-      enable so a stall freezes the FIFO with the rest of the pipeline
-    """
-
-    write_enable: str
-    read_enable: str
-    upstream_ready: str | None
-    downstream_valid: str | None
-    counter_init: int | None
-
-
-def fifo_handshake_wiring(fifo: Fifo, protocol: Protocol) -> FifoWiring:
-    """Control wiring turning a FIFO into a fixed delay of ``fifo.depth`` cycles.
-
-    Raw mode holds the read enable off with a startup counter initialized to
-    depth - 1 (the FIFO's intrinsic read latency contributes the last cycle),
-    so the first element leaves exactly ``depth`` cycles after entering.
-    """
-    if protocol is Protocol.RAW:
-        return FifoWiring(
-            write_enable="always",
-            read_enable="counter_zero",
-            upstream_ready=None,
-            downstream_valid=None,
-            counter_init=fifo.depth - 1,
-        )
-    return FifoWiring(
-        write_enable="upstream_valid_and_not_full",
-        read_enable="downstream_ready_and_not_empty",
-        upstream_ready="not_full",
-        downstream_valid="not_empty",
-        counter_init=None,
-    )

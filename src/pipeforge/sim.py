@@ -15,15 +15,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .errors import NoResponseError, PortMismatchError, SimulationError
-from .netlist import (
-    CombCell,
-    CounterCell,
-    FifoCell,
-    Netlist,
-    RegCell,
-    ShiftRegCell,
-    comb_order,
-)
+from .netlist import CounterCell, DelayCell, FifoCell, Netlist, comb_order
 from .protocol import Protocol
 
 
@@ -91,28 +83,48 @@ class Trace:
 
 
 class _State:
-    def __init__(self, netlist: Netlist):
+    """Sequential state between cycles.
+
+    Each delay line is a ring of ``depth`` values.  Every sequential cell
+    shares the one global enable, so all rings advance together and one
+    count ``t`` of enabled cycles indexes them all: slot ``t % depth`` holds
+    the value written ``depth`` cycles ago, and is overwritten next.
+    """
+
+    def __init__(self, netlist: Netlist, watch: tuple[str, ...] = ()):
         self.netlist = netlist
-        self.regs = [c for c in netlist.cells if isinstance(c, RegCell)]
-        self.shifts = [c for c in netlist.cells if isinstance(c, ShiftRegCell)]
+        self.delays = [c for c in netlist.cells if isinstance(c, DelayCell)]
         self.fifos = [c for c in netlist.cells if isinstance(c, FifoCell)]
         self.counters = [c for c in netlist.cells if isinstance(c, CounterCell)]
         self.order = comb_order(netlist)
+        # stage nets are only computed where something reads them
+        read = set(watch)
+        for c in self.order:
+            read |= c.expr.refs()
+        for c in self.delays:
+            read.add(c.inp)
+        for c in self.fifos:
+            read |= {c.inp, c.write_en, c.read_en}
+        # (ring index, delay k, stage net)
+        self.stage_taps = [(i, k, net) for i, c in enumerate(self.delays)
+                           for k, net in enumerate(c.stages, 1) if net in read]
         self.reset()
 
     def reset(self):
-        self.reg_v = {c.out: 0 for c in self.regs}
-        self.shift_q = {c.out: deque([0] * c.depth) for c in self.shifts}
+        self.t = 0
+        self.rings = [[0] * c.depth for c in self.delays]
         self.fifo_q: dict[str, deque] = {c.out: deque() for c in self.fifos}
         self.fifo_out = {c.out: 0 for c in self.fifos}
         self.cnt_v = {c.count: c.init for c in self.counters}
 
     def settle(self, inputs: dict) -> dict:
         values = dict(inputs)
-        for c in self.regs:
-            values[c.out] = self.reg_v[c.out]
-        for c in self.shifts:
-            values[c.out] = self.shift_q[c.out][0]
+        t = self.t
+        for c, ring in zip(self.delays, self.rings):
+            values[c.out] = ring[t % c.depth]
+        for i, k, net in self.stage_taps:
+            ring = self.rings[i]
+            values[net] = ring[(t - k) % len(ring)]
         for c in self.fifos:
             q = self.fifo_q[c.out]
             values[c.out] = self.fifo_out[c.out]
@@ -132,12 +144,10 @@ class _State:
             return
         if self.netlist.enable is not None and not values[self.netlist.enable]:
             return
-        for c in self.regs:
-            self.reg_v[c.out] = values[c.inp]
-        for c in self.shifts:
-            q = self.shift_q[c.out]
-            q.popleft()
-            q.append(values[c.inp])
+        t = self.t
+        for c, ring in zip(self.delays, self.rings):
+            ring[t % c.depth] = values[c.inp]
+        self.t = t + 1
         for c in self.fifos:
             q = self.fifo_q[c.out]
             if values[c.read_en]:
@@ -163,7 +173,7 @@ def simulate(netlist: Netlist, stim: Stimulus) -> Trace:
     ports = in_ports + out_ports + [p for p in stim.watch
                                     if p not in in_ports + out_ports]
     trace = Trace(ports, {p: netlist.nets[p] for p in ports})
-    state = _State(netlist)
+    state = _State(netlist, stim.watch)
     data_ports = [p for p in in_ports if p not in ("in_valid", "out_ready")]
     for cycle in range(stim.cycles):
         given = stim.input_at(cycle)
@@ -189,9 +199,7 @@ def simulate(netlist: Netlist, stim: Stimulus) -> Trace:
 def _state_depth_bound(netlist: Netlist) -> int:
     bound = 0
     for c in netlist.cells:
-        if isinstance(c, RegCell):
-            bound += 1
-        elif isinstance(c, ShiftRegCell):
+        if isinstance(c, DelayCell):
             bound += c.depth
         elif isinstance(c, FifoCell):
             bound += c.capacity + 1

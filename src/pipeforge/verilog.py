@@ -12,14 +12,7 @@ import enum
 from dataclasses import dataclass
 
 from . import expr as E
-from .netlist import (
-    CombCell,
-    CounterCell,
-    FifoCell,
-    Netlist,
-    RegCell,
-    ShiftRegCell,
-)
+from .netlist import CombCell, CounterCell, DelayCell, FifoCell, Netlist
 
 NO_EXTRACT_ATTR = '(* shreg_extract = "no" *)'
 
@@ -166,7 +159,8 @@ def emit_verilog(netlist: Netlist, options: EmitOptions = EmitOptions()) -> str:
     shapes_sr = []
     shapes_fifo = []
     for c in netlist.cells:
-        if isinstance(c, ShiftRegCell) and (c.width, c.depth) not in shapes_sr:
+        if (isinstance(c, DelayCell) and c.style == "srl"
+                and (c.width, c.depth) not in shapes_sr):
             shapes_sr.append((c.width, c.depth))
         if isinstance(c, FifoCell) and (c.width, c.capacity) not in shapes_fifo:
             shapes_fifo.append((c.width, c.capacity))
@@ -191,18 +185,21 @@ def emit_verilog(netlist: Netlist, options: EmitOptions = EmitOptions()) -> str:
         if net in port_set:
             continue
         drv = drivers.get(net)
-        if isinstance(drv, (RegCell, CounterCell)) and not (
-                isinstance(drv, CounterCell) and net == drv.zero):
+        if isinstance(drv, DelayCell) and drv.style != "srl":
             attr = ""
-            if isinstance(drv, RegCell) and (
-                    drv.no_extract or options.shreg_attr is ShregAttr.NO_EXTRACT):
+            if (drv.style == "no_extract"
+                    or options.shreg_attr is ShregAttr.NO_EXTRACT):
                 attr = NO_EXTRACT_ATTR + " "
             out.append(f"  {attr}reg {_decl(width)}{net};")
+        elif isinstance(drv, CounterCell) and net == drv.count:
+            out.append(f"  reg {_decl(width)}{net};")
         else:
             out.append(f"  wire {_decl(width)}{net};")
 
     emitter = _ExprEmitter(netlist.nets)
     body: list[str] = []
+    en = netlist.enable
+    en_port = en or "1'b1"  # helper modules always take an enable
     for c in netlist.cells:
         if isinstance(c, CombCell):
             rhs = emitter.rhs(c.expr)
@@ -210,30 +207,29 @@ def emit_verilog(netlist: Netlist, options: EmitOptions = EmitOptions()) -> str:
             body.extend(emitter.lines)
             emitter.lines = []
             body.append(f"  {tgt}")
-        elif isinstance(c, RegCell):
-            en = c.enable if c.enable else None
-            body.append("  always @(posedge clk) begin")
-            body.append(f"    if (rst) {c.out} <= {c.width}'d0;")
-            if en:
-                body.append(f"    else if ({en}) {c.out} <= {c.inp};")
-            else:
-                body.append(f"    else {c.out} <= {c.inp};")
-            body.append("  end")
-        elif isinstance(c, ShiftRegCell):
-            en = c.enable if c.enable else "1'b1"
+        elif isinstance(c, DelayCell) and c.style == "srl":
             body.append(
                 f"  pf_shiftreg_w{c.width}_d{c.depth} u_{c.out}("
-                f".clk(clk), .rst(rst), .en({en}), .d({c.inp}), .q({c.out}));")
+                f".clk(clk), .rst(rst), .en({en_port}), .d({c.inp}), "
+                f".q({c.out}));")
+        elif isinstance(c, DelayCell):
+            nets = [c.inp, *c.stages, c.out]
+            for prev, nxt in zip(nets, nets[1:]):
+                body.append("  always @(posedge clk) begin")
+                body.append(f"    if (rst) {nxt} <= {c.width}'d0;")
+                if en:
+                    body.append(f"    else if ({en}) {nxt} <= {prev};")
+                else:
+                    body.append(f"    else {nxt} <= {prev};")
+                body.append("  end")
         elif isinstance(c, FifoCell):
-            en = netlist.enable if netlist.enable else "1'b1"
             body.append(
                 f"  pf_fifo_w{c.width}_d{c.capacity} u_{c.out}("
-                f".clk(clk), .rst(rst), .en({en}), .wr({c.write_en}), "
+                f".clk(clk), .rst(rst), .en({en_port}), .wr({c.write_en}), "
                 f".rd({c.read_en}), .din({c.inp}), .dout({c.out}), "
                 f".full({c.full}), .empty({c.empty}));")
         else:  # CounterCell
             cw = netlist.nets[c.count]
-            en = c.enable if c.enable else None
             body.append(f"  assign {c.zero} = ({c.count} == {cw}'d0);")
             body.append("  always @(posedge clk) begin")
             body.append(f"    if (rst) {c.count} <= {cw}'d{c.init};")

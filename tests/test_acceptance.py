@@ -232,9 +232,9 @@ def test_08_sweep_cardinality():
 
 def test_09_emission_determinism_and_attribute(tmp_path):
     with verdict(9, "byte-identical emission, no-extract attribute present"):
-        def emit(policy, attr=pf.ShregAttr.NONE):
+        def emit(policy, attr=pf.ShregAttr.NONE, protocol=pf.Protocol.RAW):
             g = pf.resolve_direct_backward(_balanced(xor_delay=2, with_e=True))
-            nl = pf.lower(g, pf.apply_protocol(g, pf.Protocol.RAW), policy)
+            nl = pf.lower(g, pf.apply_protocol(g, protocol), policy)
             return pf.emit_verilog(nl, pf.EmitOptions(shreg_attr=attr))
 
         auto = emit(pf.direct_auto())
@@ -244,9 +244,20 @@ def test_09_emission_determinism_and_attribute(tmp_path):
         assert NO_EXTRACT_ATTR in forced
         assert '(* shreg_extract = "no" *)' in forced
         assert NO_EXTRACT_ATTR not in auto
-        golden = data_path("golden_direct_auto.v")
-        with open(golden, encoding="utf-8") as fh:
-            assert auto == fh.read()
+        # together these pin the no-extract attribute, the SRL helper, the
+        # FIFO startup counter and the ready/valid valid chain
+        goldens = {
+            "golden_direct_auto.v": auto,
+            "golden_direct_force_reg_no_extract.v": forced,
+            "golden_direct_force_srl_explicit.v": emit(
+                pf.direct_force_srl(), pf.ShregAttr.EXPLICIT_SRL),
+            "golden_direct_fifo_3_3.v": emit(pf.direct_fifo(3, 3)),
+            "golden_direct_auto_ready_valid.v": emit(
+                pf.direct_auto(), protocol=pf.Protocol.READY_VALID),
+        }
+        for name, text in goldens.items():
+            with open(data_path(name), encoding="utf-8") as fh:
+                assert text == fh.read(), name
 
 
 def _enumerate_missing(graph):

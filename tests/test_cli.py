@@ -86,6 +86,23 @@ def test_simulate_prints_latency(capsys):
     assert "latency: 4" in out
 
 
+def test_simulate_huge_shift_amount(capsys, tmp_path):
+    spec = tmp_path / "shift.json"
+    spec.write_text(json.dumps({
+        "name": "shift",
+        "inputs": [{"name": "x", "width": 8}],
+        "outputs": [{"name": "q_out", "from": "q"},
+                    {"name": "gone_out", "from": "gone"}],
+        "steps": [{"name": "s", "kind": "reg", "defines": [
+            {"name": "q", "width": 8, "expr": "x"},
+            {"name": "gone", "width": 8,
+             "expr": ["shl", 1000000000000, "x"]}]}],
+    }))
+    code, out, _ = run_cli(capsys, "simulate", str(spec), "--cycles", "8")
+    assert code == 0
+    assert "latency: 1" in out
+
+
 def test_simulate_cycle_check(capsys):
     code, _, _ = run_cli(
         capsys, "simulate", data_path("running.json"),

@@ -45,6 +45,10 @@ def test_eval_masks_to_result_width():
     assert BinOp("sub", Ref("b"), Ref("a")).eval(v, W) == (0xF - 0xFF) & 0xFF
     assert Shift("shl", 1, Ref("b")).eval(v, W) == 0xE
     assert Shift("shr", 2, Ref("a")).eval(v, W) == 0x3F
+    # every bit shifts out, without building the unmasked value first
+    assert Shift("shl", 8, Ref("a")).eval(v, W) == 0
+    assert Shift("shl", 10**12, Ref("a")).eval(v, W) == 0
+    assert Shift("shr", 10**12, Ref("a")).eval(v, W) == 0
     assert Not(Ref("b")).eval(v, W) == 0
     assert Slice(3, 0, Ref("a")).eval(v, W) == 0xF
     assert Concat((Ref("b"), Ref("a"))).eval(v, W) == 0xFFF

@@ -2,7 +2,7 @@ import pytest
 
 import pipeforge as pf
 from pipeforge import expr as E
-from pipeforge.netlist import CombCell, CounterCell, FifoCell, RegCell
+from pipeforge.netlist import CombCell, CounterCell, DelayCell, FifoCell
 
 from conftest import build_running
 
@@ -27,10 +27,10 @@ def test_ports_ready_valid():
     assert nl.enable == "enable"
     # a tap per pipeline depth, 0..total latency
     assert all(f"valid_{d}" in nl.nets for d in range(5))
-    valid_regs = [c for c in nl.cells if isinstance(c, RegCell)
+    valid_regs = [c for c in nl.cells if isinstance(c, DelayCell)
                   and c.out.startswith("valid_")]
     assert len(valid_regs) == 4
-    assert all(c.enable == "enable" for c in valid_regs)
+    assert all(c.depth == 1 and c.style == "register" for c in valid_regs)
 
 
 def test_register_lowering_counts():

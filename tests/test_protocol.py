@@ -21,7 +21,6 @@ def test_raw_plan_has_no_chain_requirement():
 def test_ready_valid_plan_chain_length():
     plan = pf.apply_protocol(resolved(xor_delay=2), pf.Protocol.READY_VALID)
     assert plan.total_latency == 4
-    assert plan.valid_chain_length == 4
     assert plan.depths["_init_"] == 0
 
 
@@ -37,19 +36,3 @@ def test_ready_valid_rejects_multiple_output_zones():
     with pytest.raises(pf.MultiOutputBackpressureError):
         pf.apply_protocol(g, pf.Protocol.READY_VALID)
 
-
-def test_fifo_wiring_raw_counter():
-    w = pf.fifo_handshake_wiring(pf.Fifo(4, 8), pf.Protocol.RAW)
-    assert w.write_enable == "always"
-    assert w.read_enable == "counter_zero"
-    assert w.counter_init == 3
-    assert w.upstream_ready is None and w.downstream_valid is None
-
-
-def test_fifo_wiring_ready_valid_handshake():
-    w = pf.fifo_handshake_wiring(pf.Fifo(4, 8), pf.Protocol.READY_VALID)
-    assert w.write_enable == "upstream_valid_and_not_full"
-    assert w.read_enable == "downstream_ready_and_not_empty"
-    assert w.upstream_ready == "not_full"
-    assert w.downstream_valid == "not_empty"
-    assert w.counter_init is None

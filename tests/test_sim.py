@@ -64,6 +64,12 @@ def test_watch_exposes_internal_nets():
     vals = [s[counter] for s in t.samples]
     assert vals[1:5] == [3, 2, 1, 0]  # startup countdown after reset
     assert all(v == 0 for v in vals[5:])
+    # stage 2 of e's four-deep register chain is e two cycles late
+    nl = lowered(xor_delay=2, with_e=True)
+    es = [3, 7, 1, 9, 4, 6, 2, 5]
+    t = pf.simulate(nl, pf.Stimulus(cycles=len(es), watch=("xor__e__d2",),
+                                    inputs=[{"e": e} for e in es]))
+    assert [s["xor__e__d2"] for s in t.samples] == [0, 0, 0, 7, 1, 9, 4, 6]
 
 
 def test_fifo_and_register_traces_cycle_identical():

@@ -1,5 +1,9 @@
+import glob
 import json
+import os
+import re
 
+import jsonschema
 import pytest
 
 import pipeforge as pf
@@ -11,6 +15,25 @@ from conftest import build_running, data_path
 def test_schema_loads():
     s = schema()
     assert s["$schema"].endswith("2020-12/schema")
+
+
+def test_documented_json_blocks_are_valid():
+    docs = glob.glob(os.path.join(os.path.dirname(__file__), "..", "docs", "*.md"))
+    full = schema()
+    step = {"$defs": full["$defs"], **full["properties"]["steps"]["items"]}
+    blocks = 0
+    for path in docs:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        for block in re.findall(r"^```json\n(.*?)^```", text, re.M | re.S):
+            doc = json.loads(block)
+            whole = "steps" in doc
+            jsonschema.validate(doc, full if whole else step,
+                                cls=jsonschema.Draft202012Validator)
+            if whole:
+                graph_from_spec(doc)
+            blocks += 1
+    assert blocks >= 2
 
 
 def test_round_trip_matches_builder_graph():
