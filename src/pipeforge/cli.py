@@ -156,24 +156,22 @@ def _fmt_thr(v) -> str:
 
 
 def _sweep_variant(balanced: SyncGraph, policy: PrimitivePolicy,
-                   protocol_name: str, baseline: Netlist | None, seed: int):
+                   protocol_name: str, baseline: Netlist, seed: int):
     resolved = resolve_direct_backward(balanced, policy)
     report = validate(resolved)
     if not report.ok:
         raise PipeforgeError("sweep variant failed validation")
     plan = apply_protocol(resolved, Protocol(protocol_name))
     netlist = lower(resolved, plan, policy)
-    verdict = None
-    if baseline is not None:
-        verdict = check_equivalence(baseline, netlist, trials=2, seed=seed,
-                                    cycles=200)
-    name = (f"D{_fmt_thr(policy.depth_threshold)}_"
-            f"W{_fmt_thr(policy.width_threshold)}_{policy.shiftreg_mode.value}")
+    verdict = check_equivalence(baseline, netlist, trials=2, seed=seed,
+                                cycles=200)
+    depth, width = _fmt_thr(policy.depth_threshold), _fmt_thr(policy.width_threshold)
+    name = f"D{depth}_W{width}_{policy.shiftreg_mode.value}"
     manifest = {
         "name": name,
         "policy": {
-            "depth_threshold": _fmt_thr(policy.depth_threshold),
-            "width_threshold": _fmt_thr(policy.width_threshold),
+            "depth_threshold": depth,
+            "width_threshold": width,
             "shiftreg": policy.shiftreg_mode.value,
         },
         "cell_counts": netlist.cell_counts(),
@@ -197,23 +195,13 @@ def cmd_sweep(args) -> int:
     plan = apply_protocol(resolved, Protocol(args.protocol))
     baseline = lower(resolved, plan, base_policy)
 
-    results = []
-    if args.jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            futs = [pool.submit(_sweep_variant, balanced, pol, args.protocol,
-                                baseline, args.seed + i)
-                    for i, pol in enumerate(policies)]
-            results = [f.result() for f in futs]
-    else:
-        results = [_sweep_variant(balanced, pol, args.protocol, baseline,
-                                  args.seed + i)
-                   for i, pol in enumerate(policies)]
+    results = [_sweep_variant(balanced, pol, args.protocol, baseline,
+                              args.seed + i)
+               for i, pol in enumerate(policies)]
 
     index = []
     for name, manifest, vtext, dtext, verdict in results:
-        if verdict is not None and not verdict.ok:
+        if not verdict.ok:
             print(f"variant {name} diverges from baseline: {verdict.detail}",
                   file=sys.stderr)
             return 3
@@ -305,7 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--protocol", choices=[x.value for x in Protocol],
                    default="raw")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_sweep)
 

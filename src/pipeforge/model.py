@@ -162,21 +162,22 @@ class SyncGraph:
     def output_zones(self) -> list[str]:
         return [o.zone for o in self.outputs]
 
-    def zone(self, zone_id: str) -> TimeZone:
-        return self.zones[zone_id]
-
     def copy(self) -> "SyncGraph":
         return copy.deepcopy(self)
 
     def signal_width(self, name: str) -> int:
         return self.decls[name].width
 
-    def structural_relations(self) -> list[Relation]:
-        return [r for r in self.relations if r.structural]
+    def preds(self) -> dict[str, list[Relation]]:
+        """Structural inbound relations of every zone, in relation order.
 
-    def inbound(self, zone_id: str, structural: bool = True) -> list[Relation]:
-        return [r for r in self.relations
-                if r.sink == zone_id and (r.structural or not structural)]
+        Built afresh per call, never stored: the builder still appends
+        structural relations while it asks for ancestors."""
+        preds: dict[str, list[Relation]] = {z: [] for z in self.zones}
+        for rel in self.relations:
+            if rel.structural:
+                preds[rel.sink].append(rel)
+        return preds
 
     # -- ordering ----------------------------------------------------------
 
@@ -185,78 +186,58 @@ class SyncGraph:
         split-off branches before continuing the splitting branch."""
         order = list(self.zones)
         index = {z: i for i, z in enumerate(order)}
-        for rel in self.structural_relations():
-            if index[rel.source] >= index[rel.sink]:
+        for rel in self.relations:
+            if rel.structural and index[rel.source] >= index[rel.sink]:
                 raise CycleDetectedError(
                     f"relation {rel.source} -> {rel.sink} violates forward order")
         return order
 
-    def backward_order(self) -> list[str]:
-        return list(reversed(self.forward_order()))
-
     # -- latency arithmetic ------------------------------------------------
 
-    def path_sums(self, src: str, dst: str) -> set[int]:
-        """All structural-path latency sums from src to dst (empty if no path)."""
-        if src not in self.zones or dst not in self.zones:
-            raise NoPathError(f"unknown zone in query {src!r} -> {dst!r}")
+    def path_sums(self, src: str) -> dict[str, set[int]]:
+        """All structural-path latency sums from src to every zone it reaches,
+        in one forward pass."""
+        if src not in self.zones:
+            raise NoPathError(f"unknown zone {src!r}")
+        order = self.forward_order()
+        preds = self.preds()
         sums: dict[str, set[int]] = {src: {0}}
-        for z in self.forward_order():
-            if z not in sums:
-                continue
-            for rel in self.relations:
-                if not rel.structural or rel.source != z:
+        unset: list[Relation] = []
+        for z in order:
+            for rel in preds[z]:
+                if rel.source not in sums:
                     continue
+                acc = sums.setdefault(z, set())
                 if rel.latency is None:
-                    raise MissingLatencyError(
-                        f"relation {rel.source} -> {rel.sink} has no latency yet")
-                nxt = sums.setdefault(rel.sink, set())
-                nxt.update(s + rel.latency for s in sums[z])
-        return sums.get(dst, set())
+                    unset.append(rel)
+                else:
+                    acc.update(s + rel.latency for s in sums[rel.source])
+        if unset:  # the unset edge a walk in forward order meets first
+            rel = min(unset, key=lambda r: order.index(r.source))
+            raise MissingLatencyError(
+                f"relation {rel.source} -> {rel.sink} has no latency yet")
+        return sums
 
     def equivalent_latency(self, src: str, dst: str) -> int:
-        if src == dst:
-            return 0
-        sums = self.path_sums(src, dst)
-        if not sums:
-            raise NoPathError(f"no path from {src!r} to {dst!r}")
-        if len(sums) > 1:
-            raise UnbalancedPathsError(
-                f"paths {src!r} -> {dst!r} disagree: {sorted(sums)}")
-        return next(iter(sums))
+        return 0 if src == dst else single_latency(self.path_sums(src), src, dst)
 
     def depths(self) -> dict[str, int]:
         """Latency from the input zone to every zone (requires balanced merges)."""
-        depths: dict[str, int] = {self.input_zone: 0}
-        for z in self.forward_order():
-            if z == self.input_zone:
-                continue
-            cands = set()
-            for rel in self.inbound(z):
-                if rel.latency is None:
-                    raise MissingLatencyError(
-                        f"merge edge {rel.source} -> {rel.sink} not balanced yet")
-                cands.add(depths[rel.source] + rel.latency)
-            if not cands:
-                raise NoPathError(f"zone {z!r} unreachable from input")
-            if len(cands) > 1:
-                raise UnbalancedPathsError(
-                    f"input paths to {z!r} disagree: {sorted(cands)}")
-            depths[z] = next(iter(cands))
-        return depths
+        sums = self.path_sums(self.input_zone)
+        return {z: single_latency(sums, self.input_zone, z) for z in self.zones}
 
-    def ancestors(self, zone_id: str) -> set[str]:
-        preds: dict[str, set[str]] = {z: set() for z in self.zones}
-        for rel in self.structural_relations():
-            preds[rel.sink].add(rel.source)
+    def ancestors(self, zone_id: str,
+                  preds: dict[str, list[Relation]] | None = None) -> set[str]:
+        """Zones with a structural path into zone_id; ``preds`` reuses a
+        :meth:`preds` map already built for the unchanged structure."""
+        preds = self.preds() if preds is None else preds
         seen: set[str] = set()
-        stack = list(preds[zone_id])
+        stack = [zone_id]
         while stack:
-            z = stack.pop()
-            if z in seen:
-                continue
-            seen.add(z)
-            stack.extend(preds[z])
+            for rel in preds[stack.pop()]:
+                if rel.source not in seen:
+                    seen.add(rel.source)
+                    stack.append(rel.source)
         return seen
 
     # -- missing relations -------------------------------------------------
@@ -273,12 +254,14 @@ class SyncGraph:
         depths = self.depths()
         order = self.forward_order()
         pos = {z: i for i, z in enumerate(order)}
+        preds = self.preds()
         out: list[MissingRelation] = []
         for z in order:
+            anc = None
             for slot in self.zones[z].slots.values():
                 if slot.status is not SignalStatus.PENDING_LOCAL:
                     continue
-                anc = self.ancestors(z)
+                anc = anc or self.ancestors(z, preds)
                 cands = [a for a in anc if slot.signal in self.zones[a].slots]
                 if not cands:
                     raise UnknownSignalError(slot.signal, z)
@@ -295,6 +278,17 @@ class SyncGraph:
     def pending_count(self) -> int:
         return sum(1 for z in self.zones.values() for s in z.slots.values()
                    if s.status is SignalStatus.PENDING_LOCAL)
+
+
+def single_latency(sums: dict[str, set[int]], src: str, dst: str) -> int:
+    """The one latency from src to dst given ``path_sums(src)``."""
+    got = sums.get(dst)
+    if not got:
+        raise NoPathError(f"no path from {src!r} to {dst!r}")
+    if len(got) > 1:
+        raise UnbalancedPathsError(
+            f"paths {src!r} -> {dst!r} disagree: {sorted(got)}")
+    return next(iter(got))
 
 
 # ---------------------------------------------------------------------------

@@ -245,6 +245,7 @@ def lower(graph: SyncGraph, plan: HandshakePlan,
             nl.cells.append(DelayCell(taps[d], taps[d - 1], 1, 1))
 
     order = graph.forward_order()
+    preds = graph.preds()
     for z in order:
         if z == graph.input_zone:
             continue
@@ -299,7 +300,7 @@ def lower(graph: SyncGraph, plan: HandshakePlan,
             continue
         step = graph.steps.get(z)
         if step is not None:
-            src = next(r.source for r in graph.inbound(z))
+            src = preds[z][0].source
             lat = step.latency
             mapping = {}
             for sig, slot in graph.zones[src].slots.items():

@@ -13,9 +13,11 @@ intermediate slots (and therefore how much hardware) they create.
 from __future__ import annotations
 
 import enum
+import functools
 import json
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .errors import UnknownSignalError
 from .model import (
@@ -26,6 +28,7 @@ from .model import (
     Slot,
     SyncGraph,
     ZoneKind,
+    single_latency,
 )
 
 INFINITE = math.inf
@@ -154,11 +157,12 @@ def balance_merges(graph: SyncGraph) -> SyncGraph:
     as extra zones; the longest inbound branch gets latency 0.
     """
     g = graph.copy()
+    preds = g.preds()
     depths: dict[str, int] = {g.input_zone: 0}
     for z in g.forward_order():
         if z == g.input_zone:
             continue
-        inbound = g.inbound(z)
+        inbound = preds[z]
         if g.zones[z].kind is ZoneKind.MERGE:
             longest = max(depths[r.source] for r in inbound)
             for r in inbound:
@@ -197,6 +201,7 @@ def resolve_exhaustive_forward(graph: SyncGraph) -> SyncGraph:
     g = graph.copy()
     order = g.forward_order()
     pos = {z: i for i, z in enumerate(order)}
+    preds = g.preds()
     cache: dict = {}
     for z in order:
         zone = g.zones[z]
@@ -205,7 +210,7 @@ def resolve_exhaustive_forward(graph: SyncGraph) -> SyncGraph:
         # at merges each signal is pulled from the inbound tip latest in
         # forward order; concurrent declarations are forbidden upstream so
         # every inbound copy of a signal carries the same value
-        inbound = sorted(g.inbound(z), key=lambda r: pos[r.source])
+        inbound = sorted(preds[z], key=lambda r: pos[r.source])
         for rel in inbound:
             for sig, src_slot in g.zones[rel.source].slots.items():
                 have = zone.slots.get(sig)
@@ -223,19 +228,19 @@ def resolve_exhaustive_forward(graph: SyncGraph) -> SyncGraph:
     return g
 
 
-def _designated_pred(g: SyncGraph, zone_id: str, pos: dict[str, int],
+def _designated_pred(g: SyncGraph, inbound: list[Relation],
+                     pos: dict[str, int], ancestors: Callable[[str], set[str]],
                      sig: str) -> Relation:
     # hop-by-hop requests go to the inbound source latest in forward order,
     # restricted to predecessors able to supply the signal (it is held there
     # already, or its declaring zone is upstream of them); the unrestricted
     # fallback lets a hopeless request walk to the input zone and fail there
-    inbound = g.inbound(zone_id)
     decl = g.decls.get(sig)
     able = [r for r in inbound
             if sig in g.zones[r.source].slots
             or (decl is not None
                 and (r.source == decl.declaring_zone
-                     or decl.declaring_zone in g.ancestors(r.source)))]
+                     or decl.declaring_zone in ancestors(r.source)))]
     return max(able or inbound, key=lambda r: pos[r.source])
 
 
@@ -251,10 +256,13 @@ def resolve_p2p_backward(graph: SyncGraph) -> SyncGraph:
                 if s.status is SignalStatus.PENDING_LOCAL]
         if pend:
             needs[z] = pend
+    # structural relations stay as they are while p2p adds transitive ones
+    preds = g.preds()
+    ancestors = functools.cache(lambda z: g.ancestors(z, preds))
     cache: dict = {}
     for z in reversed(order):
         for sig in needs.get(z, []):
-            rel = _designated_pred(g, z, pos, sig)
+            rel = _designated_pred(g, preds[z], pos, ancestors, sig)
             src = g.zones[rel.source]
             if sig not in src.slots:
                 if src.kind is ZoneKind.INPUT:
@@ -339,16 +347,18 @@ def validate(graph: SyncGraph) -> ValidationReport:
         return rep
 
     try:
-        unbalanced = []
-        for z in graph.zones:
-            sums = graph.path_sums(graph.input_zone, z)
-            if len(sums) > 1:
-                unbalanced.append(f"{z}: {sorted(sums)}")
+        unbalanced = [f"{z}: {sorted(sums)}" for z, sums
+                      in graph.path_sums(graph.input_zone).items()
+                      if len(sums) > 1]
         rep.entries.append(ValidationEntry(
             "balanced", not unbalanced, "; ".join(unbalanced)))
     except Exception as exc:  # noqa: BLE001
         rep.entries.append(ValidationEntry("balanced", False, str(exc)))
 
+    by_pair: dict[tuple[str, str], list[Relation]] = {}
+    for r in graph.relations:
+        by_pair.setdefault((r.source, r.sink), []).append(r)
+    sums_from: dict[str, dict[str, set[int]]] = {}
     bad_feeds = []
     for z in graph.zones.values():
         for slot in z.slots.values():
@@ -358,15 +368,16 @@ def validate(graph: SyncGraph) -> ValidationReport:
                 bad_feeds.append(f"{z.id}:{slot.signal} has no feed")
                 continue
             src, lat = slot.fed_from
-            feeds = [r for r in graph.relations
-                     if r.source == src and r.sink == z.id
-                     and slot.signal in r.signals and r.latency == lat]
+            feeds = [r for r in by_pair.get((src, z.id), ())
+                     if slot.signal in r.signals and r.latency == lat]
             if len(feeds) != 1:
                 bad_feeds.append(
                     f"{z.id}:{slot.signal} fed by {len(feeds)} relations")
                 continue
             try:
-                want = graph.equivalent_latency(src, z.id)
+                if src not in sums_from:
+                    sums_from[src] = graph.path_sums(src)
+                want = single_latency(sums_from[src], src, z.id)
             except Exception as exc:  # noqa: BLE001
                 bad_feeds.append(f"{z.id}:{slot.signal}: {exc}")
                 continue

@@ -33,15 +33,18 @@ def schema() -> dict:
 
 def load_spec(path: str) -> dict:
     """Read and schema-validate a pipeline description file."""
+    validator = jsonschema.Draft202012Validator(schema())
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
+        errors = sorted(validator.iter_errors(doc),
+                        key=lambda e: list(e.absolute_path))
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
-    validator = jsonschema.Draft202012Validator(schema())
-    errors = sorted(validator.iter_errors(doc), key=lambda e: list(e.absolute_path))
+    except RecursionError as exc:
+        raise ConfigError(f"{path} is nested too deeply") from exc
     if errors:
         e = errors[0]
         pointer = "/" + "/".join(str(p) for p in e.absolute_path)

@@ -103,6 +103,22 @@ def test_simulate_huge_shift_amount(capsys, tmp_path):
     assert "latency: 1" in out
 
 
+@pytest.mark.parametrize("depth,want", [(50, 0), (130, 2), (1200, 2)])
+def test_simulate_deeply_nested_expression(capsys, tmp_path, depth, want):
+    # built as text: json.dump recurses as deeply as the reader does
+    expr = '["not", ' * depth + '"x"' + "]" * depth
+    spec = tmp_path / "nested.json"
+    spec.write_text(
+        '{"name": "nested", "inputs": [{"name": "x", "width": 8}], '
+        '"outputs": [{"name": "q_out", "from": "q"}], '
+        '"steps": [{"name": "s", "kind": "reg", "defines": '
+        '[{"name": "q", "width": 8, "expr": ' + expr + '}]}]}')
+    code, _, err = run_cli(capsys, "simulate", str(spec), "--cycles", "8")
+    assert code == want
+    if want:
+        assert str(spec) in err
+
+
 def test_simulate_cycle_check(capsys):
     code, _, _ = run_cli(
         capsys, "simulate", data_path("running.json"),

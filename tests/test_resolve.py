@@ -16,10 +16,9 @@ INF = math.inf
 
 def test_balance_running_example():
     g = pf.balance_merges(build_running())
-    merge_in = {r.source: r.latency for r in g.inbound("merged_mul_mul")}
-    assert merge_in == {"mul": 1, "addB": 0}
-    assert all(r.origin is pf.RelationOrigin.BALANCING
-               for r in g.inbound("merged_mul_mul"))
+    merge_in = g.preds()["merged_mul_mul"]
+    assert {r.source: r.latency for r in merge_in} == {"mul": 1, "addB": 0}
+    assert all(r.origin is pf.RelationOrigin.BALANCING for r in merge_in)
     assert g.balanced
 
 
@@ -31,7 +30,7 @@ def test_balance_equal_branches():
     b.merge(b1)
     b.drive_output([("o", "q2")])
     g = pf.balance_merges(b.build())
-    assert {r.latency for r in g.inbound("merged_b1_s1")} == {0}
+    assert {r.latency for r in g.preds()["merged_b1_s1"]} == {0}
 
 
 def test_balance_three_way():
@@ -47,14 +46,15 @@ def test_balance_three_way():
     b.drive_output([("o", "q4")])
     g = pf.balance_merges(b.build())
     # path sums {3, 5, 3} -> compensations {2, 0, 2}
-    comp = {r.source: r.latency for r in g.inbound(g.forward_order()[-1])}
+    comp = {r.source: r.latency for r in g.preds()[g.forward_order()[-1]]}
     assert comp == {"s1": 2, "s3": 0, "s4": 2}
 
 
 def test_balanced_paths_agree_everywhere():
     g = pf.balance_merges(build_running(xor_delay=2, with_e=True))
-    for z in g.zones:
-        assert len(g.path_sums("_init_", z)) == 1
+    sums = g.path_sums("_init_")
+    assert set(sums) == set(g.zones)
+    assert all(len(s) == 1 for s in sums.values())
 
 
 # -- resolution algorithms --------------------------------------------------
@@ -188,6 +188,19 @@ def test_validate_corrupted_latency_names_relation(balanced_e):
     assert not rep.ok
     fail = [e for e in rep.failures() if e.check == "feed_latencies"]
     assert fail and "e" in fail[0].detail
+
+
+def test_validate_unbalanced_merge_details(balanced_e):
+    g = pf.resolve_direct_backward(balanced_e)
+    (edge,) = [r for r in g.relations if r.kind is pf.RelationKind.MERGE
+               and (r.source, r.sink) == ("mul", "merged_mul_mul")]
+    edge.latency += 1
+    details = {e.check: e.detail for e in pf.validate(g).failures()}
+    assert details == {
+        "balanced": "merged_mul_mul: [2, 3]; xor: [2, 3]",
+        "feed_latencies": "merged_mul_mul:mulXY fed by 0 relations; "
+                          "xor:e: paths '_init_' -> 'xor' disagree: [2, 3]",
+    }
 
 
 # -- distribution report and sweep ------------------------------------------

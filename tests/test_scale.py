@@ -1,0 +1,53 @@
+"""The resolution properties on a pipeline ten times the size of the random
+corpus, generated by the benchmark's spec generator and checked against its
+depth oracle."""
+
+import os
+import sys
+from dataclasses import replace
+
+import pipeforge as pf
+
+from conftest import implemented_latency
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
+import oracle  # noqa: E402
+import specgen  # noqa: E402
+import workloads  # noqa: E402
+
+STRUCTURAL = (pf.RelationKind.STEP, pf.RelationKind.MERGE)
+
+
+def zone_depths(graph: pf.SyncGraph) -> dict[str, int]:
+    """Input-to-zone latency of a balanced graph, read off its relations."""
+    structural = [r for r in graph.relations if r.kind in STRUCTURAL]
+    depth = {graph.input_zone: 0}
+    for _ in graph.zones:  # as many sweeps as the longest path may need
+        for r in structural:
+            if r.source in depth:
+                depth.setdefault(r.sink, depth[r.source] + r.latency)
+    assert len(depth) == len(graph.zones)
+    assert all(depth[r.sink] == depth[r.source] + r.latency for r in structural)
+    return depth
+
+
+def test_properties_on_a_120_step_pipeline():
+    doc = specgen.generate("deep120", replace(workloads.DEEP, steps=120), 0)
+    balanced = pf.balance_merges(pf.graph_from_spec(doc))
+    depth = zone_depths(balanced)
+    assert max(depth[z] for z in balanced.output_zones) == oracle.spec_depth(doc)
+
+    resolved = [pf.resolve_direct_backward(balanced),
+                pf.resolve_p2p_backward(balanced),
+                pf.resolve_exhaustive_forward(balanced)]
+    for r in resolved:
+        assert pf.validate(r).ok, pf.validate(r).failures()
+        for z, zone in r.zones.items():
+            for sig, slot in zone.slots.items():
+                if slot.status is pf.SignalStatus.PROPAGATED:
+                    decl = depth[r.decls[sig].declaring_zone]
+                    assert decl + implemented_latency(r, z, sig) == depth[z], (z, sig)
+    direct, p2p, exhaustive = resolved
+    for z in balanced.zones:
+        assert (set(direct.zones[z].slots) <= set(p2p.zones[z].slots)
+                <= set(exhaustive.zones[z].slots)), z
