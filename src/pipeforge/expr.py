@@ -13,7 +13,8 @@ combinational cells of the netlist.  Width rules are deterministic:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from operator import itemgetter
+from typing import Callable, Mapping
 
 from .errors import WidthMismatchError
 
@@ -28,15 +29,19 @@ class Expr:
     def width(self, widths: Mapping[str, int]) -> int:
         raise NotImplementedError
 
-    def eval(self, values: Mapping[str, int], widths: Mapping[str, int]) -> int:
+    def compile(self, widths: Mapping[str, int]) -> Callable[[Mapping[str, int]], int]:
+        """A function of the net values that evaluates this expression.
+
+        Widths, masks and the width rules are resolved here, once, so a
+        caller that evaluates the same expression every cycle compiles it
+        once and calls the result."""
         raise NotImplementedError
+
+    def eval(self, values: Mapping[str, int], widths: Mapping[str, int]) -> int:
+        return self.compile(widths)(values)
 
     def to_sexpr(self):
         raise NotImplementedError
-
-
-def _mask(value: int, width: int) -> int:
-    return value & ((1 << width) - 1)
 
 
 @dataclass(frozen=True)
@@ -57,8 +62,9 @@ class Const(Expr):
     def width(self, widths):
         return self.const_width
 
-    def eval(self, values, widths):
-        return self.value
+    def compile(self, widths):
+        value = self.value
+        return lambda values: value
 
     def to_sexpr(self):
         return ["const", self.value, self.const_width]
@@ -74,8 +80,8 @@ class Ref(Expr):
     def width(self, widths):
         return widths[self.name]
 
-    def eval(self, values, widths):
-        return values[self.name]
+    def compile(self, widths):
+        return itemgetter(self.name)
 
     def to_sexpr(self):
         return ["ref", self.name]
@@ -100,21 +106,21 @@ class BinOp(Expr):
             return wl + wr
         return max(wl, wr)
 
-    def eval(self, values, widths):
-        a = self.lhs.eval(values, widths)
-        b = self.rhs.eval(values, widths)
-        w = self.width(widths)
+    def compile(self, widths):
+        mask = (1 << self.width(widths)) - 1
+        a = self.lhs.compile(widths)
+        b = self.rhs.compile(widths)
         if self.op == "add":
-            return _mask(a + b, w)
+            return lambda values: (a(values) + b(values)) & mask
         if self.op == "sub":
-            return _mask(a - b, w)
+            return lambda values: (a(values) - b(values)) & mask
         if self.op == "mul":
-            return _mask(a * b, w)
+            return lambda values: (a(values) * b(values)) & mask
         if self.op == "xor":
-            return a ^ b
+            return lambda values: a(values) ^ b(values)
         if self.op == "and":
-            return a & b
-        return a | b
+            return lambda values: a(values) & b(values)
+        return lambda values: a(values) | b(values)
 
     def to_sexpr(self):
         return [self.op, self.lhs.to_sexpr(), self.rhs.to_sexpr()]
@@ -130,9 +136,10 @@ class Not(Expr):
     def width(self, widths):
         return self.arg.width(widths)
 
-    def eval(self, values, widths):
-        w = self.width(widths)
-        return _mask(~self.arg.eval(values, widths), w)
+    def compile(self, widths):
+        mask = (1 << self.width(widths)) - 1
+        a = self.arg.compile(widths)
+        return lambda values: ~a(values) & mask
 
     def to_sexpr(self):
         return ["not", self.arg.to_sexpr()]
@@ -156,15 +163,17 @@ class Shift(Expr):
     def width(self, widths):
         return self.arg.width(widths)
 
-    def eval(self, values, widths):
+    def compile(self, widths):
         w = self.width(widths)
-        v = self.arg.eval(values, widths)
+        n = self.amount
         # every bit shifts out; testing first keeps a huge shl from allocating
-        if self.amount >= w:
-            return 0
+        if n >= w:
+            return lambda values: 0
+        a = self.arg.compile(widths)
         if self.op == "shl":
-            return _mask(v << self.amount, w)
-        return v >> self.amount
+            mask = (1 << w) - 1
+            return lambda values: (a(values) << n) & mask
+        return lambda values: a(values) >> n
 
     def to_sexpr(self):
         return [self.op, self.amount, self.arg.to_sexpr()]
@@ -187,11 +196,12 @@ class Mux(Expr):
             raise WidthMismatchError(f"mux arm widths differ: {wt} vs {wo}")
         return wt
 
-    def eval(self, values, widths):
+    def compile(self, widths):
         self.width(widths)
-        if self.sel.eval(values, widths):
-            return self.then.eval(values, widths)
-        return self.other.eval(values, widths)
+        sel = self.sel.compile(widths)
+        then = self.then.compile(widths)
+        other = self.other.compile(widths)
+        return lambda values: then(values) if sel(values) else other(values)
 
     def to_sexpr(self):
         return ["mux", self.sel.to_sexpr(), self.then.to_sexpr(), self.other.to_sexpr()]
@@ -214,9 +224,11 @@ class Slice(Expr):
                 f"slice [{self.hi}:{self.lo}] exceeds operand width {self.arg.width(widths)}")
         return self.hi - self.lo + 1
 
-    def eval(self, values, widths):
-        w = self.width(widths)
-        return _mask(self.arg.eval(values, widths) >> self.lo, w)
+    def compile(self, widths):
+        mask = (1 << self.width(widths)) - 1
+        a = self.arg.compile(widths)
+        lo = self.lo
+        return lambda values: (a(values) >> lo) & mask
 
     def to_sexpr(self):
         return ["slice", self.hi, self.lo, self.arg.to_sexpr()]
@@ -239,11 +251,15 @@ class Concat(Expr):
     def width(self, widths):
         return sum(p.width(widths) for p in self.parts)
 
-    def eval(self, values, widths):
-        acc = 0
-        for p in self.parts:
-            acc = (acc << p.width(widths)) | p.eval(values, widths)
-        return acc
+    def compile(self, widths):
+        parts = [(p.compile(widths), p.width(widths)) for p in self.parts]
+
+        def concat(values):
+            acc = 0
+            for part, w in parts:
+                acc = (acc << w) | part(values)
+            return acc
+        return concat
 
     def to_sexpr(self):
         return ["cat"] + [p.to_sexpr() for p in self.parts]

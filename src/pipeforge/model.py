@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import copy
 import enum
+import functools
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .errors import (
     BranchClosedError,
@@ -194,13 +196,16 @@ class SyncGraph:
 
     # -- latency arithmetic ------------------------------------------------
 
-    def path_sums(self, src: str) -> dict[str, set[int]]:
+    def path_sums(self, src: str,
+                  preds: dict[str, list[Relation]] | None = None
+                  ) -> dict[str, set[int]]:
         """All structural-path latency sums from src to every zone it reaches,
-        in one forward pass."""
+        in one forward pass; ``preds`` reuses a :meth:`preds` map already
+        built for the unchanged structure."""
         if src not in self.zones:
             raise NoPathError(f"unknown zone {src!r}")
         order = self.forward_order()
-        preds = self.preds()
+        preds = self.preds() if preds is None else preds
         sums: dict[str, set[int]] = {src: {0}}
         unset: list[Relation] = []
         for z in order:
@@ -434,12 +439,13 @@ class PipeBuilder:
             tip, body.name, body.latency, RelationOrigin.USER_STEP,
             RelationKind.STEP, signals=[s for s, _, _ in body.defines]))
         g.steps[body.name] = body
+        ancestors = functools.cache(lambda: g.ancestors(tip))
         for r in body.reads:
-            self._resolve_read(g, tip, r, body.name)
+            self._resolve_read(g, tip, r, body.name, ancestors)
         local: set[str] = set()
         for sig, width, expr in body.defines:
             for r in sorted(expr.refs() - local):
-                self._resolve_read(g, tip, r, body.name)
+                self._resolve_read(g, tip, r, body.name, ancestors)
             if body.latency == 0:
                 # chained combinational defines within one wire step may read
                 # each other in definition order
@@ -482,6 +488,7 @@ class PipeBuilder:
         return zid
 
     def _emit_output(self, g: SyncGraph, tip: str, mapping: list[tuple[str, str]]):
+        ancestors = functools.cache(lambda: g.ancestors(tip))
         if g.zones[tip].kind is ZoneKind.INPUT:
             zid = "out"
             n = 2
@@ -492,7 +499,7 @@ class PipeBuilder:
             g.zones[zid] = zone
             srcs = []
             for _, src in mapping:
-                self._resolve_read(g, tip, src, zid)
+                self._resolve_read(g, tip, src, zid, ancestors)
                 if src not in srcs:
                     srcs.append(src)
             g.relations.append(Relation(
@@ -505,11 +512,14 @@ class PipeBuilder:
             g.outputs.append(OutputSpec(zid, list(mapping)))
         else:
             for _, src in mapping:
-                self._resolve_read(g, tip, src, tip)
+                self._resolve_read(g, tip, src, tip, ancestors)
             g.outputs.append(OutputSpec(tip, list(mapping)))
 
     def _resolve_read(self, g: SyncGraph, source_zone: str, name: str,
-                      requiring_zone: str) -> None:
+                      requiring_zone: str,
+                      ancestors: Callable[[], set[str]]) -> None:
+        """``ancestors()`` gives ``g.ancestors(source_zone)``; reads of one
+        step share it, since no read adds a structural relation."""
         zone = g.zones[source_zone]
         if name in zone.slots:
             slot = zone.slots[name]
@@ -518,7 +528,7 @@ class PipeBuilder:
             return
         decl = g.decls.get(name)
         if decl is None or (decl.declaring_zone != source_zone
-                            and decl.declaring_zone not in g.ancestors(source_zone)):
+                            and decl.declaring_zone not in ancestors()):
             raise UnknownSignalError(name, requiring_zone)
         zone.slots[name] = Slot(name, decl.width, SignalStatus.PENDING_LOCAL,
                                 decl.declaring_zone)

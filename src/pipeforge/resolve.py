@@ -346,9 +346,10 @@ def validate(graph: SyncGraph) -> ValidationReport:
         rep.entries.append(ValidationEntry("acyclic", False, str(exc)))
         return rep
 
+    preds = graph.preds()
     try:
         unbalanced = [f"{z}: {sorted(sums)}" for z, sums
-                      in graph.path_sums(graph.input_zone).items()
+                      in graph.path_sums(graph.input_zone, preds).items()
                       if len(sums) > 1]
         rep.entries.append(ValidationEntry(
             "balanced", not unbalanced, "; ".join(unbalanced)))
@@ -376,7 +377,7 @@ def validate(graph: SyncGraph) -> ValidationReport:
                 continue
             try:
                 if src not in sums_from:
-                    sums_from[src] = graph.path_sums(src)
+                    sums_from[src] = graph.path_sums(src, preds)
                 want = single_latency(sums_from[src], src, z.id)
             except Exception as exc:  # noqa: BLE001
                 bad_feeds.append(f"{z.id}:{slot.signal}: {exc}")

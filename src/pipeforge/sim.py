@@ -4,7 +4,13 @@ Two-phase evaluation per cycle: combinational cells settle in topological
 order (sequential outputs count as cycle-start constants), then sequential
 state updates, gated by the global enable under ready/valid.  Two-valued
 simulation; reset is synchronous and active-high, registers come up in
-their reset state.
+their reset state.  Each combinational cell is compiled once per simulation
+into a closure with its widths and masks resolved, so a cycle only calls it.
+
+``measured_latency`` warms a netlist up for as long as its own longest
+sequential path into the outputs, found in one walk over the nets; a net
+that feeds back into itself through sequential cells never settles, and is
+reported as an error rather than measured.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .errors import NoResponseError, PortMismatchError, SimulationError
-from .netlist import CounterCell, DelayCell, FifoCell, Netlist, comb_order
+from .netlist import CombCell, CounterCell, DelayCell, FifoCell, Netlist, comb_order
 from .protocol import Protocol
 
 
@@ -96,10 +102,11 @@ class _State:
         self.delays = [c for c in netlist.cells if isinstance(c, DelayCell)]
         self.fifos = [c for c in netlist.cells if isinstance(c, FifoCell)]
         self.counters = [c for c in netlist.cells if isinstance(c, CounterCell)]
-        self.order = comb_order(netlist)
+        cells = comb_order(netlist)
+        self.comb_order = [(c.out, c.expr.compile(netlist.nets)) for c in cells]
         # stage nets are only computed where something reads them
         read = set(watch)
-        for c in self.order:
+        for c in cells:
             read |= c.expr.refs()
         for c in self.delays:
             read.add(c.inp)
@@ -133,9 +140,8 @@ class _State:
         for c in self.counters:
             values[c.count] = self.cnt_v[c.count]
             values[c.zero] = 1 if self.cnt_v[c.count] == 0 else 0
-        widths = self.netlist.nets
-        for cell in self.order:
-            values[cell.out] = cell.expr.eval(values, widths)
+        for out, fn in self.comb_order:
+            values[out] = fn(values)
         return values
 
     def update(self, values: dict, in_reset: bool) -> None:
@@ -196,16 +202,50 @@ def simulate(netlist: Netlist, stim: Stimulus) -> Trace:
     return trace
 
 
-def _state_depth_bound(netlist: Netlist) -> int:
-    bound = 0
+def _settle_time(netlist: Netlist, nets: list[str]) -> int:
+    """Longest sequential path into ``nets``, in enabled cycles.
+
+    Inputs and constants settle at 0, a combinational net at the latest of
+    the nets it reads, a delay line's kth net k cycles after its input, a
+    FIFO's nets ``capacity + 1`` cycles after the latest of its input and
+    enables, and a startup counter's nets at its ``init``.  So once the
+    inputs have held still this long after reset, ``nets`` hold still too.
+    Walks only the nets that ``nets`` depend on, in one depth-first pass.
+    """
+    feeds: dict[str, tuple[tuple[str, ...], int]] = {}
     for c in netlist.cells:
-        if isinstance(c, DelayCell):
-            bound += c.depth
+        if isinstance(c, CombCell):
+            feeds[c.out] = (tuple(c.expr.refs()), 0)
+        elif isinstance(c, DelayCell):
+            feeds[c.out] = ((c.inp,), c.depth)
+            for k, net in enumerate(c.stages, 1):
+                feeds[net] = ((c.inp,), k)
         elif isinstance(c, FifoCell):
-            bound += c.capacity + 1
-        elif isinstance(c, CounterCell):
-            bound += c.init
-    return bound
+            fifo = ((c.inp, c.write_en, c.read_en), c.capacity + 1)
+            feeds[c.out] = feeds[c.full] = feeds[c.empty] = fifo
+        else:
+            feeds[c.count] = feeds[c.zero] = ((), c.init)
+    settle: dict[str, int] = {}
+    entered: set[str] = set()  # on the stack below its unsettled sources
+    stack = list(nets)
+    while stack:
+        net = stack[-1]
+        if net in settle:
+            stack.pop()
+            continue
+        srcs, delay = feeds.get(net, ((), 0))
+        if net not in entered:
+            entered.add(net)
+            todo = [n for n in srcs if n not in settle]
+            if any(n in entered for n in todo):
+                raise SimulationError(
+                    f"net {net!r} feeds back into itself, so it never settles")
+            if todo:
+                stack.extend(todo)
+                continue
+        stack.pop()
+        settle[net] = max((settle[n] for n in srcs), default=0) + delay
+    return max((settle[n] for n in nets), default=0)
 
 
 def measured_latency(netlist: Netlist, seed: int = 0) -> int:
@@ -214,13 +254,14 @@ def measured_latency(netlist: Netlist, seed: int = 0) -> int:
     Warms the pipeline with zeros, applies a one-cycle random stimulus and
     returns the delay until any output first deviates from its settled
     value; retries with fresh values if the function happens to be
-    insensitive to the draw.
+    insensitive to the draw.  The warm-up is the netlist's own longest
+    sequential path into the outputs, so it needs no planned latency.
     """
     if netlist.protocol is not Protocol.RAW:
         raise SimulationError("latency measurement applies to raw netlists")
     rng = random.Random(seed)
-    warm = _state_depth_bound(netlist) + 8
     out_ports = [n for n, _ in netlist.outputs]
+    warm = _settle_time(netlist, out_ports) + 8
     for _ in range(20):
         impulse = {n: rng.randrange(1, 1 << w) for n, w in netlist.inputs}
         stim = Stimulus(
@@ -241,32 +282,50 @@ class Verdict:
     detail: str = ""
 
 
-def _ready_schedule(rng: random.Random, cycles: int, duty: float) -> list[int]:
-    return [1 if rng.random() < duty else 0 for _ in range(cycles)]
+def _ready_schedule(rng: random.Random, cycles: int, duty: float,
+                    ready_cycles: int) -> list[int]:
+    """``cycles`` sink-ready bits drawn at ``duty``, then more drawn the same
+    way until ``ready_cycles`` of them are set."""
+    bits = [1 if rng.random() < duty else 0 for _ in range(cycles)]
+    ready = sum(bits)
+    while ready < ready_cycles:
+        bits.append(1 if rng.random() < duty else 0)
+        ready += bits[-1]
+    return bits
+
+
+def _stream_latency(netlist: Netlist, seed: int) -> int:
+    """Enabled cycles from a transaction in to its result out: measured on
+    a raw netlist, the depth of the valid chain under ready/valid."""
+    if netlist.protocol is Protocol.RAW:
+        return measured_latency(netlist, seed)
+    return _settle_time(netlist, ["out_valid"])
 
 
 def _stream_outputs(netlist: Netlist, data: list[dict], rng: random.Random,
-                    cycles: int) -> list[dict]:
+                    cycles: int, latency: int) -> list[dict]:
     """Feed a transaction stream and return the output transaction stream.
 
     Raw netlists consume one transaction per cycle and outputs are aligned
-    by the measured latency; ready/valid netlists get a randomly stalling
-    sink (the kth value is presented until the kth enabled cycle accepts it).
+    by ``latency``; ready/valid netlists get a randomly stalling sink (the
+    kth value is presented until the kth enabled cycle accepts it), ready
+    long enough for every transaction to come out ``latency`` enabled
+    cycles after it went in.
     """
     out_ports = [n for n, _ in netlist.outputs
                  if n not in ("out_valid", "in_ready")]
     reset = 1
     if netlist.protocol is Protocol.RAW:
-        lat = measured_latency(netlist, seed=rng.randrange(1 << 30))
         stim = Stimulus(
-            cycles=reset + len(data) + lat,
+            cycles=reset + len(data) + latency,
             inputs=[{}] * reset + data,
         )
         trace = simulate(netlist, stim)
-        return [{p: trace.samples[reset + k + lat][p] for p in out_ports}
+        return [{p: trace.samples[reset + k + latency][p] for p in out_ports}
                 for k in range(len(data))]
     duty = 0.1 + 0.8 * rng.random()
-    ready = [0] * reset + _ready_schedule(rng, cycles, duty)
+    ready = [0] * reset + _ready_schedule(rng, cycles, duty,
+                                          len(data) + latency)
     # acceptance cycles are known upfront: in_ready mirrors out_ready
     per_cycle: list[dict] = []
     k = 0
@@ -296,12 +355,15 @@ def check_equivalence(a: Netlist, b: Netlist, trials: int = 4,
         raise PortMismatchError(
             f"port interfaces differ: {data_iface(a)} vs {data_iface(b)}")
     ins, _ = data_iface(a)
+    lat_a, lat_b = _stream_latency(a, seed), _stream_latency(b, seed)
     rng = random.Random(seed)
     for trial in range(trials):
         n = max(16, cycles // 4)
         data = [{p: rng.randrange(0, 1 << w) for p, w in ins} for _ in range(n)]
-        out_a = _stream_outputs(a, data, random.Random(rng.randrange(1 << 30)), cycles)
-        out_b = _stream_outputs(b, data, random.Random(rng.randrange(1 << 30)), cycles)
+        out_a = _stream_outputs(a, data, random.Random(rng.randrange(1 << 30)),
+                                cycles, lat_a)
+        out_b = _stream_outputs(b, data, random.Random(rng.randrange(1 << 30)),
+                                cycles, lat_b)
         m = min(len(out_a), len(out_b))
         if m < 4:
             return Verdict(False, f"trial {trial}: too few outputs ({m})")

@@ -1,6 +1,6 @@
-"""The resolution properties on a pipeline ten times the size of the random
-corpus, generated by the benchmark's spec generator and checked against its
-depth oracle."""
+"""The resolution properties and simulation equivalence on a pipeline ten
+times the size of the random corpus, generated by the benchmark's spec
+generator and checked against its depth oracle."""
 
 import os
 import sys
@@ -31,11 +31,13 @@ def zone_depths(graph: pf.SyncGraph) -> dict[str, int]:
     return depth
 
 
+DOC = specgen.generate("deep120", replace(workloads.DEEP, steps=120), 0)
+
+
 def test_properties_on_a_120_step_pipeline():
-    doc = specgen.generate("deep120", replace(workloads.DEEP, steps=120), 0)
-    balanced = pf.balance_merges(pf.graph_from_spec(doc))
+    balanced = pf.balance_merges(pf.graph_from_spec(DOC))
     depth = zone_depths(balanced)
-    assert max(depth[z] for z in balanced.output_zones) == oracle.spec_depth(doc)
+    assert max(depth[z] for z in balanced.output_zones) == oracle.spec_depth(DOC)
 
     resolved = [pf.resolve_direct_backward(balanced),
                 pf.resolve_p2p_backward(balanced),
@@ -51,3 +53,21 @@ def test_properties_on_a_120_step_pipeline():
     for z in balanced.zones:
         assert (set(direct.zones[z].slots) <= set(p2p.zones[z].slots)
                 <= set(exhaustive.zones[z].slots)), z
+
+
+def test_simulation_equivalence_on_a_120_step_pipeline():
+    balanced = pf.balance_merges(pf.graph_from_spec(DOC))
+    direct = pf.resolve_direct_backward(balanced)
+
+    def lowered(graph, protocol=pf.Protocol.RAW, policy=None):
+        return pf.lower(graph, pf.apply_protocol(graph, protocol), policy)
+
+    base = lowered(direct)
+    assert pf.measured_latency(base) == oracle.spec_depth(DOC) == 64
+    others = [lowered(pf.resolve_p2p_backward(balanced)),
+              lowered(pf.resolve_exhaustive_forward(balanced)),
+              lowered(direct, pf.Protocol.READY_VALID),
+              lowered(direct, pf.Protocol.READY_VALID, pf.direct_fifo(4, 16))]
+    for other in others:
+        verdict = pf.check_equivalence(base, other, trials=1, cycles=200)
+        assert verdict.ok, (other.protocol, verdict.detail)

@@ -32,6 +32,15 @@ def test_measured_latency():
     assert pf.measured_latency(lowered(xor_delay=2)) == 4
     assert pf.measured_latency(
         lowered(xor_delay=2, with_e=True, policy=pf.direct_fifo(3, 3))) == 4
+    # the one output path runs through a FIFO deeper than the warm-up margin
+    b = pf.pipe_new([("x", 8), ("e", 4)], "fifo_only")
+    b.add_step(b.main, pf.StepBody.delay(
+        "d", 20, [("z", 8, pf.Not(pf.Ref("x")))]))
+    b.drive_output([("e_out", "e")])
+    g = pf.resolve_direct_backward(pf.balance_merges(b.build()))
+    nl = pf.lower(g, pf.apply_protocol(g, pf.Protocol.RAW), pf.direct_fifo(3, 3))
+    assert nl.cell_counts()["fifo"] == 2
+    assert pf.measured_latency(nl) == 20
 
 
 def test_passthrough_latency_zero():
@@ -145,3 +154,47 @@ def test_fifo_overflow_raises():
             read_driver.expr = pf.expr.Const(0, 1)
     with pytest.raises(pf.SimulationError):
         pf.simulate(nl, pf.Stimulus(cycles=20))
+
+
+def test_register_feedback_has_no_latency():
+    from pipeforge.netlist import CombCell, DelayCell
+    # q <- delay(q xor not x): q toggles every cycle while x is 0
+    nl = pf.Netlist("toggle", inputs=[("x", 1)], outputs=[("q", 1)],
+                    nets={"x": 1, "d": 1, "q": 1})
+    nl.cells = [CombCell("d", pf.BinOp("xor", pf.Ref("q"), pf.Not(pf.Ref("x")))),
+                DelayCell("q", "d", 1, 1)]
+    nl.check()
+    with pytest.raises(pf.SimulationError, match="feeds back"):
+        pf.measured_latency(nl)
+
+
+def test_deep_ready_valid_stream_gets_every_output():
+    b = pf.pipe_new([("x", 8)], "deep")
+    prev = "x"
+    for i in range(32):
+        b.add_step(b.main, pf.StepBody.delay(f"s{i}", 2, [
+            (f"v{i}", 8, pf.BinOp("add", pf.Ref(prev), pf.Const(i + 1, 8)))]))
+        prev = f"v{i}"
+    b.drive_output([("out", prev)])
+    g = pf.resolve_direct_backward(pf.balance_merges(b.build()))
+    nl = pf.lower(g, pf.apply_protocol(g, pf.Protocol.READY_VALID))
+    assert g.depths()["s31"] == 64
+    # 200 cycles at a low ready duty hold fewer ready cycles than the depth
+    verdict = pf.check_equivalence(nl, nl, trials=2, cycles=200)
+    assert verdict.ok, verdict.detail
+
+
+def test_width_errors_raise_when_evaluated_or_simulated():
+    from pipeforge.netlist import CombCell
+    widths = {"s": 1, "a": 8, "b": 4}
+    values = {"s": 1, "a": 3, "b": 2}
+    bad = [pf.Mux(pf.Ref("s"), pf.Ref("a"), pf.Ref("b")),
+           pf.Slice(8, 0, pf.Ref("a"))]
+    for expr in bad:
+        with pytest.raises(pf.WidthMismatchError):
+            expr.eval(values, widths)
+        nl = pf.Netlist("bad", inputs=[("s", 1), ("a", 8), ("b", 4)],
+                        outputs=[("o", 8)], nets={**widths, "o": 8},
+                        cells=[CombCell("o", expr)])
+        with pytest.raises(pf.WidthMismatchError):
+            pf.simulate(nl, pf.Stimulus(cycles=2))
