@@ -30,7 +30,6 @@ from .model import (
     PipeBuilder,
     Relation,
     RelationKind,
-    RelationOrigin,
     SignalStatus,
     Slot,
     StepBody,

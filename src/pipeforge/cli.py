@@ -217,22 +217,56 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+def _count(value, field: str) -> int:
+    if type(value) is not int or value < 0:
+        raise ConfigError(f"stimulus {field} must be a count, got {value!r}")
+    return value
+
+
+def _read_stimulus(path: str, netlist: Netlist) -> Stimulus:
+    """Read a stimulus file and check it against the netlist's input ports."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            sdoc = json.load(fh)
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
+        raise ConfigError(f"cannot read stimulus: {exc}") from exc
+    if not isinstance(sdoc, dict):
+        raise ConfigError("stimulus must be a JSON object")
+    widths = {n: w for n, w in netlist.inputs if n != "out_ready"}
+    inputs = sdoc.get("inputs", [])
+    if not isinstance(inputs, list) or not all(isinstance(i, dict) for i in inputs):
+        raise ConfigError("stimulus inputs must be a list of objects")
+    for cycle, given in enumerate(inputs):
+        for port, value in given.items():
+            if port not in widths:
+                raise ConfigError(
+                    f"stimulus inputs[{cycle}] names no input port: {port!r}")
+            if type(value) is not int or not 0 <= value < 1 << widths[port]:
+                raise ConfigError(
+                    f"stimulus inputs[{cycle}].{port} is not a "
+                    f"{widths[port]}-bit value: {value!r}")
+    reset = _count(sdoc.get("reset_cycles", 1), "reset_cycles")
+    cycles = _count(sdoc.get("cycles", len(inputs) + reset), "cycles")
+    if cycles < reset:
+        raise ConfigError("cycles must cover the reset")
+    ready = sdoc.get("sink_ready")
+    if ready is not None and (
+            not isinstance(ready, list) or len(ready) < cycles
+            or any(type(r) is not int or r not in (0, 1) for r in ready)):
+        raise ConfigError(
+            f"stimulus sink_ready must list 0 or 1 for each of {cycles} cycles")
+    watch = sdoc.get("watch", [])
+    if not isinstance(watch, list) or not all(isinstance(w, str) for w in watch):
+        raise ConfigError("stimulus watch must be a list of net names")
+    return Stimulus(cycles, inputs, ready, reset, tuple(watch))
+
+
 def cmd_simulate(args) -> int:
     doc = load_spec(args.spec)
     graph = graph_from_spec(doc)
     resolved, plan, netlist, _ = _generate_netlist(graph, args)
     if args.stimulus:
-        try:
-            with open(args.stimulus, encoding="utf-8") as fh:
-                sdoc = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read stimulus: {exc}") from exc
-        reset = sdoc.get("reset_cycles", 1)
-        cycles = sdoc.get("cycles", len(sdoc.get("inputs", [])) + reset)
-        if cycles < reset:
-            raise ConfigError("cycles must cover the reset")
-        stim = Stimulus(cycles, sdoc.get("inputs"), sdoc.get("sink_ready"),
-                        reset, tuple(sdoc.get("watch", ())))
+        stim = _read_stimulus(args.stimulus, netlist)
     else:
         if args.cycles < args.reset_cycles:
             raise ConfigError("cycles must cover the reset")

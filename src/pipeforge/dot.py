@@ -39,7 +39,7 @@ def emit_dot(graph: SyncGraph) -> str:
     use_color = color_enabled()
     out = [f'digraph "{graph.name}" {{', "  rankdir=LR;", "  node [shape=plain];"]
     for zone in graph.zones.values():
-        rows = [f'<TR><TD BGCOLOR="lightgray"><B>{html.escape(zone.label)}'
+        rows = [f'<TR><TD BGCOLOR="lightgray"><B>{html.escape(zone.id)}'
                 f"</B></TD></TR>"]
         for slot in zone.slots.values():
             color = STATUS_COLORS[slot.status] if use_color else "black"

@@ -48,12 +48,6 @@ class ZoneKind(enum.Enum):
     OUTPUT = "output"
 
 
-class RelationOrigin(enum.Enum):
-    USER_STEP = "user_step"
-    BALANCING = "balancing"
-    RESOLUTION = "resolution"
-
-
 class RelationKind(enum.Enum):
     STEP = "step"          # structural edge created by a pipeline step
     MERGE = "merge"        # structural inbound edge of a merge zone
@@ -76,18 +70,9 @@ class Slot:
     signal: str
     width: int
     status: SignalStatus
-    decl_zone: str
     # (source zone, latency) for propagated/carried slots; latency is None for
     # merge-carried slots until balancing fixes the merge edge.
     fed_from: tuple[str, int | None] | None = None
-
-
-@dataclass
-class TimeZone:
-    id: str
-    label: str
-    kind: ZoneKind
-    slots: dict[str, Slot] = field(default_factory=dict)
 
 
 @dataclass
@@ -95,13 +80,22 @@ class Relation:
     source: str
     sink: str
     latency: int | None
-    origin: RelationOrigin
     kind: RelationKind
     signals: list[str] = field(default_factory=list)
 
     @property
     def structural(self) -> bool:
         return self.kind in STRUCTURAL_KINDS
+
+
+@dataclass
+class TimeZone:
+    id: str
+    kind: ZoneKind
+    slots: dict[str, Slot] = field(default_factory=dict)
+    # the zone's structural relations, created with it and also listed in
+    # SyncGraph.relations; every source precedes the zone in forward order
+    inbound: list[Relation] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -170,17 +164,6 @@ class SyncGraph:
     def signal_width(self, name: str) -> int:
         return self.decls[name].width
 
-    def preds(self) -> dict[str, list[Relation]]:
-        """Structural inbound relations of every zone, in relation order.
-
-        Built afresh per call, never stored: the builder still appends
-        structural relations while it asks for ancestors."""
-        preds: dict[str, list[Relation]] = {z: [] for z in self.zones}
-        for rel in self.relations:
-            if rel.structural:
-                preds[rel.sink].append(rel)
-        return preds
-
     # -- ordering ----------------------------------------------------------
 
     def forward_order(self) -> list[str]:
@@ -196,20 +179,15 @@ class SyncGraph:
 
     # -- latency arithmetic ------------------------------------------------
 
-    def path_sums(self, src: str,
-                  preds: dict[str, list[Relation]] | None = None
-                  ) -> dict[str, set[int]]:
+    def path_sums(self, src: str) -> dict[str, set[int]]:
         """All structural-path latency sums from src to every zone it reaches,
-        in one forward pass; ``preds`` reuses a :meth:`preds` map already
-        built for the unchanged structure."""
+        in one pass over the zones in forward order."""
         if src not in self.zones:
             raise NoPathError(f"unknown zone {src!r}")
-        order = self.forward_order()
-        preds = self.preds() if preds is None else preds
         sums: dict[str, set[int]] = {src: {0}}
         unset: list[Relation] = []
-        for z in order:
-            for rel in preds[z]:
+        for z, zone in self.zones.items():
+            for rel in zone.inbound:
                 if rel.source not in sums:
                     continue
                 acc = sums.setdefault(z, set())
@@ -218,6 +196,7 @@ class SyncGraph:
                 else:
                     acc.update(s + rel.latency for s in sums[rel.source])
         if unset:  # the unset edge a walk in forward order meets first
+            order = list(self.zones)
             rel = min(unset, key=lambda r: order.index(r.source))
             raise MissingLatencyError(
                 f"relation {rel.source} -> {rel.sink} has no latency yet")
@@ -231,15 +210,12 @@ class SyncGraph:
         sums = self.path_sums(self.input_zone)
         return {z: single_latency(sums, self.input_zone, z) for z in self.zones}
 
-    def ancestors(self, zone_id: str,
-                  preds: dict[str, list[Relation]] | None = None) -> set[str]:
-        """Zones with a structural path into zone_id; ``preds`` reuses a
-        :meth:`preds` map already built for the unchanged structure."""
-        preds = self.preds() if preds is None else preds
+    def ancestors(self, zone_id: str) -> set[str]:
+        """Zones with a structural path into zone_id."""
         seen: set[str] = set()
         stack = [zone_id]
         while stack:
-            for rel in preds[stack.pop()]:
+            for rel in self.zones[stack.pop()].inbound:
                 if rel.source not in seen:
                     seen.add(rel.source)
                     stack.append(rel.source)
@@ -259,14 +235,13 @@ class SyncGraph:
         depths = self.depths()
         order = self.forward_order()
         pos = {z: i for i, z in enumerate(order)}
-        preds = self.preds()
         out: list[MissingRelation] = []
         for z in order:
             anc = None
             for slot in self.zones[z].slots.values():
                 if slot.status is not SignalStatus.PENDING_LOCAL:
                     continue
-                anc = anc or self.ancestors(z, preds)
+                anc = anc or self.ancestors(z)
                 cands = [a for a in anc if slot.signal in self.zones[a].slots]
                 if not cands:
                     raise UnknownSignalError(slot.signal, z)
@@ -304,7 +279,6 @@ def single_latency(sums: dict[str, set[int]], src: str, dst: str) -> int:
 @dataclass
 class _Branch:
     name: str
-    parent: "_Branch | None"
     items: list = field(default_factory=list)
     closed: bool = False
     # set while the recorded program is replayed by build()
@@ -332,7 +306,7 @@ class PipeBuilder:
             if width < 1:
                 raise ZeroWidthError(f"input signal {sig!r} has width {width}")
             self._declared[sig] = width
-        self.main = _Branch("main", parent=None)
+        self.main = _Branch("main")
         self._branches: dict[str, _Branch] = {"main": self.main}
         self._built = False
 
@@ -357,7 +331,7 @@ class PipeBuilder:
         parent._check_open()
         if branch_name in self._branches:
             raise PipeforgeError(f"branch {branch_name!r} already exists")
-        child = _Branch(branch_name, parent=parent)
+        child = _Branch(branch_name)
         self._branches[branch_name] = child
         parent.items.append(("split", child))
         return child
@@ -401,9 +375,9 @@ class PipeBuilder:
                 raise PipeforgeError(
                     f"branch {b.name!r} is neither merged nor driven to an output")
         g = SyncGraph(name=self.name)
-        init = TimeZone(INIT_ZONE, INIT_ZONE, ZoneKind.INPUT)
+        init = TimeZone(INIT_ZONE, ZoneKind.INPUT)
         for sig, width in self._input_decls():
-            init.slots[sig] = Slot(sig, width, SignalStatus.CONNECTED_EXTERNAL, INIT_ZONE)
+            init.slots[sig] = Slot(sig, width, SignalStatus.CONNECTED_EXTERNAL)
             g.decls[sig] = SignalDecl(sig, width, INIT_ZONE)
         g.zones[INIT_ZONE] = init
         self._walk(g, self.main, INIT_ZONE)
@@ -421,23 +395,30 @@ class PipeBuilder:
         return [(s, w) for s, w in self._declared.items() if s not in step_defined]
 
     def _walk(self, g: SyncGraph, branch: _Branch, tip: str) -> None:
+        # a split-off branch is walked to its end before its parent goes on;
+        # the stack holds the branches still part-way through their items
         branch.tip = tip
-        for kind, payload in branch.items:
-            if kind == "split":
-                self._walk(g, payload, branch.tip)
-            elif kind == "step":
-                branch.tip = self._emit_step(g, branch.tip, payload)
-            elif kind == "merge":
-                branch.tip = self._emit_merge(g, branch.tip, payload)
-            elif kind == "output":
-                self._emit_output(g, branch.tip, payload)
+        stack = [(branch, iter(branch.items))]
+        while stack:
+            branch, items = stack[-1]
+            for kind, payload in items:
+                if kind == "split":
+                    payload.tip = branch.tip
+                    stack.append((payload, iter(payload.items)))
+                    break
+                if kind == "step":
+                    branch.tip = self._emit_step(g, branch.tip, payload)
+                elif kind == "merge":
+                    branch.tip = self._emit_merge(g, branch.tip, payload)
+                elif kind == "output":
+                    self._emit_output(g, branch.tip, payload)
+            else:
+                stack.pop()
 
     def _emit_step(self, g: SyncGraph, tip: str, body: StepBody) -> str:
-        zone = TimeZone(body.name, body.name, ZoneKind.STEP)
-        g.zones[body.name] = zone
-        g.relations.append(Relation(
-            tip, body.name, body.latency, RelationOrigin.USER_STEP,
-            RelationKind.STEP, signals=[s for s, _, _ in body.defines]))
+        zone = _add_zone(g, TimeZone(body.name, ZoneKind.STEP, inbound=[
+            Relation(tip, body.name, body.latency, RelationKind.STEP,
+                     signals=[s for s, _, _ in body.defines])]))
         g.steps[body.name] = body
         ancestors = functools.cache(lambda: g.ancestors(tip))
         for r in body.reads:
@@ -450,7 +431,7 @@ class PipeBuilder:
                 # chained combinational defines within one wire step may read
                 # each other in definition order
                 local.add(sig)
-            zone.slots[sig] = Slot(sig, width, SignalStatus.DECLARED_UNUSED, body.name)
+            zone.slots[sig] = Slot(sig, width, SignalStatus.DECLARED_UNUSED)
             g.decls[sig] = SignalDecl(sig, width, body.name)
         return body.name
 
@@ -462,10 +443,7 @@ class PipeBuilder:
                 last_step = payload.name
                 break
         zid = f"merged_{first.name}_{last_step}"
-        if zid in g.zones:
-            raise PipeforgeError(f"duplicate merge zone {zid!r}")
-        zone = TimeZone(zid, zid, ZoneKind.MERGE)
-        g.zones[zid] = zone
+        zone = TimeZone(zid, ZoneKind.MERGE)
         tips: list[str] = []
         for b in branches:
             if b.tip is None:
@@ -478,13 +456,12 @@ class PipeBuilder:
             carried = [s.signal for s in g.zones[t].slots.values()
                        if s.status is not SignalStatus.PENDING_LOCAL
                        and s.signal not in zone.slots]
-            g.relations.append(Relation(
-                t, zid, None, RelationOrigin.USER_STEP, RelationKind.MERGE,
-                signals=carried))
+            zone.inbound.append(Relation(t, zid, None, RelationKind.MERGE,
+                                         signals=carried))
             for sig in carried:
-                src = g.zones[t].slots[sig]
-                zone.slots[sig] = Slot(sig, src.width, SignalStatus.PROPAGATED,
-                                       src.decl_zone, fed_from=(t, None))
+                zone.slots[sig] = Slot(sig, g.zones[t].slots[sig].width,
+                                       SignalStatus.PROPAGATED, fed_from=(t, None))
+        _add_zone(g, zone)
         return zid
 
     def _emit_output(self, g: SyncGraph, tip: str, mapping: list[tuple[str, str]]):
@@ -495,20 +472,16 @@ class PipeBuilder:
             while zid in g.zones:
                 zid = f"out{n}"
                 n += 1
-            zone = TimeZone(zid, zid, ZoneKind.OUTPUT)
-            g.zones[zid] = zone
             srcs = []
             for _, src in mapping:
                 self._resolve_read(g, tip, src, zid, ancestors)
                 if src not in srcs:
                     srcs.append(src)
-            g.relations.append(Relation(
-                tip, zid, 0, RelationOrigin.USER_STEP, RelationKind.STEP,
-                signals=srcs))
+            zone = _add_zone(g, TimeZone(zid, ZoneKind.OUTPUT, inbound=[
+                Relation(tip, zid, 0, RelationKind.STEP, signals=srcs)]))
             for src in srcs:
-                s = g.zones[tip].slots[src]
-                zone.slots[src] = Slot(src, s.width, SignalStatus.PROPAGATED,
-                                       s.decl_zone, fed_from=(tip, 0))
+                zone.slots[src] = Slot(src, g.zones[tip].slots[src].width,
+                                       SignalStatus.PROPAGATED, fed_from=(tip, 0))
             g.outputs.append(OutputSpec(zid, list(mapping)))
         else:
             for _, src in mapping:
@@ -530,11 +503,19 @@ class PipeBuilder:
         if decl is None or (decl.declaring_zone != source_zone
                             and decl.declaring_zone not in ancestors()):
             raise UnknownSignalError(name, requiring_zone)
-        zone.slots[name] = Slot(name, decl.width, SignalStatus.PENDING_LOCAL,
-                                decl.declaring_zone)
+        zone.slots[name] = Slot(name, decl.width, SignalStatus.PENDING_LOCAL)
         g.relations.append(Relation(
-            decl.declaring_zone, source_zone, None, RelationOrigin.USER_STEP,
-            RelationKind.EQUIVALENT, signals=[name]))
+            decl.declaring_zone, source_zone, None, RelationKind.EQUIVALENT,
+            signals=[name]))
+
+
+def _add_zone(g: SyncGraph, zone: TimeZone) -> TimeZone:
+    """Record a new zone together with its inbound relations."""
+    if zone.id in g.zones:
+        raise PipeforgeError(f"duplicate zone {zone.id!r}")
+    g.zones[zone.id] = zone
+    g.relations.extend(zone.inbound)
+    return zone
 
 
 def pipe_new(input_signals: list[tuple[str, int]], name: str) -> PipeBuilder:

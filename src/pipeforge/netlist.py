@@ -245,7 +245,6 @@ def lower(graph: SyncGraph, plan: HandshakePlan,
             nl.cells.append(DelayCell(taps[d], taps[d - 1], 1, 1))
 
     order = graph.forward_order()
-    preds = graph.preds()
     for z in order:
         if z == graph.input_zone:
             continue
@@ -300,7 +299,7 @@ def lower(graph: SyncGraph, plan: HandshakePlan,
             continue
         step = graph.steps.get(z)
         if step is not None:
-            src = preds[z][0].source
+            src = zone.inbound[0].source
             lat = step.latency
             mapping = {}
             for sig, slot in graph.zones[src].slots.items():

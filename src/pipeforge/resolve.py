@@ -23,7 +23,6 @@ from .errors import UnknownSignalError
 from .model import (
     Relation,
     RelationKind,
-    RelationOrigin,
     SignalStatus,
     Slot,
     SyncGraph,
@@ -157,17 +156,15 @@ def balance_merges(graph: SyncGraph) -> SyncGraph:
     as extra zones; the longest inbound branch gets latency 0.
     """
     g = graph.copy()
-    preds = g.preds()
     depths: dict[str, int] = {g.input_zone: 0}
     for z in g.forward_order():
         if z == g.input_zone:
             continue
-        inbound = preds[z]
+        inbound = g.zones[z].inbound
         if g.zones[z].kind is ZoneKind.MERGE:
             longest = max(depths[r.source] for r in inbound)
             for r in inbound:
                 r.latency = longest - depths[r.source]
-                r.origin = RelationOrigin.BALANCING
                 for sig in r.signals:
                     g.zones[z].slots[sig].fed_from = (r.source, r.latency)
             depths[z] = longest
@@ -184,7 +181,7 @@ def _feed_relation(g: SyncGraph, cache: dict, source: str, sink: str,
                    latency: int, kind: RelationKind, signal: str) -> None:
     rel = cache.get((source, sink))
     if rel is None:
-        rel = Relation(source, sink, latency, RelationOrigin.RESOLUTION, kind)
+        rel = Relation(source, sink, latency, kind)
         g.relations.append(rel)
         cache[(source, sink)] = rel
     if signal not in rel.signals:
@@ -201,7 +198,6 @@ def resolve_exhaustive_forward(graph: SyncGraph) -> SyncGraph:
     g = graph.copy()
     order = g.forward_order()
     pos = {z: i for i, z in enumerate(order)}
-    preds = g.preds()
     cache: dict = {}
     for z in order:
         zone = g.zones[z]
@@ -210,7 +206,7 @@ def resolve_exhaustive_forward(graph: SyncGraph) -> SyncGraph:
         # at merges each signal is pulled from the inbound tip latest in
         # forward order; concurrent declarations are forbidden upstream so
         # every inbound copy of a signal carries the same value
-        inbound = sorted(preds[z], key=lambda r: pos[r.source])
+        inbound = sorted(zone.inbound, key=lambda r: pos[r.source])
         for rel in inbound:
             for sig, src_slot in g.zones[rel.source].slots.items():
                 have = zone.slots.get(sig)
@@ -218,8 +214,7 @@ def resolve_exhaustive_forward(graph: SyncGraph) -> SyncGraph:
                     continue
                 if have is None:
                     zone.slots[sig] = have = Slot(
-                        sig, src_slot.width, SignalStatus.PROPAGATED,
-                        src_slot.decl_zone)
+                        sig, src_slot.width, SignalStatus.PROPAGATED)
                 have.status = SignalStatus.PROPAGATED
                 have.fed_from = (rel.source, rel.latency)
                 _feed_relation(g, cache, rel.source, z, rel.latency,
@@ -256,22 +251,19 @@ def resolve_p2p_backward(graph: SyncGraph) -> SyncGraph:
                 if s.status is SignalStatus.PENDING_LOCAL]
         if pend:
             needs[z] = pend
-    # structural relations stay as they are while p2p adds transitive ones
-    preds = g.preds()
-    ancestors = functools.cache(lambda z: g.ancestors(z, preds))
+    ancestors = functools.cache(g.ancestors)
     cache: dict = {}
     for z in reversed(order):
         for sig in needs.get(z, []):
-            rel = _designated_pred(g, preds[z], pos, ancestors, sig)
+            rel = _designated_pred(g, g.zones[z].inbound, pos, ancestors, sig)
             src = g.zones[rel.source]
             if sig not in src.slots:
                 if src.kind is ZoneKind.INPUT:
                     # the hop-by-hop request loses the original use site;
                     # only the last zone where the signal went missing is known
                     raise UnknownSignalError(sig, rel.source)
-                decl = g.decls[sig]
                 src.slots[sig] = Slot(
-                    sig, decl.width, SignalStatus.PROPAGATED, decl.declaring_zone)
+                    sig, g.signal_width(sig), SignalStatus.PROPAGATED)
                 needs.setdefault(rel.source, []).append(sig)
             slot = g.zones[z].slots[sig]
             slot.status = SignalStatus.PROPAGATED
@@ -346,10 +338,9 @@ def validate(graph: SyncGraph) -> ValidationReport:
         rep.entries.append(ValidationEntry("acyclic", False, str(exc)))
         return rep
 
-    preds = graph.preds()
     try:
         unbalanced = [f"{z}: {sorted(sums)}" for z, sums
-                      in graph.path_sums(graph.input_zone, preds).items()
+                      in graph.path_sums(graph.input_zone).items()
                       if len(sums) > 1]
         rep.entries.append(ValidationEntry(
             "balanced", not unbalanced, "; ".join(unbalanced)))
@@ -377,7 +368,7 @@ def validate(graph: SyncGraph) -> ValidationReport:
                 continue
             try:
                 if src not in sums_from:
-                    sums_from[src] = graph.path_sums(src, preds)
+                    sums_from[src] = graph.path_sums(src)
                 want = single_latency(sums_from[src], src, z.id)
             except Exception as exc:  # noqa: BLE001
                 bad_feeds.append(f"{z.id}:{slot.signal}: {exc}")

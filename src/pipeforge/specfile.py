@@ -118,13 +118,14 @@ def _replay(doc: dict) -> PipeBuilder:
                 raise ConfigError(
                     f"merge of {names} into {into}@{at}: position already "
                     f"passed")
-            ready = (all(n in handles for n in names)
+            ready = (all(n in handles for n in names + [into])
                      and all(remaining.get(n, 0) == 0 for n in names))
             if not ready:
                 if stepping == into or stepping is None:
                     raise ConfigError(
-                        f"merge of {names} into {into}@{at}: a merging branch "
-                        f"is missing or still has steps pending")
+                        f"merge of {names} into {into}@{at}: a branch it "
+                        f"names does not exist yet or a merging branch still "
+                        f"has steps pending")
                 continue
             b.merge(*[handles[n] for n in names], into=handles[into])
             pending_merges.remove(entry)

@@ -119,6 +119,92 @@ def test_simulate_deeply_nested_expression(capsys, tmp_path, depth, want):
         assert str(spec) in err
 
 
+def test_merge_into_unknown_branch_exit_2(capsys, tmp_path):
+    with open(data_path("running.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["merges"] = [{"branch": "mul", "into": "z", "at": 2}]
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(doc))
+    code, _, err = run_cli(capsys, "build", str(spec))
+    assert code == 2
+    assert "into z@2" in err
+
+
+def test_merge_waits_for_its_target_branch(capsys, tmp_path):
+    # c is ready to merge before b, its target, is split off main
+    def step(branch, name, sig, expr):
+        return {"branch": branch, "name": name, "kind": "reg",
+                "defines": [{"name": sig, "width": 8, "expr": expr}]}
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "name": "late",
+        "inputs": [{"name": "x", "width": 8}],
+        "outputs": [{"name": "o", "from": "q"}],
+        "branches": [{"name": "b", "from": "main@1"},
+                     {"name": "c", "from": "main@0"}],
+        "steps": [step("c", "c1", "p", "x"), step("main", "m1", "q", "x"),
+                  step("b", "b1", "r", "p")],
+        "merges": [{"branch": "c", "into": "b", "at": 0},
+                   {"branch": "b", "at": 1}],
+    }))
+    code, out, _ = run_cli(capsys, "build", str(spec))
+    assert code == 0
+    assert "late: 6 zones" in out
+
+
+def test_step_named_like_a_merge_zone_exit_3(capsys, tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "name": "dup",
+        "inputs": [{"name": "x", "width": 8}],
+        "outputs": [{"name": "q_out", "from": "q"}],
+        "branches": [{"name": "b", "from": "main@0"}],
+        "steps": [
+            {"branch": "b", "name": "s", "kind": "reg",
+             "defines": [{"name": "p", "width": 8, "expr": "x"}]},
+            {"name": "merged_b_s", "kind": "reg",
+             "defines": [{"name": "q", "width": 8, "expr": "p"}]}],
+        "merges": [{"branch": "b", "at": 0}],
+    }))
+    code, _, err = run_cli(capsys, "build", str(spec))
+    assert code == 3
+    assert "duplicate zone 'merged_b_s'" in err
+
+
+@pytest.mark.parametrize("stimulus,protocol,want", [
+    pytest.param({"inputs": [{"x": 3, "y": 4}], "cycles": 10,
+                  "watch": ["mul__mulXY"]}, "raw", 0, id="valid"),
+    pytest.param({"cycles": 5, "sink_ready": [1, 0, 1, 1, 1]}, "ready_valid",
+                 0, id="valid_ready"),
+    pytest.param({"cycles": "abc"}, "raw", 2, id="cycles_text"),
+    pytest.param({"inputs": 5}, "raw", 2, id="inputs_number"),
+    pytest.param({"inputs": [1, 2], "cycles": 5}, "raw", 2,
+                 id="inputs_of_numbers"),
+    pytest.param({"inputs": [{"x": "a"}], "cycles": 3}, "raw", 2,
+                 id="value_text"),
+    pytest.param({"inputs": [{"x": -1}]}, "raw", 2, id="value_negative"),
+    pytest.param({"inputs": [{"x": 256}]}, "raw", 2, id="value_too_wide"),
+    pytest.param({"inputs": [{"q": 1}]}, "raw", 2, id="unknown_port"),
+    pytest.param({"cycles": 3, "reset_cycles": "x"}, "raw", 2,
+                 id="reset_text"),
+    pytest.param({"cycles": 3, "watch": "x"}, "raw", 2, id="watch_text"),
+    pytest.param([1, 2], "raw", 2, id="not_an_object"),
+    pytest.param({"cycles": 5, "sink_ready": [1]}, "ready_valid", 2,
+                 id="ready_too_short"),
+    pytest.param({"cycles": 2, "sink_ready": [1, 2]}, "ready_valid", 2,
+                 id="ready_not_a_bit"),
+])
+def test_simulate_stimulus_file(capsys, tmp_path, stimulus, protocol, want):
+    stim = tmp_path / "stim.json"
+    stim.write_text(json.dumps(stimulus))
+    code, _, err = run_cli(
+        capsys, "simulate", data_path("running.json"), "--stimulus", str(stim),
+        "--protocol", protocol)
+    assert code == want, err
+    if want:
+        assert "stimulus" in err
+
+
 def test_simulate_cycle_check(capsys):
     code, _, _ = run_cli(
         capsys, "simulate", data_path("running.json"),

@@ -221,11 +221,29 @@ def test_missing_only_from_reads_or_merges():
             assert r.kind in (pf.RelationKind.EQUIVALENT, pf.RelationKind.MERGE)
 
 
+def test_build_deeply_nested_branches():
+    # each branch splits from the one before and merges back into it
+    n = 1100
+    b = pf.pipe_new([("x", 8)], "nest")
+    branches = [b.main]
+    for i in range(n):
+        br = b.split(f"b{i}", from_branch=branches[-1])
+        b.add_step(br, pf.StepBody.reg(f"s{i}", [(f"q{i}", 8, Ref("x"))]))
+        branches.append(br)
+    for inner, outer in zip(branches[:0:-1], branches[-2::-1]):
+        b.merge(inner, into=outer)
+    b.drive_output([("o", f"q{n - 1}")])
+    g = b.build()
+    assert len(g.zones) == 2 * n + 1
+    assert g.outputs[0].zone == "merged_b0_s0"
+    assert len(g.ancestors("merged_b0_s0")) == 2 * n
+
+
 def test_passthrough_appends_output_zone():
     b = pf.pipe_new([("x", 8)], "t")
     b.drive_output([("x_out", "x")])
     g = b.build()
     assert len(g.zones) == 2
-    (rel,) = [r for rels in g.preds().values() for r in rels]
+    (rel,) = [r for z in g.zones.values() for r in z.inbound]
     assert rel.latency == 0
     assert g.zones[g.outputs[0].zone].kind is pf.ZoneKind.OUTPUT

@@ -16,9 +16,8 @@ INF = math.inf
 
 def test_balance_running_example():
     g = pf.balance_merges(build_running())
-    merge_in = g.preds()["merged_mul_mul"]
+    merge_in = g.zones["merged_mul_mul"].inbound
     assert {r.source: r.latency for r in merge_in} == {"mul": 1, "addB": 0}
-    assert all(r.origin is pf.RelationOrigin.BALANCING for r in merge_in)
     assert g.balanced
 
 
@@ -30,7 +29,7 @@ def test_balance_equal_branches():
     b.merge(b1)
     b.drive_output([("o", "q2")])
     g = pf.balance_merges(b.build())
-    assert {r.latency for r in g.preds()["merged_b1_s1"]} == {0}
+    assert {r.latency for r in g.zones["merged_b1_s1"].inbound} == {0}
 
 
 def test_balance_three_way():
@@ -46,7 +45,7 @@ def test_balance_three_way():
     b.drive_output([("o", "q4")])
     g = pf.balance_merges(b.build())
     # path sums {3, 5, 3} -> compensations {2, 0, 2}
-    comp = {r.source: r.latency for r in g.preds()[g.forward_order()[-1]]}
+    comp = {r.source: r.latency for r in g.zones[g.forward_order()[-1]].inbound}
     assert comp == {"s1": 2, "s3": 0, "s4": 2}
 
 
