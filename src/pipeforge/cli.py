@@ -228,7 +228,7 @@ def _read_stimulus(path: str, netlist: Netlist) -> Stimulus:
     try:
         with open(path, encoding="utf-8") as fh:
             sdoc = json.load(fh)
-    except (OSError, json.JSONDecodeError, RecursionError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise ConfigError(f"cannot read stimulus: {exc}") from exc
     if not isinstance(sdoc, dict):
         raise ConfigError("stimulus must be a JSON object")

@@ -19,6 +19,8 @@ from typing import Callable, Mapping
 from .errors import WidthMismatchError
 
 _BINOPS = ("add", "sub", "mul", "xor", "and", "or")
+# widest constant the JSON format accepts, matching the schema's signal widths
+MAX_WIDTH = 4096
 
 
 @dataclass(frozen=True)
@@ -52,7 +54,7 @@ class Const(Expr):
     def __post_init__(self):
         if self.const_width < 1:
             raise WidthMismatchError(f"constant width must be >= 1, got {self.const_width}")
-        if self.value < 0 or self.value >= (1 << self.const_width):
+        if self.value < 0 or self.value.bit_length() > self.const_width:
             raise WidthMismatchError(
                 f"constant {self.value} does not fit in {self.const_width} bits")
 
@@ -300,7 +302,10 @@ def from_sexpr(node) -> Expr:
     head = node[0]
     if head == "const":
         _expect_arity(node, 3)
-        return Const(int(node[1]), int(node[2]))
+        value, width = int(node[1]), int(node[2])
+        if width > MAX_WIDTH:
+            raise ValueError(f"constant width {width} exceeds {MAX_WIDTH}")
+        return Const(value, width)
     if head == "ref":
         _expect_arity(node, 2)
         return Ref(str(node[1]))

@@ -12,9 +12,7 @@ from __future__ import annotations
 
 import copy
 import enum
-import functools
 from dataclasses import dataclass, field
-from typing import Callable
 
 from .errors import (
     BranchClosedError,
@@ -96,6 +94,9 @@ class TimeZone:
     # the zone's structural relations, created with it and also listed in
     # SyncGraph.relations; every source precedes the zone in forward order
     inbound: list[Relation] = field(default_factory=list)
+    # bit i set for the ith zone created when that zone is this one or has
+    # a structural path into it; set once, when the zone is added
+    upstream: int = 0
 
 
 @dataclass(frozen=True)
@@ -150,7 +151,6 @@ class SyncGraph:
     outputs: list[OutputSpec] = field(default_factory=list)
     steps: dict[str, StepBody] = field(default_factory=dict)
     decls: dict[str, SignalDecl] = field(default_factory=dict)
-    balanced: bool = False
 
     # -- basic accessors ---------------------------------------------------
 
@@ -159,7 +159,9 @@ class SyncGraph:
         return [o.zone for o in self.outputs]
 
     def copy(self) -> "SyncGraph":
-        return copy.deepcopy(self)
+        # steps and decls are fixed once built, so copies share them
+        return copy.deepcopy(self, {id(self.steps): self.steps,
+                                    id(self.decls): self.decls})
 
     def signal_width(self, name: str) -> int:
         return self.decls[name].width
@@ -210,16 +212,9 @@ class SyncGraph:
         sums = self.path_sums(self.input_zone)
         return {z: single_latency(sums, self.input_zone, z) for z in self.zones}
 
-    def ancestors(self, zone_id: str) -> set[str]:
-        """Zones with a structural path into zone_id."""
-        seen: set[str] = set()
-        stack = [zone_id]
-        while stack:
-            for rel in self.zones[stack.pop()].inbound:
-                if rel.source not in seen:
-                    seen.add(rel.source)
-                    stack.append(rel.source)
-        return seen
+    def reaches(self, a: str, b: str) -> bool:
+        """Whether zone a is zone b or has a structural path into it."""
+        return not self.zones[a].upstream & ~self.zones[b].upstream
 
     # -- missing relations -------------------------------------------------
 
@@ -230,22 +225,22 @@ class SyncGraph:
         counting both the declaration and prior (pending or propagated) uses;
         ties break on forward-order position.  Requires balanced merges.
         """
-        if not self.balanced:
-            raise MissingLatencyError("missing_relations requires a balanced graph")
         depths = self.depths()
-        order = self.forward_order()
-        pos = {z: i for i, z in enumerate(order)}
+        holders: dict[str, list[str]] = {}  # in forward order
+        for z, zone in self.zones.items():
+            for sig in zone.slots:
+                holders.setdefault(sig, []).append(z)
         out: list[MissingRelation] = []
-        for z in order:
-            anc = None
-            for slot in self.zones[z].slots.values():
+        for z, zone in self.zones.items():
+            for slot in zone.slots.values():
                 if slot.status is not SignalStatus.PENDING_LOCAL:
                     continue
-                anc = anc or self.ancestors(z)
-                cands = [a for a in anc if slot.signal in self.zones[a].slots]
+                cands = [a for a in holders[slot.signal]
+                         if a != z and self.reaches(a, z)]
                 if not cands:
                     raise UnknownSignalError(slot.signal, z)
-                best = max(cands, key=lambda a: (depths[a], pos[a]))
+                # max keeps the first of equals: the latest in forward order
+                best = max(reversed(cands), key=depths.__getitem__)
                 out.append(MissingRelation(
                     signal=slot.signal,
                     available_zone=best,
@@ -306,6 +301,7 @@ class PipeBuilder:
             if width < 1:
                 raise ZeroWidthError(f"input signal {sig!r} has width {width}")
             self._declared[sig] = width
+        self._inputs = list(self._declared.items())
         self.main = _Branch("main")
         self._branches: dict[str, _Branch] = {"main": self.main}
         self._built = False
@@ -375,24 +371,14 @@ class PipeBuilder:
                 raise PipeforgeError(
                     f"branch {b.name!r} is neither merged nor driven to an output")
         g = SyncGraph(name=self.name)
-        init = TimeZone(INIT_ZONE, ZoneKind.INPUT)
-        for sig, width in self._input_decls():
+        init = _add_zone(g, TimeZone(INIT_ZONE, ZoneKind.INPUT))
+        for sig, width in self._inputs:
             init.slots[sig] = Slot(sig, width, SignalStatus.CONNECTED_EXTERNAL)
             g.decls[sig] = SignalDecl(sig, width, INIT_ZONE)
-        g.zones[INIT_ZONE] = init
         self._walk(g, self.main, INIT_ZONE)
         if not g.outputs:
             raise PipeforgeError("pipeline has no output")
-        g.forward_order()  # asserts acyclicity
         return g
-
-    def _input_decls(self):
-        step_defined = set()
-        for b in self._branches.values():
-            for kind, payload in ((i[0], i[1]) for i in b.items):
-                if kind == "step":
-                    step_defined.update(s for s, _, _ in payload.defines)
-        return [(s, w) for s, w in self._declared.items() if s not in step_defined]
 
     def _walk(self, g: SyncGraph, branch: _Branch, tip: str) -> None:
         # a split-off branch is walked to its end before its parent goes on;
@@ -420,13 +406,12 @@ class PipeBuilder:
             Relation(tip, body.name, body.latency, RelationKind.STEP,
                      signals=[s for s, _, _ in body.defines])]))
         g.steps[body.name] = body
-        ancestors = functools.cache(lambda: g.ancestors(tip))
         for r in body.reads:
-            self._resolve_read(g, tip, r, body.name, ancestors)
+            self._resolve_read(g, tip, r, body.name)
         local: set[str] = set()
         for sig, width, expr in body.defines:
             for r in sorted(expr.refs() - local):
-                self._resolve_read(g, tip, r, body.name, ancestors)
+                self._resolve_read(g, tip, r, body.name)
             if body.latency == 0:
                 # chained combinational defines within one wire step may read
                 # each other in definition order
@@ -465,7 +450,6 @@ class PipeBuilder:
         return zid
 
     def _emit_output(self, g: SyncGraph, tip: str, mapping: list[tuple[str, str]]):
-        ancestors = functools.cache(lambda: g.ancestors(tip))
         if g.zones[tip].kind is ZoneKind.INPUT:
             zid = "out"
             n = 2
@@ -474,7 +458,7 @@ class PipeBuilder:
                 n += 1
             srcs = []
             for _, src in mapping:
-                self._resolve_read(g, tip, src, zid, ancestors)
+                self._resolve_read(g, tip, src, zid)
                 if src not in srcs:
                     srcs.append(src)
             zone = _add_zone(g, TimeZone(zid, ZoneKind.OUTPUT, inbound=[
@@ -485,14 +469,11 @@ class PipeBuilder:
             g.outputs.append(OutputSpec(zid, list(mapping)))
         else:
             for _, src in mapping:
-                self._resolve_read(g, tip, src, tip, ancestors)
+                self._resolve_read(g, tip, src, tip)
             g.outputs.append(OutputSpec(tip, list(mapping)))
 
     def _resolve_read(self, g: SyncGraph, source_zone: str, name: str,
-                      requiring_zone: str,
-                      ancestors: Callable[[], set[str]]) -> None:
-        """``ancestors()`` gives ``g.ancestors(source_zone)``; reads of one
-        step share it, since no read adds a structural relation."""
+                      requiring_zone: str) -> None:
         zone = g.zones[source_zone]
         if name in zone.slots:
             slot = zone.slots[name]
@@ -500,8 +481,7 @@ class PipeBuilder:
                 slot.status = SignalStatus.DECLARED_LOCAL_USE
             return
         decl = g.decls.get(name)
-        if decl is None or (decl.declaring_zone != source_zone
-                            and decl.declaring_zone not in ancestors()):
+        if decl is None or not g.reaches(decl.declaring_zone, source_zone):
             raise UnknownSignalError(name, requiring_zone)
         zone.slots[name] = Slot(name, decl.width, SignalStatus.PENDING_LOCAL)
         g.relations.append(Relation(
@@ -510,9 +490,13 @@ class PipeBuilder:
 
 
 def _add_zone(g: SyncGraph, zone: TimeZone) -> TimeZone:
-    """Record a new zone together with its inbound relations."""
+    """Record a new zone together with its inbound relations, and set its
+    upstream mask from theirs."""
     if zone.id in g.zones:
         raise PipeforgeError(f"duplicate zone {zone.id!r}")
+    zone.upstream = 1 << len(g.zones)
+    for rel in zone.inbound:
+        zone.upstream |= g.zones[rel.source].upstream
     g.zones[zone.id] = zone
     g.relations.extend(zone.inbound)
     return zone

@@ -241,14 +241,14 @@ def lower(graph: SyncGraph, plan: HandshakePlan,
         taps = [names.alloc(f"valid_{d}", 1)
                 for d in range(plan.total_latency + 1)]
         nl.cells.append(CombCell(taps[0], E.Ref("in_valid")))
-        for d in range(1, plan.total_latency + 1):
-            nl.cells.append(DelayCell(taps[d], taps[d - 1], 1, 1))
+        if plan.total_latency:
+            nl.cells.append(DelayCell(taps[-1], taps[0], 1, plan.total_latency,
+                                      stages=tuple(taps[1:-1])))
 
-    order = graph.forward_order()
-    for z in order:
+    for z, zone in graph.zones.items():
         if z == graph.input_zone:
             continue
-        for slot in graph.zones[z].slots.values():
+        for slot in zone.slots.values():
             net_of[(z, slot.signal)] = names.alloc(
                 f"{z}__{slot.signal}", slot.width)
 
@@ -293,8 +293,7 @@ def lower(graph: SyncGraph, plan: HandshakePlan,
         nl.cells.append(FifoCell(out, inp, prim.width, prim.depth,
                                  we, re, full, empty))
 
-    for z in order:
-        zone = graph.zones[z]
+    for z, zone in graph.zones.items():
         if zone.kind is ZoneKind.INPUT:
             continue
         step = graph.steps.get(z)

@@ -13,11 +13,9 @@ intermediate slots (and therefore how much hardware) they create.
 from __future__ import annotations
 
 import enum
-import functools
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 from .errors import UnknownSignalError
 from .model import (
@@ -157,20 +155,19 @@ def balance_merges(graph: SyncGraph) -> SyncGraph:
     """
     g = graph.copy()
     depths: dict[str, int] = {g.input_zone: 0}
-    for z in g.forward_order():
+    for z, zone in g.zones.items():
         if z == g.input_zone:
             continue
-        inbound = g.zones[z].inbound
-        if g.zones[z].kind is ZoneKind.MERGE:
+        inbound = zone.inbound
+        if zone.kind is ZoneKind.MERGE:
             longest = max(depths[r.source] for r in inbound)
             for r in inbound:
                 r.latency = longest - depths[r.source]
                 for sig in r.signals:
-                    g.zones[z].slots[sig].fed_from = (r.source, r.latency)
+                    zone.slots[sig].fed_from = (r.source, r.latency)
             depths[z] = longest
         else:
             depths[z] = depths[inbound[0].source] + inbound[0].latency
-    g.balanced = True
     return g
 
 
@@ -196,11 +193,9 @@ def resolve_exhaustive_forward(graph: SyncGraph) -> SyncGraph:
     """Forward pass propagating every upstream signal into every zone,
     regardless of downstream usage."""
     g = graph.copy()
-    order = g.forward_order()
-    pos = {z: i for i, z in enumerate(order)}
+    pos = {z: i for i, z in enumerate(g.zones)}
     cache: dict = {}
-    for z in order:
-        zone = g.zones[z]
+    for z, zone in g.zones.items():
         if zone.kind is ZoneKind.INPUT:
             continue
         # at merges each signal is pulled from the inbound tip latest in
@@ -224,8 +219,7 @@ def resolve_exhaustive_forward(graph: SyncGraph) -> SyncGraph:
 
 
 def _designated_pred(g: SyncGraph, inbound: list[Relation],
-                     pos: dict[str, int], ancestors: Callable[[str], set[str]],
-                     sig: str) -> Relation:
+                     pos: dict[str, int], sig: str) -> Relation:
     # hop-by-hop requests go to the inbound source latest in forward order,
     # restricted to predecessors able to supply the signal (it is held there
     # already, or its declaring zone is upstream of them); the unrestricted
@@ -233,9 +227,7 @@ def _designated_pred(g: SyncGraph, inbound: list[Relation],
     decl = g.decls.get(sig)
     able = [r for r in inbound
             if sig in g.zones[r.source].slots
-            or (decl is not None
-                and (r.source == decl.declaring_zone
-                     or decl.declaring_zone in ancestors(r.source)))]
+            or (decl is not None and g.reaches(decl.declaring_zone, r.source))]
     return max(able or inbound, key=lambda r: pos[r.source])
 
 
@@ -243,19 +235,17 @@ def resolve_p2p_backward(graph: SyncGraph) -> SyncGraph:
     """Backward pass creating placeholder slots hop-by-hop upstream until a
     zone holding the signal is reached; only used signals are propagated."""
     g = graph.copy()
-    order = g.forward_order()
-    pos = {z: i for i, z in enumerate(order)}
+    pos = {z: i for i, z in enumerate(g.zones)}
     needs: dict[str, list[str]] = {}
-    for z in order:
-        pend = [s.signal for s in g.zones[z].slots.values()
+    for z, zone in g.zones.items():
+        pend = [s.signal for s in zone.slots.values()
                 if s.status is SignalStatus.PENDING_LOCAL]
         if pend:
             needs[z] = pend
-    ancestors = functools.cache(g.ancestors)
     cache: dict = {}
-    for z in reversed(order):
+    for z in reversed(g.zones):
         for sig in needs.get(z, []):
-            rel = _designated_pred(g, g.zones[z].inbound, pos, ancestors, sig)
+            rel = _designated_pred(g, g.zones[z].inbound, pos, sig)
             src = g.zones[rel.source]
             if sig not in src.slots:
                 if src.kind is ZoneKind.INPUT:

@@ -41,7 +41,7 @@ def load_spec(path: str) -> dict:
                         key=lambda e: list(e.absolute_path))
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, or an integer too long to read
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise ConfigError(f"{path} is nested too deeply") from exc

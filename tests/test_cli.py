@@ -103,6 +103,42 @@ def test_simulate_huge_shift_amount(capsys, tmp_path):
     assert "latency: 1" in out
 
 
+def _one_step(width=8, kind="reg", expr="x"):
+    return {"name": "big", "inputs": [{"name": "x", "width": 8}],
+            "outputs": [{"name": "q_out", "from": "q"}],
+            "steps": [{"name": "s", "kind": kind, "defines": [
+                {"name": "q", "width": width, "expr": expr}]}]}
+
+
+@pytest.mark.parametrize("doc,where", [
+    ({**_one_step(), "inputs": [{"name": "x", "width": 4097}]},
+     "/inputs/0/width"),
+    (_one_step(width=4097, expr=["cat", "x"]), "/steps/0/defines/0/width"),
+    (_one_step(kind={"delay": 4097}), "/steps/0/kind"),
+    (_one_step(expr=["slice", 7, 0, ["const", 1, 4097]]), "width 4097"),
+])
+def test_width_and_delay_bounds_exit_2(capsys, tmp_path, doc, where):
+    spec = tmp_path / "big.json"
+    spec.write_text(json.dumps(doc))
+    code, _, err = run_cli(capsys, "simulate", str(spec), "--cycles", "8")
+    assert code == 2
+    assert where in err
+
+
+def test_overlong_integer_exit_2(capsys, tmp_path):
+    # Python reads integers of at most 4300 digits from text
+    digits = "9" * 5000
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(_one_step()).replace('"width": 8', '"width": ' + digits))
+    code, _, err = run_cli(capsys, "build", str(spec))
+    assert code == 2 and "digits" in err
+    stim = tmp_path / "stim.json"
+    stim.write_text('{"inputs": [{"x": ' + digits + '}]}')
+    code, _, err = run_cli(capsys, "simulate", data_path("running.json"),
+                           "--stimulus", str(stim))
+    assert code == 2 and "digits" in err
+
+
 @pytest.mark.parametrize("depth,want", [(50, 0), (130, 2), (1200, 2)])
 def test_simulate_deeply_nested_expression(capsys, tmp_path, depth, want):
     # built as text: json.dump recurses as deeply as the reader does

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -209,9 +210,9 @@ def test_path_sums_match_brute_force(random_corpus):
                 assert sums.get(dst, set()) == brute[src, dst], (g.name, src, dst)
         assert {z: {d} for z, d in g.depths().items()} == {
             z: brute["_init_", z] for z in g.zones}, g.name
-        for z in g.zones:
-            assert g.ancestors(z) == {a for a in g.zones
-                                      if a != z and brute[a, z]}, (g.name, z)
+        for a in g.zones:
+            for z in g.zones:
+                assert g.reaches(a, z) == bool(brute[a, z]), (g.name, a, z)
 
 
 def test_missing_only_from_reads_or_merges():
@@ -236,7 +237,24 @@ def test_build_deeply_nested_branches():
     g = b.build()
     assert len(g.zones) == 2 * n + 1
     assert g.outputs[0].zone == "merged_b0_s0"
-    assert len(g.ancestors("merged_b0_s0")) == 2 * n
+    assert all(g.reaches(z, "merged_b0_s0") for z in g.zones)
+    # the brute force adds latencies up, and any value serves for reaching
+    for r in g.relations:
+        if r.kind is pf.RelationKind.MERGE:
+            r.latency = 0
+    mid = n // 2
+    # a search from these runs one way down the merges, so it is cheap
+    cheap = [f"s{n - 1}", f"merged_b{n - 1}_s{n - 1}", f"merged_b{mid}_s{mid}",
+             "merged_b1_s1", "merged_b0_s0"]
+    pairs = [(a, z) for a in cheap for z in [*cheap, "_init_", f"s{mid}"]]
+    pairs += [("_init_", "merged_b0_s0"), (f"s{mid}", f"merged_b{mid}_s{mid}")]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(3 * n + 100)  # a path runs through every zone
+    try:
+        for a, z in pairs:
+            assert g.reaches(a, z) == bool(brute_force_path_sums(g, a, z)), (a, z)
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_passthrough_appends_output_zone():

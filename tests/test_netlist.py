@@ -27,10 +27,11 @@ def test_ports_ready_valid():
     assert nl.enable == "enable"
     # a tap per pipeline depth, 0..total latency
     assert all(f"valid_{d}" in nl.nets for d in range(5))
-    valid_regs = [c for c in nl.cells if isinstance(c, DelayCell)
-                  and c.out.startswith("valid_")]
-    assert len(valid_regs) == 4
-    assert all(c.depth == 1 and c.style == "register" for c in valid_regs)
+    (valid_line,) = [c for c in nl.cells if isinstance(c, DelayCell)
+                     and c.out.startswith("valid_")]
+    assert (valid_line.out, valid_line.inp) == ("valid_4", "valid_0")
+    assert valid_line.depth == 4 and valid_line.style == "register"
+    assert valid_line.stages == ("valid_1", "valid_2", "valid_3")
 
 
 def test_register_lowering_counts():

@@ -18,7 +18,7 @@ def test_balance_running_example():
     g = pf.balance_merges(build_running())
     merge_in = g.zones["merged_mul_mul"].inbound
     assert {r.source: r.latency for r in merge_in} == {"mul": 1, "addB": 0}
-    assert g.balanced
+    assert all(r.latency is not None for r in g.relations if r.structural)
 
 
 def test_balance_equal_branches():
