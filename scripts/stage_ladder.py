@@ -1,17 +1,18 @@
 """Per-stage time ladder over growing generate_deep-shaped pipelines.
 
-    python3 scripts/stage_ladder.py --label change
-    python3 scripts/stage_ladder.py --label parent --src ../parent/src
+    python3 scripts/stage_ladder.py --label change --out BENCH.json
+    python3 scripts/stage_ladder.py --label parent --out BENCH.json --src ../parent/src
 
-Generates one pipeline per size N in ``--sizes`` with the benchmark's
+Generates one pipeline per size N in ``SIZES`` with the benchmark's
 ``generate_deep`` shape (``perfbench/workloads.DEEP``, seed 0), runs every
 stage of ``pipeforge generate`` on it and records the best of three wall
 times per stage (``copy`` is one ``SyncGraph.copy()`` of the built graph),
-plus the zone, slot and cell counts and the storage bits of the
-direct-resolved raw netlist under ``direct_fifo(4, 16)``.  Rows are
-merged into ``--out`` under ``--label``, replacing earlier rows of that
-label, so two checkouts can be measured into one file.  ``--src`` names the
-pipeforge source tree to import (default: this checkout's ``src``).
+plus the zone, slot and cell counts and the storage bits
+(``perfbench/oracle.storage_bits`` of the Verilog) of the direct-resolved
+raw netlist under ``direct_auto()``, the policy of the ROADMAP baseline.
+Each run appends its rows to ``--out`` under ``--label``, so alternating
+runs of two checkouts all land in one file.  ``--src`` names the pipeforge
+source tree to import (default: this checkout's ``src``).
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from dataclasses import replace
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 REPEATS = 3
+SIZES = (100, 200, 400, 800)
 
 
 def best_of(fn, *args):
@@ -38,22 +40,9 @@ def best_of(fn, *args):
     return out, best
 
 
-def storage_bits(nl) -> dict[str, int]:
-    from pipeforge.netlist import DelayCell, FifoCell
-
-    bits = {"reg_bits": 0, "srl_bits": 0, "fifo_bits": 0}
-    for c in nl.cells:
-        if isinstance(c, DelayCell):
-            key = "srl_bits" if c.style == "srl" else "reg_bits"
-            bits[key] += c.width * c.depth
-        elif isinstance(c, FifoCell):
-            bits["fifo_bits"] += c.width * c.capacity
-    return bits
-
-
-def rung(pf, specgen, shape, n: int) -> dict:
+def rung(pf, specgen, oracle, shape, n: int) -> dict:
     doc = specgen.generate(f"deep{n}", replace(shape, steps=n), 0)
-    policy = pf.direct_fifo(4, 16)
+    policy = pf.direct_auto()
     secs = {}
     g, secs["graph_from_spec"] = best_of(pf.graph_from_spec, doc)
     _, secs["copy"] = best_of(g.copy)
@@ -65,14 +54,15 @@ def rung(pf, specgen, shape, n: int) -> dict:
     _, secs["validate"] = best_of(pf.validate, d)
     plan, secs["apply_protocol"] = best_of(pf.apply_protocol, d, pf.Protocol.RAW)
     nl, secs["lower"] = best_of(pf.lower, d, plan, policy)
-    _, secs["emit_verilog"] = best_of(pf.emit_verilog, nl)
+    verilog, secs["emit_verilog"] = best_of(pf.emit_verilog, nl)
     _, secs["emit_dot"] = best_of(pf.emit_dot, b)
     _, secs["measured_latency"] = best_of(pf.measured_latency, nl)
     counts = {
         "zones": len(d.zones),
         "slots": sum(len(z.slots) for z in d.zones.values()),
         "cells": len(nl.cells),
-        **storage_bits(nl),
+        **dict(zip(("reg_bits", "srl_bits", "fifo_bits"),
+                   oracle.storage_bits(verilog))),
     }
     return {"n": n, "seconds": {k: round(v, 5) for k, v in secs.items()},
             "counts": counts}
@@ -93,18 +83,18 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--label", required=True)
     ap.add_argument("--src", default=os.path.join(ROOT, "src"))
-    ap.add_argument("--out", default=os.path.join(ROOT, "BENCH_6.json"))
-    ap.add_argument("--sizes", default="100,200,400,800")
+    ap.add_argument("--out", required=True)
     args = ap.parse_args(argv)
 
     sys.path[:0] = [os.path.abspath(args.src), os.path.join(ROOT, "perfbench")]
     import pipeforge as pf
+    import oracle
     import specgen
     from workloads import DEEP
 
     rows = []
-    for n in (int(s) for s in args.sizes.split(",")):
-        row = {"label": args.label, **rung(pf, specgen, DEEP, n)}
+    for n in SIZES:
+        row = {"label": args.label, **rung(pf, specgen, oracle, DEEP, n)}
         print(json.dumps(row), flush=True)
         rows.append(row)
 
@@ -118,7 +108,7 @@ def main(argv=None) -> int:
                          "processor": cpu_model(),
                          "cpus": os.cpu_count(),
                          "python": platform.python_version()}
-    bench["rows"] = [r for r in bench["rows"] if r["label"] != args.label] + rows
+    bench["rows"] += rows
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(bench, fh, indent=1)
         fh.write("\n")

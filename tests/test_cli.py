@@ -1,5 +1,6 @@
 import json
 import os
+import sys
 
 import pytest
 
@@ -126,17 +127,20 @@ def test_width_and_delay_bounds_exit_2(capsys, tmp_path, doc, where):
 
 
 def test_overlong_integer_exit_2(capsys, tmp_path):
-    # Python reads integers of at most 4300 digits from text
+    # Python reads integers of at most 4300 digits from text (3.10.7 and
+    # later, unless the limit is turned off); without the limit the value
+    # is out of range, also exit 2
+    limited = getattr(sys, "get_int_max_str_digits", lambda: 0)() > 0
     digits = "9" * 5000
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(_one_step()).replace('"width": 8', '"width": ' + digits))
     code, _, err = run_cli(capsys, "build", str(spec))
-    assert code == 2 and "digits" in err
+    assert code == 2 and ("digits" in err or not limited)
     stim = tmp_path / "stim.json"
     stim.write_text('{"inputs": [{"x": ' + digits + '}]}')
     code, _, err = run_cli(capsys, "simulate", data_path("running.json"),
                            "--stimulus", str(stim))
-    assert code == 2 and "digits" in err
+    assert code == 2 and ("digits" in err or not limited)
 
 
 @pytest.mark.parametrize("depth,want", [(50, 0), (130, 2), (1200, 2)])
