@@ -10,6 +10,8 @@ times per stage (``copy`` is one ``SyncGraph.copy()`` of the built graph),
 plus the zone, slot and cell counts and the storage bits
 (``perfbench/oracle.storage_bits`` of the Verilog) of the direct-resolved
 raw netlist under ``direct_auto()``, the policy of the ROADMAP baseline.
+``measured_latency`` times that netlist, and ``check_equivalence`` compares
+it with the p2p-resolved raw netlist under the same policy.
 Each run appends its rows to ``--out`` under ``--label``, so alternating
 runs of two checkouts all land in one file.  ``--src`` names the pipeforge
 source tree to import (default: this checkout's ``src``).
@@ -49,7 +51,7 @@ def rung(pf, specgen, oracle, shape, n: int) -> dict:
     b, secs["balance_merges"] = best_of(pf.balance_merges, g)
     _, secs["missing_relations"] = best_of(b.missing_relations)
     d, secs["resolve_direct"] = best_of(pf.resolve_direct_backward, b, policy)
-    _, secs["resolve_p2p"] = best_of(pf.resolve_p2p_backward, b)
+    p, secs["resolve_p2p"] = best_of(pf.resolve_p2p_backward, b)
     _, secs["resolve_exhaustive"] = best_of(pf.resolve_exhaustive_forward, b)
     _, secs["validate"] = best_of(pf.validate, d)
     plan, secs["apply_protocol"] = best_of(pf.apply_protocol, d, pf.Protocol.RAW)
@@ -57,6 +59,10 @@ def rung(pf, specgen, oracle, shape, n: int) -> dict:
     verilog, secs["emit_verilog"] = best_of(pf.emit_verilog, nl)
     _, secs["emit_dot"] = best_of(pf.emit_dot, b)
     _, secs["measured_latency"] = best_of(pf.measured_latency, nl)
+    p2p = pf.lower(p, pf.apply_protocol(p, pf.Protocol.RAW), policy)
+    verdict, secs["check_equivalence"] = best_of(pf.check_equivalence, nl, p2p)
+    if not verdict.ok:
+        raise SystemExit(f"N={n}: direct and p2p differ: {verdict.detail}")
     counts = {
         "zones": len(d.zones),
         "slots": sum(len(z.slots) for z in d.zones.values()),

@@ -13,8 +13,7 @@ combinational cells of the netlist.  Width rules are deterministic:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
-from typing import Callable, Mapping
+from typing import Mapping
 
 from .errors import WidthMismatchError
 
@@ -31,16 +30,8 @@ class Expr:
     def width(self, widths: Mapping[str, int]) -> int:
         raise NotImplementedError
 
-    def compile(self, widths: Mapping[str, int]) -> Callable[[Mapping[str, int]], int]:
-        """A function of the net values that evaluates this expression.
-
-        Widths, masks and the width rules are resolved here, once, so a
-        caller that evaluates the same expression every cycle compiles it
-        once and calls the result."""
-        raise NotImplementedError
-
     def eval(self, values: Mapping[str, int], widths: Mapping[str, int]) -> int:
-        return self.compile(widths)(values)
+        raise NotImplementedError
 
     def to_sexpr(self):
         raise NotImplementedError
@@ -64,9 +55,8 @@ class Const(Expr):
     def width(self, widths):
         return self.const_width
 
-    def compile(self, widths):
-        value = self.value
-        return lambda values: value
+    def eval(self, values, widths):
+        return self.value
 
     def to_sexpr(self):
         return ["const", self.value, self.const_width]
@@ -82,8 +72,8 @@ class Ref(Expr):
     def width(self, widths):
         return widths[self.name]
 
-    def compile(self, widths):
-        return itemgetter(self.name)
+    def eval(self, values, widths):
+        return values[self.name]
 
     def to_sexpr(self):
         return ["ref", self.name]
@@ -108,21 +98,21 @@ class BinOp(Expr):
             return wl + wr
         return max(wl, wr)
 
-    def compile(self, widths):
+    def eval(self, values, widths):
         mask = (1 << self.width(widths)) - 1
-        a = self.lhs.compile(widths)
-        b = self.rhs.compile(widths)
+        a = self.lhs.eval(values, widths)
+        b = self.rhs.eval(values, widths)
         if self.op == "add":
-            return lambda values: (a(values) + b(values)) & mask
+            return (a + b) & mask
         if self.op == "sub":
-            return lambda values: (a(values) - b(values)) & mask
+            return (a - b) & mask
         if self.op == "mul":
-            return lambda values: (a(values) * b(values)) & mask
+            return (a * b) & mask
         if self.op == "xor":
-            return lambda values: a(values) ^ b(values)
+            return a ^ b
         if self.op == "and":
-            return lambda values: a(values) & b(values)
-        return lambda values: a(values) | b(values)
+            return a & b
+        return a | b
 
     def to_sexpr(self):
         return [self.op, self.lhs.to_sexpr(), self.rhs.to_sexpr()]
@@ -138,10 +128,8 @@ class Not(Expr):
     def width(self, widths):
         return self.arg.width(widths)
 
-    def compile(self, widths):
-        mask = (1 << self.width(widths)) - 1
-        a = self.arg.compile(widths)
-        return lambda values: ~a(values) & mask
+    def eval(self, values, widths):
+        return ~self.arg.eval(values, widths) & ((1 << self.width(widths)) - 1)
 
     def to_sexpr(self):
         return ["not", self.arg.to_sexpr()]
@@ -165,17 +153,16 @@ class Shift(Expr):
     def width(self, widths):
         return self.arg.width(widths)
 
-    def compile(self, widths):
+    def eval(self, values, widths):
         w = self.width(widths)
         n = self.amount
         # every bit shifts out; testing first keeps a huge shl from allocating
         if n >= w:
-            return lambda values: 0
-        a = self.arg.compile(widths)
+            return 0
+        a = self.arg.eval(values, widths)
         if self.op == "shl":
-            mask = (1 << w) - 1
-            return lambda values: (a(values) << n) & mask
-        return lambda values: a(values) >> n
+            return (a << n) & ((1 << w) - 1)
+        return a >> n
 
     def to_sexpr(self):
         return [self.op, self.amount, self.arg.to_sexpr()]
@@ -198,12 +185,11 @@ class Mux(Expr):
             raise WidthMismatchError(f"mux arm widths differ: {wt} vs {wo}")
         return wt
 
-    def compile(self, widths):
+    def eval(self, values, widths):
         self.width(widths)
-        sel = self.sel.compile(widths)
-        then = self.then.compile(widths)
-        other = self.other.compile(widths)
-        return lambda values: then(values) if sel(values) else other(values)
+        if self.sel.eval(values, widths):
+            return self.then.eval(values, widths)
+        return self.other.eval(values, widths)
 
     def to_sexpr(self):
         return ["mux", self.sel.to_sexpr(), self.then.to_sexpr(), self.other.to_sexpr()]
@@ -226,11 +212,9 @@ class Slice(Expr):
                 f"slice [{self.hi}:{self.lo}] exceeds operand width {self.arg.width(widths)}")
         return self.hi - self.lo + 1
 
-    def compile(self, widths):
+    def eval(self, values, widths):
         mask = (1 << self.width(widths)) - 1
-        a = self.arg.compile(widths)
-        lo = self.lo
-        return lambda values: (a(values) >> lo) & mask
+        return (self.arg.eval(values, widths) >> self.lo) & mask
 
     def to_sexpr(self):
         return ["slice", self.hi, self.lo, self.arg.to_sexpr()]
@@ -253,15 +237,11 @@ class Concat(Expr):
     def width(self, widths):
         return sum(p.width(widths) for p in self.parts)
 
-    def compile(self, widths):
-        parts = [(p.compile(widths), p.width(widths)) for p in self.parts]
-
-        def concat(values):
-            acc = 0
-            for part, w in parts:
-                acc = (acc << w) | part(values)
-            return acc
-        return concat
+    def eval(self, values, widths):
+        acc = 0
+        for p in self.parts:
+            acc = (acc << p.width(widths)) | p.eval(values, widths)
+        return acc
 
     def to_sexpr(self):
         return ["cat"] + [p.to_sexpr() for p in self.parts]

@@ -1,11 +1,16 @@
-"""Cycle-accurate netlist interpreter used as the verification oracle.
+"""Cycle-accurate netlist simulator used as the verification oracle.
 
 Two-phase evaluation per cycle: combinational cells settle in topological
 order (sequential outputs count as cycle-start constants), then sequential
 state updates, gated by the global enable under ready/valid.  Two-valued
 simulation; reset is synchronous and active-high, registers come up in
-their reset state.  Each combinational cell is compiled once per simulation
-into a closure with its widths and masks resolved, so a cycle only calls it.
+their reset state.
+
+Each public call compiles its netlists once into straight-line Python
+(``_Compiled``): every net is a slot in one value list, every cell one
+statement with its widths and masks resolved to literals, and a cycle is a
+call of a few generated functions.  Nothing is cached across calls, so a
+netlist may be changed between them.
 
 ``measured_latency`` warms a netlist up for as long as its own longest
 sequential path into the outputs, found in one walk over the nets; a net
@@ -18,9 +23,11 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Callable
 
 from .errors import NoResponseError, PortMismatchError, SimulationError
+from .expr import BinOp, Concat, Const, Expr, Mux, Not, Ref, Shift, Slice
 from .netlist import CombCell, CounterCell, DelayCell, FifoCell, Netlist, comb_order
 from .protocol import Protocol
 
@@ -56,6 +63,16 @@ class Stimulus:
         return 1 if self.sink_ready[cycle] else 0
 
 
+def _vcd_id(i: int) -> str:
+    """The ith VCD identifier: base-94 digits over the printable ``!``..``~``,
+    least significant first, so the first 94 are one character."""
+    code = chr(33 + i % 94)
+    while i >= 94:
+        i = i // 94 - 1
+        code += chr(33 + i % 94)
+    return code
+
+
 @dataclass
 class Trace:
     ports: list[str]
@@ -72,7 +89,7 @@ class Trace:
         return "\n".join(lines) + "\n"
 
     def to_vcd(self, timescale: str = "1ns") -> str:
-        ids = {p: chr(33 + i) for i, p in enumerate(self.ports)}
+        ids = {p: _vcd_id(i) for i, p in enumerate(self.ports)}
         out = [f"$timescale {timescale} $end", "$scope module top $end"]
         for p in self.ports:
             out.append(f"$var wire {self.widths.get(p, 1)} {ids[p]} {p} $end")
@@ -88,118 +105,274 @@ class Trace:
         return "\n".join(out) + "\n"
 
 
-class _State:
-    """Sequential state between cycles.
+# lines per generated function: CPython's compiler needs a few KB of memory
+# per line, and compiling one function at a time bounds that peak
+_CHUNK = 100
+# parenthesis depth past which a subexpression is assigned to a slot of its
+# own, far below CPython's nesting limit of 200
+_NEST = 50
+_MASKED = {"add": "+", "sub": "-", "mul": "*"}
+_BITWISE = {"xor": "^", "and": "&", "or": "|"}
 
-    Each delay line is a ring of ``depth`` values.  Every sequential cell
-    shares the one global enable, so all rings advance together and one
-    count ``t`` of enabled cycles indexes them all: slot ``t % depth`` holds
-    the value written ``depth`` cycles ago, and is overwritten next.
+
+def _mask(width: int) -> str:
+    return hex((1 << width) - 1)
+
+
+class _Compiled:
+    """A netlist compiled to straight-line Python, with its sequential state.
+
+    Every net has a slot in the value list ``v``.  Each combinational cell
+    is one assignment with its masks resolved to literals, and a wire needs
+    none: it shares its source's slot.  The statements are compiled as
+    functions of at most ``_CHUNK`` lines: the settle functions compute a
+    cycle's values, the update functions advance the state at the clock
+    edge.  Net names enter the generated source only as ``repr`` literals in
+    error messages.
+
+    Every sequential cell shares the one global enable, so one count ``t``
+    of enabled cycles since reset drives them all.  The delay lines of one
+    depth ``d`` form a group whose outputs take adjacent slots; the group
+    keeps a ring ``R[j]`` of ``d`` frames, each the tuple of the group's
+    inputs on one enabled cycle.  Frame ``t % d`` holds the inputs of ``d``
+    cycles ago, so one slice assignment reads every output of the group and
+    one gather ``G[j]`` overwrites the frame.  A FIFO's output register is
+    ``S[j]`` and its contents the deque ``Q[j]``, and a startup counter
+    reads ``max(init - t, 0)``.  Stage nets, FIFO flags and counter nets are
+    only computed where something reads them.
     """
 
     def __init__(self, netlist: Netlist, watch: tuple[str, ...] = ()):
         self.netlist = netlist
-        self.delays = [c for c in netlist.cells if isinstance(c, DelayCell)]
-        self.fifos = [c for c in netlist.cells if isinstance(c, FifoCell)]
-        self.counters = [c for c in netlist.cells if isinstance(c, CounterCell)]
+        groups: dict[int, list[DelayCell]] = {}
+        for c in netlist.cells:
+            if isinstance(c, DelayCell):
+                groups.setdefault(c.depth, []).append(c)
+        fifos = [c for c in netlist.cells if isinstance(c, FifoCell)]
+        counters = [c for c in netlist.cells if isinstance(c, CounterCell)]
+        # sequential outputs first, in state order, so slices copy them
+        nets = [c.out for group in groups.values() for c in group]
+        nets += [c.out for c in fifos] + list(netlist.nets)
+        self.slot = {net: i for i, net in enumerate(dict.fromkeys(nets))}
+        self.nslots = len(self.slot)
         cells = comb_order(netlist)
-        self.comb_order = [(c.out, c.expr.compile(netlist.nets)) for c in cells]
-        # stage nets are only computed where something reads them
-        read = set(watch)
+        read = set(watch) | {n for n, _ in netlist.outputs}
         for c in cells:
             read |= c.expr.refs()
-        for c in self.delays:
-            read.add(c.inp)
-        for c in self.fifos:
-            read |= {c.inp, c.write_en, c.read_en}
-        # (ring index, delay k, stage net)
-        self.stage_taps = [(i, k, net) for i, c in enumerate(self.delays)
-                           for k, net in enumerate(c.stages, 1) if net in read]
+        # in topological order, so a chain of wires ends at its first source
+        for c in cells:
+            if isinstance(c.expr, Ref):
+                self.slot[c.out] = self.slot[c.expr.name]
+        self.rings = [[(0,) * len(group)] * depth
+                      for depth, group in groups.items()]
+        gathers = [_gather([self.slot[c.inp] for c in group])
+                   for group in groups.values()]
+        self.queues = [deque() for _ in fifos]
+        self.fifo_out = [0] * len(fifos)
+        settle: list[str] = []
+        update: list[str] = []
+        ref = self._ref
+        for j, (depth, group) in enumerate(groups.items()):
+            first = self.slot[group[0].out]
+            settle.append(
+                f"v[{first}:{first + len(group)}] = R[{j}][t % {depth}]")
+            settle += [f"{ref(net)} = R[{j}][t % {depth} - {k}][{i}]"
+                       for i, c in enumerate(group)
+                       for k, net in enumerate(c.stages, 1) if net in read]
+            update.append(f"R[{j}][t % {depth}] = G[{j}](v)")
+        if fifos:
+            first = self.slot[fifos[0].out]
+            settle.append(f"v[{first}:{first + len(fifos)}] = S")
+        for j, c in enumerate(fifos):
+            if c.full in read:
+                settle.append(f"{ref(c.full)} = "
+                              f"1 if len(Q[{j}]) >= {c.capacity} else 0")
+            if c.empty in read:
+                settle.append(f"{ref(c.empty)} = 0 if Q[{j}] else 1")
+            empty = repr(f"FIFO {c.out!r} read while empty")
+            full = repr(f"FIFO {c.out!r} write while full")
+            update += [f"if {ref(c.read_en)}:\n"
+                       f"    if not Q[{j}]:\n"
+                       f"        raise SimulationError({empty})\n"
+                       f"    S[{j}] = Q[{j}].popleft()",
+                       f"if {ref(c.write_en)}:\n"
+                       f"    if len(Q[{j}]) >= {c.capacity}:\n"
+                       f"        raise SimulationError({full})\n"
+                       f"    Q[{j}].append({ref(c.inp)})"]
+        for c in counters:
+            if c.count in read:
+                settle.append(
+                    f"{ref(c.count)} = {c.init} - t if t < {c.init} else 0")
+            if c.zero in read:
+                settle.append(f"{ref(c.zero)} = 0 if t < {c.init} else 1")
+        for c in cells:
+            if not isinstance(c.expr, Ref):
+                src, _ = self._expr(c.expr, settle)
+                settle.append(f"{ref(c.out)} = {src}")
+        self.v = [0] * self.nslots
+        # the code names nothing else: CPython interns each name a compile
+        # meets and frees it with the code, and names per ring or per depth
+        # made that churn grow the heap by about 15 KB per benchmark round
+        namespace = {"R": self.rings, "G": gathers, "Q": self.queues,
+                     "S": self.fifo_out, "SimulationError": SimulationError}
+        self.settle = _functions(settle, namespace)
+        self.update = _functions(update, namespace)
+
+    def _ref(self, net: str) -> str:
+        return f"v[{self.slot[net]}]"
+
+    def _expr(self, e: Expr, out: list[str]) -> tuple[str, int]:
+        """Python source for ``e`` and its parenthesis depth.  A subexpression
+        nested ``_NEST`` deep is first assigned to a new slot, by a statement
+        appended to ``out``."""
+        widths = self.netlist.nets
+        if isinstance(e, Const):
+            return hex(e.value), 0
+        if isinstance(e, Ref):
+            return self._ref(e.name), 1
+        if isinstance(e, BinOp):
+            (a, da), (b, db) = self._expr(e.lhs, out), self._expr(e.rhs, out)
+            if e.op in _MASKED:
+                src = f"({a} {_MASKED[e.op]} {b} & {_mask(e.width(widths))})"
+            else:
+                src = f"({a} {_BITWISE[e.op]} {b})"
+            return self._spill(src, max(da, db) + 1, out)
+        if isinstance(e, Not):
+            a, d = self._expr(e.arg, out)
+            return self._spill(f"(~{a} & {_mask(e.width(widths))})", d + 1, out)
+        if isinstance(e, Shift):
+            w = e.width(widths)
+            # every bit shifts out; testing first keeps a huge shl from allocating
+            if e.amount >= w:
+                return "0", 0
+            a, d = self._expr(e.arg, out)
+            if e.op == "shl":
+                src = f"({a} << {e.amount} & {_mask(w)})"
+            else:
+                src = f"({a} >> {e.amount})"
+            return self._spill(src, d + 1, out)
+        if isinstance(e, Mux):
+            e.width(widths)
+            (s, ds), (a, da), (b, db) = (self._expr(x, out)
+                                         for x in (e.sel, e.then, e.other))
+            return self._spill(f"({a} if {s} else {b})",
+                               max(ds, da, db) + 1, out)
+        if isinstance(e, Slice):
+            mask = _mask(e.width(widths))
+            a, d = self._expr(e.arg, out)
+            if e.lo:
+                a = f"{a} >> {e.lo}"
+            return self._spill(f"({a} & {mask})", d + 1, out)
+        if isinstance(e, Concat):
+            acc, d = self._expr(e.parts[0], out)
+            for p in e.parts[1:]:
+                b, db = self._expr(p, out)
+                acc, d = self._spill(f"({acc} << {p.width(widths)} | {b})",
+                                     max(d, db) + 1, out)
+            return acc, d
+        raise TypeError(f"unknown expression node {e!r}")
+
+    def _spill(self, src: str, depth: int, out: list[str]) -> tuple[str, int]:
+        if depth < _NEST:
+            return src, depth
+        slot = f"v[{self.nslots}]"
+        self.nslots += 1
+        out.append(f"{slot} = {src}")
+        return slot, 1
+
+    def reset(self) -> None:
+        for ring in self.rings:
+            ring[:] = [(0,) * len(ring[0])] * len(ring)
+        for q in self.queues:
+            q.clear()
+        self.fifo_out[:] = [0] * len(self.fifo_out)
+
+    def run(self, stim: Stimulus) -> Trace:
+        """Simulate ``stim`` from the reset state."""
+        nl = self.netlist
+        rv = nl.protocol is Protocol.READY_VALID
+        in_ports = [n for n, _ in nl.inputs]
+        out_ports = [n for n, _ in nl.outputs]
+        ports = in_ports + out_ports + [p for p in stim.watch
+                                        if p not in in_ports + out_ports]
+        trace = Trace(ports, {p: nl.nets[p] for p in ports})
+        slot = self.slot
+        data_ports = [p for p in in_ports if p not in ("in_valid", "out_ready")]
+        data = [(p, slot[p]) for p in data_ports]
+        accepted_out = [p for p in out_ports if p not in ("out_valid", "in_ready")]
+        sample = _gather([slot[p] for p in ports])
+        enable = None if nl.enable is None else slot[nl.enable]
+        if rv:
+            valid_in, ready_in = slot["in_valid"], slot["out_ready"]
+        v, settle, update = self.v, self.settle, self.update
+        samples = trace.samples
         self.reset()
+        t = 0
+        for cycle in range(stim.cycles):
+            given = stim.input_at(cycle)
+            for p, i in data:
+                v[i] = given.get(p, 0)
+            if rv:
+                v[valid_in] = given.get("in_valid", 1)
+                v[ready_in] = stim.ready_at(cycle)
+            for f in settle:
+                f(v, t)
+            values = dict(zip(ports, sample(v)))
+            samples.append(values)
+            if cycle < stim.reset_cycles:
+                self.reset()
+                t = 0
+                continue
+            if rv:
+                if values["in_valid"] and values["in_ready"]:
+                    trace.accepted_inputs.append(
+                        {p: values[p] for p in data_ports})
+                if values["out_valid"] and values["out_ready"]:
+                    trace.accepted_outputs.append(
+                        {p: values[p] for p in accepted_out})
+            if enable is None or v[enable]:
+                for f in update:
+                    f(v, t)
+                t += 1
+        return trace
 
-    def reset(self):
-        self.t = 0
-        self.rings = [[0] * c.depth for c in self.delays]
-        self.fifo_q: dict[str, deque] = {c.out: deque() for c in self.fifos}
-        self.fifo_out = {c.out: 0 for c in self.fifos}
-        self.cnt_v = {c.count: c.init for c in self.counters}
 
-    def settle(self, inputs: dict) -> dict:
-        values = dict(inputs)
-        t = self.t
-        for c, ring in zip(self.delays, self.rings):
-            values[c.out] = ring[t % c.depth]
-        for i, k, net in self.stage_taps:
-            ring = self.rings[i]
-            values[net] = ring[(t - k) % len(ring)]
-        for c in self.fifos:
-            q = self.fifo_q[c.out]
-            values[c.out] = self.fifo_out[c.out]
-            values[c.full] = 1 if len(q) >= c.capacity else 0
-            values[c.empty] = 1 if not q else 0
-        for c in self.counters:
-            values[c.count] = self.cnt_v[c.count]
-            values[c.zero] = 1 if self.cnt_v[c.count] == 0 else 0
-        for out, fn in self.comb_order:
-            values[out] = fn(values)
-        return values
+def _gather(slots: list[int]) -> Callable[[list], tuple]:
+    """A function of the value list returning the values at ``slots`` as a
+    tuple; ``itemgetter`` returns a bare value for a single slot."""
+    if len(slots) == 1:
+        i, = slots
+        return lambda v: (v[i],)
+    return itemgetter(*slots) if slots else lambda v: ()
 
-    def update(self, values: dict, in_reset: bool) -> None:
-        if in_reset:
-            self.reset()
-            return
-        if self.netlist.enable is not None and not values[self.netlist.enable]:
-            return
-        t = self.t
-        for c, ring in zip(self.delays, self.rings):
-            ring[t % c.depth] = values[c.inp]
-        self.t = t + 1
-        for c in self.fifos:
-            q = self.fifo_q[c.out]
-            if values[c.read_en]:
-                if not q:
-                    raise SimulationError(f"FIFO {c.out!r} read while empty")
-                self.fifo_out[c.out] = q.popleft()
-            if values[c.write_en]:
-                if len(q) >= c.capacity:
-                    raise SimulationError(f"FIFO {c.out!r} write while full")
-                q.append(values[c.inp])
-        for c in self.counters:
-            if self.cnt_v[c.count] > 0:
-                self.cnt_v[c.count] -= 1
+
+def _functions(stmts: list[str], namespace: dict) -> list[Callable]:
+    """Compile ``stmts`` as functions ``(v, t)`` of at most ``_CHUNK``
+    lines each, each one on its own, so the compiler's memory stays
+    bounded."""
+    fns = []
+    lines: list[str] = []
+
+    def flush():
+        body = "\n".join(["def chunk(v, t):"] + lines)
+        exec(compile(body, "<pipeforge sim>", "exec"), namespace)
+        fns.append(namespace.pop("chunk"))
+        lines.clear()
+
+    for stmt in stmts:
+        if len(lines) >= _CHUNK:
+            flush()
+        lines.extend("    " + line for line in stmt.split("\n"))
+    if lines:
+        flush()
+    return fns
 
 
 def simulate(netlist: Netlist, stim: Stimulus) -> Trace:
-    rv = netlist.protocol is Protocol.READY_VALID
-    in_ports = [n for n, _ in netlist.inputs]
-    out_ports = [n for n, _ in netlist.outputs]
     for p in stim.watch:
         if p not in netlist.nets:
             raise SimulationError(f"watched net {p!r} does not exist")
-    ports = in_ports + out_ports + [p for p in stim.watch
-                                    if p not in in_ports + out_ports]
-    trace = Trace(ports, {p: netlist.nets[p] for p in ports})
-    state = _State(netlist, stim.watch)
-    data_ports = [p for p in in_ports if p not in ("in_valid", "out_ready")]
-    for cycle in range(stim.cycles):
-        given = stim.input_at(cycle)
-        inputs = {p: given.get(p, 0) for p in data_ports}
-        if rv:
-            inputs["in_valid"] = given.get("in_valid", 1)
-            inputs["out_ready"] = stim.ready_at(cycle)
-        values = state.settle(inputs)
-        trace.samples.append({p: values[p] for p in ports})
-        in_reset = cycle < stim.reset_cycles
-        if rv and not in_reset:
-            if values["in_valid"] and values["in_ready"]:
-                trace.accepted_inputs.append(
-                    {p: values[p] for p in data_ports})
-            if values["out_valid"] and values["out_ready"]:
-                trace.accepted_outputs.append(
-                    {p: values[p] for p in out_ports
-                     if p not in ("out_valid", "in_ready")})
-        state.update(values, in_reset)
-    return trace
+    return _Compiled(netlist, stim.watch).run(stim)
 
 
 def _settle_time(netlist: Netlist, nets: list[str]) -> int:
@@ -255,10 +428,16 @@ def measured_latency(netlist: Netlist, seed: int = 0) -> int:
     returns the delay until any output first deviates from its settled
     value; retries with fresh values if the function happens to be
     insensitive to the draw.  The warm-up is the netlist's own longest
-    sequential path into the outputs, so it needs no planned latency.
+    sequential path into the outputs, so it needs no planned latency.  The
+    netlist is compiled once for every impulse.
     """
     if netlist.protocol is not Protocol.RAW:
         raise SimulationError("latency measurement applies to raw netlists")
+    return _latency(_Compiled(netlist), seed)
+
+
+def _latency(sim: _Compiled, seed: int) -> int:
+    netlist = sim.netlist
     rng = random.Random(seed)
     out_ports = [n for n, _ in netlist.outputs]
     warm = _settle_time(netlist, out_ports) + 8
@@ -268,7 +447,7 @@ def measured_latency(netlist: Netlist, seed: int = 0) -> int:
             cycles=2 * warm + 2,
             inputs=lambda c, imp=impulse: imp if c == warm else {},
         )
-        trace = simulate(netlist, stim)
+        trace = sim.run(stim)
         settled = trace.samples[warm - 1]
         for c in range(warm, len(trace.samples)):
             if any(trace.samples[c][p] != settled[p] for p in out_ports):
@@ -294,15 +473,15 @@ def _ready_schedule(rng: random.Random, cycles: int, duty: float,
     return bits
 
 
-def _stream_latency(netlist: Netlist, seed: int) -> int:
+def _stream_latency(sim: _Compiled, seed: int) -> int:
     """Enabled cycles from a transaction in to its result out: measured on
     a raw netlist, the depth of the valid chain under ready/valid."""
-    if netlist.protocol is Protocol.RAW:
-        return measured_latency(netlist, seed)
-    return _settle_time(netlist, ["out_valid"])
+    if sim.netlist.protocol is Protocol.RAW:
+        return _latency(sim, seed)
+    return _settle_time(sim.netlist, ["out_valid"])
 
 
-def _stream_outputs(netlist: Netlist, data: list[dict], rng: random.Random,
+def _stream_outputs(sim: _Compiled, data: list[dict], rng: random.Random,
                     cycles: int, latency: int) -> list[dict]:
     """Feed a transaction stream and return the output transaction stream.
 
@@ -312,6 +491,7 @@ def _stream_outputs(netlist: Netlist, data: list[dict], rng: random.Random,
     long enough for every transaction to come out ``latency`` enabled
     cycles after it went in.
     """
+    netlist = sim.netlist
     out_ports = [n for n, _ in netlist.outputs
                  if n not in ("out_valid", "in_ready")]
     reset = 1
@@ -320,7 +500,7 @@ def _stream_outputs(netlist: Netlist, data: list[dict], rng: random.Random,
             cycles=reset + len(data) + latency,
             inputs=[{}] * reset + data,
         )
-        trace = simulate(netlist, stim)
+        trace = sim.run(stim)
         return [{p: trace.samples[reset + k + latency][p] for p in out_ports}
                 for k in range(len(data))]
     duty = 0.1 + 0.8 * rng.random()
@@ -333,7 +513,7 @@ def _stream_outputs(netlist: Netlist, data: list[dict], rng: random.Random,
         per_cycle.append(data[k] if k < len(data) else {"in_valid": 0})
         if ready[c] and k < len(data):
             k += 1
-    trace = simulate(netlist, Stimulus(
+    trace = sim.run(Stimulus(
         cycles=len(ready), inputs=per_cycle, sink_ready=ready,
         reset_cycles=reset))
     return trace.accepted_outputs
@@ -344,7 +524,8 @@ def check_equivalence(a: Netlist, b: Netlist, trials: int = 4,
     """Compare two lowerings of the same pipeline on matched random streams.
 
     Port interfaces must agree up to the handshake ports; transaction
-    streams (aligned per netlist) must be identical.
+    streams (aligned per netlist) must be identical.  Each netlist is
+    compiled once, for its latency and every trial.
     """
     def data_iface(n: Netlist):
         ins = [(p, w) for p, w in n.inputs if p not in ("in_valid", "out_ready")]
@@ -355,14 +536,15 @@ def check_equivalence(a: Netlist, b: Netlist, trials: int = 4,
         raise PortMismatchError(
             f"port interfaces differ: {data_iface(a)} vs {data_iface(b)}")
     ins, _ = data_iface(a)
-    lat_a, lat_b = _stream_latency(a, seed), _stream_latency(b, seed)
+    sim_a, sim_b = _Compiled(a), _Compiled(b)
+    lat_a, lat_b = _stream_latency(sim_a, seed), _stream_latency(sim_b, seed)
     rng = random.Random(seed)
     for trial in range(trials):
         n = max(16, cycles // 4)
         data = [{p: rng.randrange(0, 1 << w) for p, w in ins} for _ in range(n)]
-        out_a = _stream_outputs(a, data, random.Random(rng.randrange(1 << 30)),
+        out_a = _stream_outputs(sim_a, data, random.Random(rng.randrange(1 << 30)),
                                 cycles, lat_a)
-        out_b = _stream_outputs(b, data, random.Random(rng.randrange(1 << 30)),
+        out_b = _stream_outputs(sim_b, data, random.Random(rng.randrange(1 << 30)),
                                 cycles, lat_b)
         m = min(len(out_a), len(out_b))
         if m < 4:

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 import pipeforge as pf
@@ -198,3 +200,158 @@ def test_width_errors_raise_when_evaluated_or_simulated():
                         cells=[CombCell("o", expr)])
         with pytest.raises(pf.WidthMismatchError):
             pf.simulate(nl, pf.Stimulus(cycles=2))
+
+
+def test_fifo_underflow_raises():
+    from pipeforge.netlist import FifoCell
+    nl = lowered(xor_delay=2, with_e=True, policy=pf.direct_fifo(3, 3))
+    fifo = next(c for c in nl.cells if isinstance(c, FifoCell))
+    # reading from the first enabled cycle on, before anything was written
+    nl.drivers()[fifo.read_en].expr = pf.expr.Const(1, 1)
+    with pytest.raises(pf.SimulationError, match="read while empty"):
+        pf.simulate(nl, pf.Stimulus(cycles=4))
+
+
+def test_vcd_identifiers_beyond_94_ports():
+    ports = [f"p{i}" for i in range(200)]
+    trace = pf.Trace(ports, {p: 4 for p in ports},
+                     samples=[{p: i % 16 for i, p in enumerate(ports)}])
+    ids = [line.split()[3] for line in trace.to_vcd().splitlines()
+           if line.startswith("$var")]
+    assert len(set(ids)) == len(ports)
+    assert all("!" <= ch <= "~" for code in ids for ch in code)
+    assert ids[:3] == ["!", '"', "#"]  # the first 94 stay one character
+
+
+def _expr_netlist(expr, widths):
+    """One combinational output ``o`` over the inputs in ``widths``."""
+    from pipeforge.netlist import CombCell
+    w = expr.width(widths)
+    return pf.Netlist("e", inputs=list(widths.items()), outputs=[("o", w)],
+                      nets={**widths, "o": w}, cells=[CombCell("o", expr)])
+
+
+def _random_expr(rng, widths, depth):
+    """A width-correct random expression over every operator."""
+    names = sorted(widths)
+    if depth == 0 or rng.random() < 0.2:
+        if rng.random() < 0.3:
+            w = rng.randint(1, 12)
+            return pf.Const(rng.randrange(1 << w), w)
+        return pf.Ref(rng.choice(names))
+    kind = rng.choice(["add", "sub", "mul", "xor", "and", "or", "not",
+                       "shl", "shr", "mux", "slice", "cat"])
+    a = _random_expr(rng, widths, depth - 1)
+    wa = a.width(widths)
+    if kind in ("add", "sub", "mul", "xor", "and", "or"):
+        return pf.BinOp(kind, a, _random_expr(rng, widths, depth - 1))
+    if kind == "not":
+        return pf.Not(a)
+    if kind in ("shl", "shr"):
+        return pf.Shift(kind, rng.randint(0, wa + 1), a)
+    if kind == "slice":
+        lo = rng.randrange(wa)
+        return pf.Slice(rng.randint(lo, wa - 1), lo, a)
+    if kind == "cat":
+        return pf.Concat((a, _random_expr(rng, widths, depth - 1)))
+    b = _random_expr(rng, widths, depth - 1)
+    wb = b.width(widths)
+    if wa > wb:
+        a = pf.Slice(wb - 1, 0, a)
+    elif wb > wa:
+        b = pf.Slice(wa - 1, 0, b)
+    sel = _random_expr(rng, widths, depth - 1)
+    bit = rng.randrange(sel.width(widths))
+    return pf.Mux(pf.Slice(bit, bit, sel), a, b)
+
+
+def _check_against_eval(expr, widths, rng, cycles=12):
+    inputs = [{n: rng.randrange(1 << w) for n, w in widths.items()}
+              for _ in range(cycles)]
+    trace = pf.simulate(_expr_netlist(expr, widths),
+                        pf.Stimulus(cycles, inputs))
+    for given, sample in zip(inputs, trace.samples):
+        assert sample["o"] == expr.eval(given, widths), expr
+
+
+def test_compiled_expressions_match_eval():
+    # the simulator compiles each cell on its own; Expr.eval is the
+    # reference, so a wrong operator or a dropped mask fails here
+    rng = random.Random(7)
+    widths = {"a": 8, "b": 16, "c": 1, "d": 5}
+    for _ in range(300):
+        _check_against_eval(_random_expr(rng, widths, 5), widths, rng)
+
+
+def test_deep_expressions_simulate():
+    # deeper than CPython's limit of 200 nested parentheses
+    rng = random.Random(3)
+    widths = {"a": 8, "b": 8, "s": 1}
+    chain = pf.Ref("a")
+    for i in range(300):
+        op = ("add", "xor", "sub", "mul")[i % 4]
+        chain = pf.BinOp(op, chain, pf.Ref("b")) if i % 5 else pf.Not(chain)
+    muxes = pf.Ref("a")
+    for i in range(300):
+        muxes = pf.Mux(pf.Ref("s"), muxes, pf.Shift("shr", i % 3, pf.Ref("b")))
+    wide = pf.Concat(tuple(pf.Slice(i % 8, i % 8, pf.Ref("a" if i % 3 else "b"))
+                           for i in range(300)))
+    for expr in (chain, muxes, wide):
+        _check_against_eval(expr, widths, rng)
+
+
+HOSTILE = ["x'\"\\\n", "__import__('os')", "\"); raise SystemExit(3) #",
+           "{v}", "'''", "a b\tc", "\\n\\'", "é z"]
+
+
+def _hostile_netlist(name, read_en):
+    """A counter-started FIFO behind a delay line, every net renamed by
+    ``name``."""
+    from pipeforge.netlist import CombCell, CounterCell, DelayCell, FifoCell
+    n = {k: name(k) for k in ("x", "s", "d", "d1", "f", "we", "re", "full",
+                              "empty", "cnt", "zero", "o", "o2")}
+    cells = [CombCell(n["s"], pf.BinOp("add", pf.Ref(n["x"]), pf.Const(3, 8))),
+             DelayCell(n["d"], n["s"], 8, 2, stages=(n["d1"],)),
+             CounterCell(n["cnt"], n["zero"], 2),
+             CombCell(n["we"], pf.Const(1, 1)),
+             CombCell(n["re"], read_en(n)),
+             FifoCell(n["f"], n["d"], 8, 3, n["we"], n["re"], n["full"],
+                      n["empty"]),
+             CombCell(n["o"], pf.Ref(n["f"])),
+             CombCell(n["o2"], pf.Not(pf.Ref(n["d1"])))]
+    widths = {n[k]: 1 for k in ("we", "re", "full", "empty", "zero")}
+    widths.update({n[k]: 8 for k in ("x", "s", "d", "d1", "f", "o", "o2")})
+    widths[n["cnt"]] = 2
+    return pf.Netlist("hostile", inputs=[(n["x"], 8)],
+                      outputs=[(n["o"], 8), (n["o2"], 8)],
+                      nets=widths, cells=cells), n
+
+
+def test_hostile_net_names_simulate_like_plain_ones():
+    # net names reach the generated code only as string literals, so names
+    # that read as Python change nothing
+    started = lambda n: pf.Ref(n["zero"])  # noqa: E731
+    plain, _ = _hostile_netlist(lambda k: k, started)
+    xs = [{"x": (37 * c) % 256} for c in range(16)]
+    want = pf.simulate(plain, pf.Stimulus(16, xs, watch=tuple(plain.nets)))
+    for i, bad in enumerate(HOSTILE):
+        rename = lambda k, bad=bad, i=i: f"{bad}{k}{i}"  # noqa: E731
+        nl, n = _hostile_netlist(rename, started)
+        got = pf.simulate(nl, pf.Stimulus(
+            16, [{n["x"]: x["x"]} for x in xs], watch=tuple(nl.nets)))
+        assert [{k: s[n[k]] for k in n} for s in got.samples] == [
+            {k: s[k] for k in n} for s in want.samples]
+        nl.check()
+
+
+@pytest.mark.parametrize("bad", HOSTILE)
+def test_hostile_net_names_in_fifo_errors(bad):
+    rename = lambda k: f"{bad}{k}"  # noqa: E731
+    never, n = _hostile_netlist(rename, lambda n: pf.Const(0, 1))
+    with pytest.raises(pf.SimulationError) as full:
+        pf.simulate(never, pf.Stimulus(12))
+    assert str(full.value) == f"FIFO {n['f']!r} write while full"
+    always, n = _hostile_netlist(rename, lambda n: pf.Const(1, 1))
+    with pytest.raises(pf.SimulationError) as empty:
+        pf.simulate(always, pf.Stimulus(12))
+    assert str(empty.value) == f"FIFO {n['f']!r} read while empty"
