@@ -89,6 +89,16 @@ def _write(path: str, text: str) -> None:
         fh.write(text)
 
 
+def _read_spec(path: str) -> SyncGraph:
+    """Load, schema-check and replay a description; a replay error names
+    the file it came from."""
+    doc = load_spec(path)
+    try:
+        return graph_from_spec(doc)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
 def _generate_netlist(graph: SyncGraph, args):
     policy = _policy(args)
     resolved = _resolve(graph, args.strategy, policy)
@@ -104,8 +114,7 @@ def _generate_netlist(graph: SyncGraph, args):
 
 
 def cmd_build(args) -> int:
-    doc = load_spec(args.spec)
-    graph = graph_from_spec(doc)
+    graph = _read_spec(args.spec)
     balanced = balance_merges(graph)
     missing = balanced.missing_relations()
     print(f"{graph.name}: {len(graph.zones)} zones, "
@@ -120,8 +129,7 @@ def cmd_build(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    doc = load_spec(args.spec)
-    graph = graph_from_spec(doc)
+    graph = _read_spec(args.spec)
     resolved, plan, netlist, policy = _generate_netlist(graph, args)
     if args.verilog:
         _write(args.verilog, emit_verilog(netlist, _emit_options(policy, graph.name)))
@@ -139,9 +147,8 @@ def cmd_report(args) -> int:
             alias, path = spec.split("=", 1)
         else:
             alias, path = None, spec
-        doc = load_spec(path)
-        graph = balance_merges(graph_from_spec(doc))
-        graphs.append((alias or doc["name"], graph))
+        graph = balance_merges(_read_spec(path))
+        graphs.append((alias or graph.name, graph))
     rep = report_distribution(graphs, min_depth=args.min_depth)
     text = rep.to_json() if args.report_format == "json" else rep.to_tsv()
     if args.out:
@@ -182,8 +189,7 @@ def _sweep_variant(balanced: SyncGraph, policy: PrimitivePolicy,
 
 
 def cmd_sweep(args) -> int:
-    doc = load_spec(args.spec)
-    graph = graph_from_spec(doc)
+    graph = _read_spec(args.spec)
     balanced = balance_merges(graph)
     candidates = sweep_thresholds(balanced)
     policies = [PrimitivePolicy(d, w) for d, w in candidates]
@@ -262,8 +268,7 @@ def _read_stimulus(path: str, netlist: Netlist) -> Stimulus:
 
 
 def cmd_simulate(args) -> int:
-    doc = load_spec(args.spec)
-    graph = graph_from_spec(doc)
+    graph = _read_spec(args.spec)
     resolved, plan, netlist, _ = _generate_netlist(graph, args)
     if args.stimulus:
         stim = _read_stimulus(args.stimulus, netlist)

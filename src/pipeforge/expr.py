@@ -12,6 +12,7 @@ combinational cells of the netlist.  Width rules are deterministic:
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -20,6 +21,11 @@ from .errors import WidthMismatchError
 _BINOPS = ("add", "sub", "mul", "xor", "and", "or")
 # widest constant the JSON format accepts, matching the schema's signal widths
 MAX_WIDTH = 4096
+# deepest operator nesting the JSON format accepts: parsing, lowering and
+# simulation walk an expression recursively, one stack frame per level
+MAX_DEPTH = 120
+# the schema's identifier pattern, matched against the whole name
+_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*").fullmatch
 
 
 @dataclass(frozen=True)
@@ -272,45 +278,69 @@ def map_refs(expr: Expr, mapping: Mapping[str, str]) -> Expr:
 def from_sexpr(node) -> Expr:
     """Parse the prefix s-expression form used by the JSON pipeline format.
 
-    A bare string is shorthand for a signal reference, a bare integer is not
-    allowed (constants must carry an explicit width).
+    This is the only check of the expression grammar: operator names and
+    arity, integer fields that are JSON integers (not bool, float, string or
+    null), names that are identifiers, and at most ``MAX_DEPTH`` nested
+    operators.  A bare string is shorthand for a signal reference, a bare
+    integer is not allowed (constants must carry an explicit width).
     """
+    return _parse(node, 1)
+
+
+def _parse(node, depth: int) -> Expr:
     if isinstance(node, str):
-        return Ref(node)
+        return Ref(_name(node))
     if not isinstance(node, list) or not node:
         raise ValueError(f"malformed expression node: {node!r}")
+    if depth > MAX_DEPTH:
+        raise ValueError(f"expression nested deeper than {MAX_DEPTH} levels")
     head = node[0]
+    depth += 1
     if head == "const":
         _expect_arity(node, 3)
-        value, width = int(node[1]), int(node[2])
+        value, width = _int(node[1], "const value"), _int(node[2], "const width")
         if width > MAX_WIDTH:
             raise ValueError(f"constant width {width} exceeds {MAX_WIDTH}")
         return Const(value, width)
     if head == "ref":
         _expect_arity(node, 2)
-        return Ref(str(node[1]))
+        return Ref(_name(node[1]))
     if head in _BINOPS:
         _expect_arity(node, 3)
-        return BinOp(head, from_sexpr(node[1]), from_sexpr(node[2]))
+        return BinOp(head, _parse(node[1], depth), _parse(node[2], depth))
     if head == "not":
         _expect_arity(node, 2)
-        return Not(from_sexpr(node[1]))
+        return Not(_parse(node[1], depth))
     if head in ("shl", "shr"):
         _expect_arity(node, 3)
-        return Shift(head, int(node[1]), from_sexpr(node[2]))
+        return Shift(head, _int(node[1], "shift amount"), _parse(node[2], depth))
     if head == "mux":
         _expect_arity(node, 4)
-        return Mux(from_sexpr(node[1]), from_sexpr(node[2]), from_sexpr(node[3]))
+        return Mux(_parse(node[1], depth), _parse(node[2], depth),
+                   _parse(node[3], depth))
     if head == "slice":
         _expect_arity(node, 4)
-        return Slice(int(node[1]), int(node[2]), from_sexpr(node[3]))
+        return Slice(_int(node[1], "slice bound"), _int(node[2], "slice bound"),
+                     _parse(node[3], depth))
     if head == "cat":
         if len(node) < 2:
             raise ValueError("cat needs at least one part")
-        return Concat(tuple(from_sexpr(p) for p in node[1:]))
+        return Concat(tuple(_parse(p, depth) for p in node[1:]))
     raise ValueError(f"unknown expression operator {head!r}")
 
 
 def _expect_arity(node, n):
     if len(node) != n:
         raise ValueError(f"operator {node[0]!r} expects {n - 1} arguments, got {len(node) - 1}")
+
+
+def _int(value, field: str) -> int:
+    if type(value) is not int:
+        raise ValueError(f"{field} must be an integer, got {value!r}")
+    return value
+
+
+def _name(value) -> str:
+    if not isinstance(value, str) or not _IDENT(value):
+        raise ValueError(f"signal name must be an identifier, got {value!r}")
+    return value

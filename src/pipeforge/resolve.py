@@ -176,13 +176,14 @@ def balance_merges(graph: SyncGraph) -> SyncGraph:
 
 def _feed_relation(g: SyncGraph, cache: dict, source: str, sink: str,
                    latency: int, kind: RelationKind, signal: str) -> None:
+    # every resolver feeds a (sink, signal) pair at most once, so the signal
+    # is new to the relation
     rel = cache.get((source, sink))
     if rel is None:
         rel = Relation(source, sink, latency, kind)
         g.relations.append(rel)
         cache[(source, sink)] = rel
-    if signal not in rel.signals:
-        rel.signals.append(signal)
+    rel.signals.append(signal)
 
 
 def _drop_equivalents(g: SyncGraph) -> None:

@@ -38,7 +38,7 @@ class Stimulus:
     # per-cycle input values: list of dicts, or a callable cycle -> dict;
     # missing ports read as 0 (in_valid defaults to 1 under ready/valid)
     inputs: list[dict] | Callable[[int], dict] | None = None
-    sink_ready: list[int] | Callable[[int], int] | None = None
+    sink_ready: list[int] | None = None  # per cycle; None means always ready
     reset_cycles: int = 1
     watch: tuple[str, ...] = ()
 
@@ -58,8 +58,6 @@ class Stimulus:
     def ready_at(self, cycle: int) -> int:
         if self.sink_ready is None:
             return 1
-        if callable(self.sink_ready):
-            return 1 if self.sink_ready(cycle) else 0
         return 1 if self.sink_ready[cycle] else 0
 
 

@@ -54,8 +54,14 @@ def load_spec(path: str) -> dict:
 
 def _step_body(entry: dict) -> StepBody:
     kind = entry["kind"]
-    defines = tuple(
-        (d["name"], d["width"], from_sexpr(d["expr"])) for d in entry["defines"])
+    defines = []
+    for d in entry["defines"]:
+        try:
+            expr = from_sexpr(d["expr"])
+        except ValueError as exc:
+            raise ConfigError(
+                f"step {entry['name']!r}, define {d['name']!r}: {exc}") from exc
+        defines.append((d["name"], d["width"], expr))
     reads = tuple(entry.get("reads", ()))
     if kind == "wire":
         return StepBody.wire(entry["name"], defines, reads)
@@ -68,11 +74,14 @@ def builder_from_spec(doc: dict) -> PipeBuilder:
     """Replay a validated description through the builder."""
     try:
         return _replay(doc)
-    except ValueError as exc:  # malformed expressions and the like
+    except ValueError as exc:  # a document that skipped the schema
         raise ConfigError(str(exc)) from exc
 
 
 def _replay(doc: dict) -> PipeBuilder:
+    # every expression is parsed before the model is touched, so a grammar
+    # error is reported whatever else the description gets wrong
+    bodies = [_step_body(s) for s in doc["steps"]]
     b = pipe_new([(i["name"], i["width"]) for i in doc["inputs"]], doc["name"])
     handles = {"main": b.main}
     steps = doc["steps"]
@@ -131,12 +140,12 @@ def _replay(doc: dict) -> PipeBuilder:
             pending_merges.remove(entry)
 
     create_ready_branches()
-    for s in steps:
+    for s, body in zip(steps, bodies):
         br = s.get("branch", "main")
         if br not in handles:
             raise ConfigError(f"step {s['name']!r} targets unknown branch {br!r}")
         apply_ready_merges(br)
-        b.add_step(handles[br], _step_body(s))
+        b.add_step(handles[br], body)
         done_steps[br] = done_steps.get(br, 0) + 1
         remaining[br] -= 1
         create_ready_branches()

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from pipeforge.cli import main
+from pipeforge.expr import MAX_DEPTH
 
 from conftest import data_path
 
@@ -157,6 +158,58 @@ def test_simulate_deeply_nested_expression(capsys, tmp_path, depth, want):
     assert code == want
     if want:
         assert str(spec) in err
+
+
+def _nested_not(depth):
+    expr = "x"
+    for _ in range(depth):
+        expr = ["not", expr]
+    return expr
+
+
+@pytest.mark.parametrize("expr", [
+    pytest.param(["shl", 1.5, "x"], id="shift_float"),
+    pytest.param(["shl", True, "x"], id="shift_bool"),
+    pytest.param(["const", None, 8], id="const_null"),
+    pytest.param(["shl", "2", "x"], id="shift_text"),
+    pytest.param(["const", 3.0, 8], id="const_integral_float"),
+    pytest.param(["ref", 5], id="ref_number"),
+    pytest.param(["add", "x y", "y"], id="name_not_identifier"),
+    pytest.param(["cat", {}], id="cat_object"),
+    pytest.param(_nested_not(MAX_DEPTH + 1), id="too_deep"),
+])
+def test_malformed_expression_exit_2(capsys, tmp_path, expr):
+    spec = tmp_path / "expr.json"
+    spec.write_text(json.dumps(_one_step(expr=expr)))
+    code, _, err = run_cli(capsys, "generate", str(spec))
+    assert code == 2
+    assert str(spec) in err and "step 's', define 'q'" in err
+
+
+def test_expression_error_precedes_model_errors(capsys, tmp_path):
+    # a duplicate input alone exits 3; the malformed expression is found first
+    doc = _one_step(expr=["shl", 1.5, "x"])
+    doc["inputs"].append({"name": "x", "width": 8})
+    spec = tmp_path / "both.json"
+    spec.write_text(json.dumps(doc))
+    code, _, err = run_cli(capsys, "build", str(spec))
+    assert code == 2
+    assert "shift amount" in err
+
+
+def test_deepest_expression_deep_in_the_stack(capsys, tmp_path):
+    # the nesting bound must not depend on the caller's stack depth
+    spec = tmp_path / "deep.json"
+    spec.write_text(json.dumps(_one_step(expr=_nested_not(MAX_DEPTH))))
+
+    def call(frames):
+        if frames:
+            return call(frames - 1)
+        return run_cli(capsys, "simulate", str(spec), "--cycles", "8")
+
+    code, out, err = call(300)
+    assert code == 0, err
+    assert "latency: 1" in out
 
 
 def test_merge_into_unknown_branch_exit_2(capsys, tmp_path):

@@ -1,6 +1,7 @@
 """Mutation fuzz of the running example's JSON description: whatever a
-mutated file holds, ``pipeforge generate`` and ``pipeforge simulate`` end in
-exit 0, 2 or 3, never in a traceback."""
+mutated file holds, or whatever expression tree one of its defines holds,
+``pipeforge generate`` and ``pipeforge simulate`` end in exit 0, 2 or 3,
+never in a traceback."""
 
 import contextlib
 import copy
@@ -12,6 +13,7 @@ import tempfile
 from hypothesis import given, settings, strategies as st
 
 from pipeforge.cli import main
+from pipeforge.expr import MAX_DEPTH
 
 from conftest import data_path
 
@@ -23,8 +25,8 @@ with open(data_path("running.json"), encoding="utf-8") as fh:
 NAMES = ["main", "mul", "z", "x", "y", "e", "addA", "addB", "xor", "mulXY",
          "sumXY", "merged_mul_mul", "_init_", "main@0", "mul@1", "main@5",
          "wire", "reg", "add", "not", "into", "branch", "reads"]
-# integers stay small: the schema bounds no width or delay, and a huge one
-# asks the lowering or the simulator for memory in proportion to it
+# integers stay small: the schema bounds widths and delays at 4096, and
+# values near that bound make each example slow to lower and simulate
 LEAVES = st.one_of(
     st.integers(-2, 40),
     st.sampled_from(NAMES),
@@ -111,3 +113,49 @@ def test_mutated_descriptions_exit_cleanly(doc):
                     contextlib.redirect_stderr(io.StringIO()):
                 code = main(argv)
             assert code in (0, 2, 3), (argv[0], code)
+
+
+# expression leaves the grammar rejects (floats, bools, null, objects,
+# non-identifier names, integers as text) next to ones it accepts
+EXPR_LEAVES = st.one_of(
+    st.sampled_from(["x", "y", "e", "sumXY", "x y", "2", "", "1x", "const",
+                     None, True, False, {}, {"x": 1}, []]),
+    st.integers(-2, 40),
+    st.floats(-2, 40),
+)
+OPERATORS = ["add", "sub", "mul", "xor", "and", "or", "not", "shl", "shr",
+             "mux", "slice", "cat", "const", "ref", "frob"]
+
+
+def chain(depth, tree):
+    for _ in range(depth):
+        tree = ["not", tree]
+    return tree
+
+
+# operators take any number of arguments, so arity is often wrong
+EXPR_TREES = st.recursive(
+    EXPR_LEAVES,
+    lambda kids: st.builds(lambda op, args: [op, *args],
+                           st.sampled_from(OPERATORS),
+                           st.lists(kids, max_size=4)),
+    max_leaves=12)
+EXPRESSIONS = st.one_of(
+    EXPR_TREES,
+    st.builds(chain, st.integers(MAX_DEPTH - 3, MAX_DEPTH + 2), EXPR_TREES))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(st.data(), EXPRESSIONS)
+def test_malformed_expressions_exit_cleanly(data, expr):
+    doc = copy.deepcopy(RUNNING)
+    step = data.draw(st.sampled_from(doc["steps"]))
+    data.draw(st.sampled_from(step["defines"]))["expr"] = expr
+    with tempfile.TemporaryDirectory() as tmp:
+        spec = os.path.join(tmp, "spec.json")
+        with open(spec, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main(["generate", spec])
+        assert code in (0, 2, 3), code

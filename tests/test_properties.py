@@ -36,6 +36,16 @@ def test_resolvers_clear_all_pending(random_corpus):
             assert pf.validate(r).ok
 
 
+def test_resolved_relations_list_each_signal_once(random_corpus):
+    for g in random_corpus:
+        b = pf.balance_merges(g)
+        for resolver in (pf.resolve_exhaustive_forward,
+                         pf.resolve_p2p_backward,
+                         pf.resolve_direct_backward):
+            for rel in resolver(b).relations:
+                assert len(rel.signals) == len(set(rel.signals)), rel
+
+
 def test_resolution_never_mutates_input(random_corpus):
     g = pf.balance_merges(random_corpus[0])
     before = g.pending_count()
