@@ -10,7 +10,6 @@ algorithms in :mod:`pipeforge.resolve` implement.
 
 from __future__ import annotations
 
-import copy
 import enum
 from dataclasses import dataclass, field
 
@@ -159,9 +158,31 @@ class SyncGraph:
         return [o.zone for o in self.outputs]
 
     def copy(self) -> "SyncGraph":
-        # steps and decls are fixed once built, so copies share them
-        return copy.deepcopy(self, {id(self.steps): self.steps,
-                                    id(self.decls): self.decls})
+        """Copy zones, slots, relations and outputs field by field; steps,
+        decls and ``fed_from`` tuples are immutable and shared."""
+        rels: dict[int, Relation] = {}
+
+        def rel(r: Relation) -> Relation:
+            # one copy per relation, so each zone's inbound holds the very
+            # relations listed in the copy's relations
+            c = rels.get(id(r))
+            if c is None:
+                c = rels[id(r)] = Relation(r.source, r.sink, r.latency, r.kind,
+                                           list(r.signals))
+            return c
+
+        relations = [rel(r) for r in self.relations]
+        zones = {}
+        for z, zone in self.zones.items():
+            zones[z] = TimeZone(
+                zone.id, zone.kind,
+                {k: Slot(s.signal, s.width, s.status, s.fed_from)
+                 for k, s in zone.slots.items()},
+                [rel(r) for r in zone.inbound], zone.upstream)
+        return SyncGraph(
+            self.name, zones, relations, self.input_zone,
+            [OutputSpec(o.zone, list(o.mapping)) for o in self.outputs],
+            self.steps, self.decls)
 
     def signal_width(self, name: str) -> int:
         return self.decls[name].width

@@ -17,7 +17,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .errors import UnknownSignalError
+from .errors import NoPathError, UnknownSignalError
 from .model import (
     Relation,
     RelationKind,
@@ -329,18 +329,29 @@ def validate(graph: SyncGraph) -> ValidationReport:
         rep.entries.append(ValidationEntry("acyclic", False, str(exc)))
         return rep
 
+    # depth of each zone whose input paths agree: for two such zones, every
+    # src -> z path extends through one input -> src path to an input -> z
+    # path, so it sums to depth[z] - depth[src]; a feed touching any other
+    # zone takes a pass from its source, which names the paths that disagree
+    depth: dict[str, int] = {}
     try:
-        unbalanced = [f"{z}: {sorted(sums)}" for z, sums
-                      in graph.path_sums(graph.input_zone).items()
-                      if len(sums) > 1]
+        unbalanced = []
+        for z, sums in graph.path_sums(graph.input_zone).items():
+            if len(sums) > 1:
+                unbalanced.append(f"{z}: {sorted(sums)}")
+            else:
+                depth[z] = next(iter(sums))
         rep.entries.append(ValidationEntry(
             "balanced", not unbalanced, "; ".join(unbalanced)))
     except Exception as exc:  # noqa: BLE001
         rep.entries.append(ValidationEntry("balanced", False, str(exc)))
 
-    by_pair: dict[tuple[str, str], list[Relation]] = {}
+    # relations per (source, sink, signal, latency) they could feed
+    feeds: dict[tuple, int] = {}
     for r in graph.relations:
-        by_pair.setdefault((r.source, r.sink), []).append(r)
+        for sig in set(r.signals):
+            key = (r.source, r.sink, sig, r.latency)
+            feeds[key] = feeds.get(key, 0) + 1
     sums_from: dict[str, dict[str, set[int]]] = {}
     bad_feeds = []
     for z in graph.zones.values():
@@ -351,16 +362,19 @@ def validate(graph: SyncGraph) -> ValidationReport:
                 bad_feeds.append(f"{z.id}:{slot.signal} has no feed")
                 continue
             src, lat = slot.fed_from
-            feeds = [r for r in by_pair.get((src, z.id), ())
-                     if slot.signal in r.signals and r.latency == lat]
-            if len(feeds) != 1:
-                bad_feeds.append(
-                    f"{z.id}:{slot.signal} fed by {len(feeds)} relations")
+            n = feeds.get((src, z.id, slot.signal, lat), 0)
+            if n != 1:
+                bad_feeds.append(f"{z.id}:{slot.signal} fed by {n} relations")
                 continue
             try:
-                if src not in sums_from:
-                    sums_from[src] = graph.path_sums(src)
-                want = single_latency(sums_from[src], src, z.id)
+                if src in depth and z.id in depth:
+                    if not graph.reaches(src, z.id):
+                        raise NoPathError(f"no path from {src!r} to {z.id!r}")
+                    want = depth[z.id] - depth[src]
+                else:
+                    if src not in sums_from:
+                        sums_from[src] = graph.path_sums(src)
+                    want = single_latency(sums_from[src], src, z.id)
             except Exception as exc:  # noqa: BLE001
                 bad_feeds.append(f"{z.id}:{slot.signal}: {exc}")
                 continue

@@ -11,6 +11,7 @@ API for that shape.
 
 from __future__ import annotations
 
+import functools
 import json
 from importlib import resources
 
@@ -31,9 +32,28 @@ def schema() -> dict:
     return _schema_cache
 
 
+def _inline_refs(node, defs: dict):
+    """A copy of a schema node with each ``#/$defs/...`` reference replaced
+    by its target, so validation looks nothing up."""
+    if isinstance(node, list):
+        return [_inline_refs(v, defs) for v in node]
+    if not isinstance(node, dict):
+        return node
+    ref = node.get("$ref", "")
+    if ref.startswith("#/$defs/") and len(node) == 1:
+        return _inline_refs(defs[ref[len("#/$defs/"):]], defs)
+    return {k: _inline_refs(v, defs) for k, v in node.items()}
+
+
+@functools.cache
+def _spec_validator() -> jsonschema.Draft202012Validator:
+    doc = schema()
+    return jsonschema.Draft202012Validator(_inline_refs(doc, doc["$defs"]))
+
+
 def load_spec(path: str) -> dict:
     """Read and schema-validate a pipeline description file."""
-    validator = jsonschema.Draft202012Validator(schema())
+    validator = _spec_validator()
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)

@@ -264,6 +264,58 @@ def test_step_named_like_a_merge_zone_exit_3(capsys, tmp_path):
     assert "duplicate zone 'merged_b_s'" in err
 
 
+def _set(*keys):
+    # a mutation of running.json that ends the name at keys with a newline
+    def mutate(doc):
+        node = doc
+        for k in keys[:-1]:
+            node = node[k]
+        node[keys[-1]] += "\n"
+    return mutate
+
+
+def _reads(doc):
+    doc["steps"][1]["reads"] = ["x\n"]
+
+
+def _merge_list(doc):
+    doc["merges"][0]["branch"] = ["mul\n"]
+
+
+@pytest.mark.parametrize("mutate,pointer", [
+    pytest.param(_set("name"), "/name", id="document"),
+    pytest.param(_set("inputs", 0, "name"), "/inputs/0/name", id="input"),
+    pytest.param(_set("steps", 1, "name"), "/steps/1/name", id="step"),
+    pytest.param(_set("steps", 1, "branch"), "/steps/1/branch",
+                 id="step_branch"),
+    pytest.param(_set("steps", 1, "defines", 0, "name"),
+                 "/steps/1/defines/0/name", id="define"),
+    pytest.param(_reads, "/steps/1/reads/0", id="reads"),
+    pytest.param(_set("branches", 0, "name"), "/branches/0/name",
+                 id="branch_name"),
+    pytest.param(_set("branches", 0, "from"), "/branches/0/from",
+                 id="branch_from"),
+    pytest.param(_set("merges", 0, "branch"), "/merges/0/branch",
+                 id="merge_branch"),
+    pytest.param(_merge_list, "/merges/0/branch", id="merge_branch_list"),
+    pytest.param(_set("merges", 0, "into"), "/merges/0/into", id="merge_into"),
+    pytest.param(_set("outputs", 0, "name"), "/outputs/0/name",
+                 id="output_name"),
+    pytest.param(_set("outputs", 0, "from"), "/outputs/0/from",
+                 id="output_from"),
+])
+def test_name_with_trailing_newline_exit_2(capsys, tmp_path, mutate, pointer):
+    # a name is an identifier as a whole string, final newline included
+    with open(data_path("running.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    mutate(doc)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(doc))
+    code, _, err = run_cli(capsys, "generate", str(spec))
+    assert code == 2, err
+    assert f"schema violation at {pointer}:" in err
+
+
 @pytest.mark.parametrize("stimulus,protocol,want", [
     pytest.param({"inputs": [{"x": 3, "y": 4}], "cycles": 10,
                   "watch": ["mul__mulXY"]}, "raw", 0, id="valid"),

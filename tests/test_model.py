@@ -222,9 +222,8 @@ def test_missing_only_from_reads_or_merges():
             assert r.kind in (pf.RelationKind.EQUIVALENT, pf.RelationKind.MERGE)
 
 
-def test_build_deeply_nested_branches():
+def _build_nested(n: int) -> pf.SyncGraph:
     # each branch splits from the one before and merges back into it
-    n = 1100
     b = pf.pipe_new([("x", 8)], "nest")
     branches = [b.main]
     for i in range(n):
@@ -234,7 +233,12 @@ def test_build_deeply_nested_branches():
     for inner, outer in zip(branches[:0:-1], branches[-2::-1]):
         b.merge(inner, into=outer)
     b.drive_output([("o", f"q{n - 1}")])
-    g = b.build()
+    return b.build()
+
+
+def test_build_deeply_nested_branches():
+    n = 1100
+    g = _build_nested(n)
     assert len(g.zones) == 2 * n + 1
     assert g.outputs[0].zone == "merged_b0_s0"
     assert all(g.reaches(z, "merged_b0_s0") for z in g.zones)
@@ -265,3 +269,62 @@ def test_passthrough_appends_output_zone():
     (rel,) = [r for z in g.zones.values() for r in z.inbound]
     assert rel.latency == 0
     assert g.zones[g.outputs[0].zone].kind is pf.ZoneKind.OUTPUT
+
+
+def test_deeply_nested_branches_resolve_and_validate():
+    g = pf.resolve_direct_backward(pf.balance_merges(_build_nested(1100)))
+    assert pf.validate(g).ok
+
+
+def _graph_digest(g: pf.SyncGraph) -> str:
+    def rel(r):
+        return (r.source, r.sink, r.latency, r.kind, list(r.signals))
+    return repr((
+        [(z.id, z.kind, z.upstream,
+          [(s.signal, s.width, s.status, s.fed_from) for s in z.slots.values()],
+          [rel(r) for r in z.inbound]) for z in g.zones.values()],
+        [rel(r) for r in g.relations],
+        [(o.zone, list(o.mapping)) for o in g.outputs],
+        g.name, g.input_zone))
+
+
+def test_copy_is_independent_of_the_original(random_corpus):
+    for g in [build_running(with_e=True), *random_corpus[:40]]:
+        balanced = pf.balance_merges(g)
+        for orig in (g, balanced, pf.resolve_p2p_backward(balanced)):
+            before = _graph_digest(orig)
+            c = orig.copy()
+            assert _graph_digest(c) == before
+            assert c.steps is orig.steps and c.decls is orig.decls
+            copied = {id(r) for r in c.relations}
+            assert all(id(r) in copied
+                       for z in c.zones.values() for r in z.inbound)
+            for zone in c.zones.values():
+                for slot in zone.slots.values():
+                    slot.status = pf.SignalStatus.PENDING_LOCAL
+                    slot.fed_from = ("elsewhere", -1)
+                zone.slots["extra"] = pf.Slot(
+                    "extra", 1, pf.SignalStatus.PROPAGATED)
+                zone.inbound.append(pf.Relation(
+                    "elsewhere", zone.id, 0, pf.RelationKind.STEP))
+            for r in c.relations:
+                r.latency = (r.latency or 0) + 1
+                r.signals.append("extra")
+            c.relations.append(pf.Relation(
+                "elsewhere", "_init_", 0, pf.RelationKind.DIRECT))
+            for o in c.outputs:
+                o.mapping.append(("extra_out", "extra"))
+            assert _graph_digest(orig) == before, g.name
+
+
+def test_copy_of_inbound_edge_missing_from_relations():
+    # a hand-edited graph whose inbound edge is not listed still copies
+    g = build_running()
+    edge = g.zones["addA"].inbound[0]
+    g.relations.remove(edge)
+    c = g.copy()
+    (copied,) = c.zones["addA"].inbound
+    assert copied is not edge
+    assert (copied.source, copied.sink, copied.latency, copied.signals) == (
+        edge.source, edge.sink, edge.latency, edge.signals)
+    assert all(r is not copied for r in c.relations)

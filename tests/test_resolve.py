@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -6,7 +7,7 @@ import pipeforge as pf
 from pipeforge.expr import BinOp, Ref
 from pipeforge.resolve import DistributionRow
 
-from conftest import build_running
+from conftest import brute_force_path_sums, build_running
 
 INF = math.inf
 
@@ -200,6 +201,93 @@ def test_validate_unbalanced_merge_details(balanced_e):
         "feed_latencies": "merged_mul_mul:mulXY fed by 0 relations; "
                           "xor:e: paths '_init_' -> 'xor' disagree: [2, 3]",
     }
+
+
+def _rejected_feeds(g: pf.SyncGraph) -> set[str]:
+    """The zone:signal slots that validate's feed check rejects."""
+    (entry,) = [e for e in pf.validate(g).entries
+                if e.check == "feed_latencies"]
+    return {item.split(" ", 1)[0].rstrip(":")
+            for item in entry.detail.split("; ") if item}
+
+
+def _brute_force_rejected_feeds(g: pf.SyncGraph) -> set[str]:
+    bad = set()
+    for z, zone in g.zones.items():
+        for slot in zone.slots.values():
+            if slot.status is not pf.SignalStatus.PROPAGATED:
+                continue
+            if slot.fed_from is None:
+                bad.add(f"{z}:{slot.signal}")
+                continue
+            src, lat = slot.fed_from
+            feeds = [r for r in g.relations if (r.source, r.sink) == (src, z)
+                     and slot.signal in r.signals and r.latency == lat]
+            if (len(feeds) != 1
+                    or set(brute_force_path_sums(g, src, z)) != {lat}):
+                bad.add(f"{z}:{slot.signal}")
+    return bad
+
+
+def _bump_feed(g: pf.SyncGraph, z: str, sig: str) -> pf.Relation:
+    # one feed's relation and its slot's fed_from, both one cycle later
+    slot = g.zones[z].slots[sig]
+    src, lat = slot.fed_from
+    (rel,) = [r for r in g.relations if (r.source, r.sink) == (src, z)
+              and sig in r.signals and r.latency == lat]
+    rel.latency += 1
+    slot.fed_from = (src, lat + 1)
+    return rel
+
+
+def _stray_feed(g: pf.SyncGraph, z: str, sig: str, w: str) -> None:
+    # a feed from w, which does not reach z, with the latency the two
+    # zones' depths would give
+    depths = g.depths()
+    lat = depths[z] - depths[w]
+    g.zones[z].slots[sig].fed_from = (w, lat)
+    g.relations.append(pf.Relation(w, z, lat, pf.RelationKind.DIRECT, [sig]))
+
+
+def test_validate_feeds_match_brute_force(random_corpus):
+    rng = random.Random(9)
+    kinds = set()
+    strays = 0
+    for g in random_corpus:
+        balanced = pf.balance_merges(g)
+        for resolve in (pf.resolve_direct_backward, pf.resolve_p2p_backward,
+                        pf.resolve_exhaustive_forward):
+            resolved = resolve(balanced)
+            assert _rejected_feeds(resolved) == set()
+            assert _brute_force_rejected_feeds(resolved) == set()
+            fed = [(z.id, s.signal) for z in resolved.zones.values()
+                   for s in z.slots.values()
+                   if s.status is pf.SignalStatus.PROPAGATED]
+            if not fed:
+                continue
+            z, sig = rng.choice(fed)
+            bumped = resolved.copy()
+            rel = _bump_feed(bumped, z, sig)
+            kinds.add(rel.kind)
+            got = _rejected_feeds(bumped)
+            assert got == _brute_force_rejected_feeds(bumped), g.name
+            if rel.structural:
+                # a later merge edge moves every path through it and
+                # unbalances the graph instead
+                assert not pf.validate(bumped).ok
+            else:
+                assert f"{z}:{sig}" in got
+            z, sig = rng.choice(fed)
+            others = [w for w in resolved.zones if not resolved.reaches(w, z)]
+            if others:
+                stray = resolved.copy()
+                _stray_feed(stray, z, sig, rng.choice(others))
+                got = _rejected_feeds(stray)
+                assert got == _brute_force_rejected_feeds(stray), g.name
+                assert f"{z}:{sig}" in got
+                strays += 1
+    assert pf.RelationKind.MERGE in kinds and pf.RelationKind.DIRECT in kinds
+    assert strays > 100
 
 
 # -- distribution report and sweep ------------------------------------------
