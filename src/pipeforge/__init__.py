@@ -64,7 +64,7 @@ from .resolve import (
     validate,
 )
 from .sim import Stimulus, Trace, check_equivalence, measured_latency, simulate
-from .specfile import builder_from_spec, graph_from_spec, load_spec
+from .specfile import graph_from_spec, load_spec
 from .verilog import EmitOptions, ShregAttr, emit_verilog
 from .dot import emit_dot
 

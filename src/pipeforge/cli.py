@@ -162,32 +162,6 @@ def _fmt_thr(v) -> str:
     return "inf" if v == INFINITE else str(int(v))
 
 
-def _sweep_variant(balanced: SyncGraph, policy: PrimitivePolicy,
-                   protocol_name: str, baseline: Netlist, seed: int):
-    resolved = resolve_direct_backward(balanced, policy)
-    report = validate(resolved)
-    if not report.ok:
-        raise PipeforgeError("sweep variant failed validation")
-    plan = apply_protocol(resolved, Protocol(protocol_name))
-    netlist = lower(resolved, plan, policy)
-    verdict = check_equivalence(baseline, netlist, trials=2, seed=seed,
-                                cycles=200)
-    depth, width = _fmt_thr(policy.depth_threshold), _fmt_thr(policy.width_threshold)
-    name = f"D{depth}_W{width}_{policy.shiftreg_mode.value}"
-    manifest = {
-        "name": name,
-        "policy": {
-            "depth_threshold": depth,
-            "width_threshold": width,
-            "shiftreg": policy.shiftreg_mode.value,
-        },
-        "cell_counts": netlist.cell_counts(),
-    }
-    verilog = emit_verilog(netlist, _emit_options(policy, balanced.name))
-    dot = emit_dot(resolved)
-    return name, manifest, verilog, dot, verdict
-
-
 def cmd_sweep(args) -> int:
     graph = _read_spec(args.spec)
     balanced = balance_merges(graph)
@@ -196,24 +170,44 @@ def cmd_sweep(args) -> int:
     policies += [PrimitivePolicy(shiftreg_mode=ShiftregMode.FORCE_REG),
                  PrimitivePolicy(shiftreg_mode=ShiftregMode.FORCE_SRL)]
 
+    # direct resolution does not depend on the policy, so every variant
+    # lowers the same resolved graph and shares its DOT
     base_policy = PrimitivePolicy()
     resolved = resolve_direct_backward(balanced, base_policy)
     plan = apply_protocol(resolved, Protocol(args.protocol))
     baseline = lower(resolved, plan, base_policy)
+    if not validate(resolved).ok:
+        raise PipeforgeError("sweep variant failed validation")
 
-    results = [_sweep_variant(balanced, pol, args.protocol, baseline,
-                              args.seed + i)
-               for i, pol in enumerate(policies)]
+    results = []
+    for i, policy in enumerate(policies):
+        netlist = lower(resolved, plan, policy)
+        verdict = check_equivalence(baseline, netlist, trials=2,
+                                    seed=args.seed + i, cycles=200)
+        depth, width = _fmt_thr(policy.depth_threshold), _fmt_thr(policy.width_threshold)
+        name = f"D{depth}_W{width}_{policy.shiftreg_mode.value}"
+        manifest = {
+            "name": name,
+            "policy": {
+                "depth_threshold": depth,
+                "width_threshold": width,
+                "shiftreg": policy.shiftreg_mode.value,
+            },
+            "cell_counts": netlist.cell_counts(),
+        }
+        verilog = emit_verilog(netlist, _emit_options(policy, balanced.name))
+        results.append((name, manifest, verilog, verdict))
+    dot = emit_dot(resolved)
 
     index = []
-    for name, manifest, vtext, dtext, verdict in results:
+    for name, manifest, vtext, verdict in results:
         if not verdict.ok:
             print(f"variant {name} diverges from baseline: {verdict.detail}",
                   file=sys.stderr)
             return 3
         vdir = os.path.join(args.out_dir, name)
         _write(os.path.join(vdir, "design.v"), vtext)
-        _write(os.path.join(vdir, "graph.dot"), dtext)
+        _write(os.path.join(vdir, "graph.dot"), dot)
         _write(os.path.join(vdir, "manifest.json"),
                json.dumps(manifest, indent=2) + "\n")
         index.append(manifest)
@@ -238,7 +232,9 @@ def _read_stimulus(path: str, netlist: Netlist) -> Stimulus:
         raise ConfigError(f"cannot read stimulus: {exc}") from exc
     if not isinstance(sdoc, dict):
         raise ConfigError("stimulus must be a JSON object")
-    widths = {n: w for n, w in netlist.inputs if n != "out_ready"}
+    widths = dict(netlist.data_ports()[0])
+    if netlist.protocol is Protocol.READY_VALID:  # a stimulus may drop valid
+        widths["in_valid"] = 1
     inputs = sdoc.get("inputs", [])
     if not isinstance(inputs, list) or not all(isinstance(i, dict) for i in inputs):
         raise ConfigError("stimulus inputs must be a list of objects")
@@ -276,8 +272,7 @@ def cmd_simulate(args) -> int:
         if args.cycles < args.reset_cycles:
             raise ConfigError("cycles must cover the reset")
         rng = random.Random(args.seed)
-        data_ports = [(n, w) for n, w in netlist.inputs
-                      if n not in ("in_valid", "out_ready")]
+        data_ports, _ = netlist.data_ports()
         inputs = [{n: rng.randrange(0, 1 << w) for n, w in data_ports}
                   for _ in range(args.cycles)]
         ready = None

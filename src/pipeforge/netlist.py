@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from . import expr as E
 from .errors import PipeforgeError, WidthMismatchError
 from .model import SignalStatus, SyncGraph, ZoneKind
-from .protocol import HandshakePlan, Protocol
+from .protocol import HANDSHAKE_INPUTS, HANDSHAKE_OUTPUTS, HandshakePlan, Protocol
 from .resolve import (
     Fifo,
     PrimitivePolicy,
@@ -100,6 +100,14 @@ class Netlist:
     cells: list[Cell] = field(default_factory=list)
     protocol: Protocol = Protocol.RAW
     enable: str | None = None  # global clock-enable net (ready/valid only)
+
+    def data_ports(self) -> tuple[list[tuple[str, int]], list[tuple[str, int]]]:
+        """The input and output ports that carry data: every port under raw,
+        all but the handshake ports under ready/valid."""
+        if self.protocol is Protocol.RAW:
+            return list(self.inputs), list(self.outputs)
+        return ([p for p in self.inputs if p[0] not in HANDSHAKE_INPUTS],
+                [p for p in self.outputs if p[0] not in HANDSHAKE_OUTPUTS])
 
     def cell_counts(self) -> dict[str, int]:
         counts = {"comb": 0, "reg": 0, "shiftreg": 0, "fifo": 0, "counter": 0}
@@ -229,12 +237,11 @@ def lower(graph: SyncGraph, plan: HandshakePlan,
 
     taps: list[str] = []
     if rv:
-        for p in ("in_valid", "out_ready"):
-            names.alloc(p, 1)
-            nl.inputs.append((p, 1))
-        for p in ("out_valid", "in_ready"):
-            names.alloc(p, 1)
-            nl.outputs.append((p, 1))
+        for p in HANDSHAKE_INPUTS + HANDSHAKE_OUTPUTS:
+            if p in names.nets:  # only the design's ports are named so far
+                raise PipeforgeError(f"port {p!r} is reserved for the ready/valid handshake")
+        nl.inputs += [(names.alloc(p, 1), 1) for p in HANDSHAKE_INPUTS]
+        nl.outputs += [(names.alloc(p, 1), 1) for p in HANDSHAKE_OUTPUTS]
         nl.enable = names.alloc("enable", 1)
         nl.cells.append(CombCell(nl.enable, E.Ref("out_ready")))
         nl.cells.append(CombCell("in_ready", E.Ref("out_ready")))

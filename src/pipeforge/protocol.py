@@ -16,6 +16,12 @@ from .errors import MultiOutputBackpressureError
 from .model import SyncGraph
 
 
+# the ports ready/valid adds to a netlist, so a ready/valid design may not
+# declare them; every port of a raw netlist carries data
+HANDSHAKE_INPUTS = ("in_valid", "out_ready")
+HANDSHAKE_OUTPUTS = ("out_valid", "in_ready")
+
+
 class Protocol(enum.Enum):
     RAW = "raw"
     READY_VALID = "ready_valid"

@@ -295,9 +295,9 @@ class _Compiled:
                                         if p not in in_ports + out_ports]
         trace = Trace(ports, {p: nl.nets[p] for p in ports})
         slot = self.slot
-        data_ports = [p for p in in_ports if p not in ("in_valid", "out_ready")]
-        data = [(p, slot[p]) for p in data_ports]
-        accepted_out = [p for p in out_ports if p not in ("out_valid", "in_ready")]
+        data_in, data_out = nl.data_ports()
+        data = [(p, slot[p]) for p, _ in data_in]
+        accepted_out = [p for p, _ in data_out]
         sample = _gather([slot[p] for p in ports])
         enable = None if nl.enable is None else slot[nl.enable]
         if rv:
@@ -324,7 +324,7 @@ class _Compiled:
             if rv:
                 if values["in_valid"] and values["in_ready"]:
                     trace.accepted_inputs.append(
-                        {p: values[p] for p in data_ports})
+                        {p: values[p] for p, _ in data})
                 if values["out_valid"] and values["out_ready"]:
                     trace.accepted_outputs.append(
                         {p: values[p] for p in accepted_out})
@@ -490,8 +490,7 @@ def _stream_outputs(sim: _Compiled, data: list[dict], rng: random.Random,
     cycles after it went in.
     """
     netlist = sim.netlist
-    out_ports = [n for n, _ in netlist.outputs
-                 if n not in ("out_valid", "in_ready")]
+    out_ports = [n for n, _ in netlist.data_ports()[1]]
     reset = 1
     if netlist.protocol is Protocol.RAW:
         stim = Stimulus(
@@ -525,15 +524,10 @@ def check_equivalence(a: Netlist, b: Netlist, trials: int = 4,
     streams (aligned per netlist) must be identical.  Each netlist is
     compiled once, for its latency and every trial.
     """
-    def data_iface(n: Netlist):
-        ins = [(p, w) for p, w in n.inputs if p not in ("in_valid", "out_ready")]
-        outs = [(p, w) for p, w in n.outputs if p not in ("out_valid", "in_ready")]
-        return ins, outs
-
-    if data_iface(a) != data_iface(b):
+    if a.data_ports() != b.data_ports():
         raise PortMismatchError(
-            f"port interfaces differ: {data_iface(a)} vs {data_iface(b)}")
-    ins, _ = data_iface(a)
+            f"port interfaces differ: {a.data_ports()} vs {b.data_ports()}")
+    ins, _ = a.data_ports()
     sim_a, sim_b = _Compiled(a), _Compiled(b)
     lat_a, lat_b = _stream_latency(sim_a, seed), _stream_latency(sim_b, seed)
     rng = random.Random(seed)

@@ -12,7 +12,9 @@ API for that shape.
 from __future__ import annotations
 
 import functools
+import heapq
 import json
+from collections import Counter
 from importlib import resources
 
 import jsonschema
@@ -90,12 +92,13 @@ def _step_body(entry: dict) -> StepBody:
     return StepBody.delay(entry["name"], kind["delay"], defines, reads)
 
 
-def builder_from_spec(doc: dict) -> PipeBuilder:
-    """Replay a validated description through the builder."""
+def graph_from_spec(doc: dict) -> SyncGraph:
+    """Replay a validated description through the builder and build it."""
     try:
-        return _replay(doc)
+        b = _replay(doc)
     except ValueError as exc:  # a document that skipped the schema
         raise ConfigError(str(exc)) from exc
+    return b.build()
 
 
 def _replay(doc: dict) -> PipeBuilder:
@@ -103,81 +106,75 @@ def _replay(doc: dict) -> PipeBuilder:
     # error is reported whatever else the description gets wrong
     bodies = [_step_body(s) for s in doc["steps"]]
     b = pipe_new([(i["name"], i["width"]) for i in doc["inputs"]], doc["name"])
-    handles = {"main": b.main}
     steps = doc["steps"]
-    remaining: dict[str, int] = {}
-    for s in steps:
-        br = s.get("branch", "main")
-        remaining[br] = remaining.get(br, 0) + 1
-    done_steps: dict[str, int] = {}
+    remaining = Counter(s.get("branch", "main") for s in steps)
+    merges = [(m["branch"] if isinstance(m["branch"], list) else [m["branch"]],
+               m.get("into", "main"), m["at"]) for m in doc.get("merges", [])]
+    # merges by (target, position) and splits by (parent, position), each
+    # in document order
+    landing: dict[tuple[str, int], list[int]] = {}
+    for i, (_, into, at) in enumerate(merges):
+        landing.setdefault((into, at), []).append(i)
+    entries = doc.get("branches", [])
+    starts: dict[tuple[str, int], list[int]] = {}
+    for i, entry in enumerate(entries):
+        parent, pos = entry["from"].split("@")
+        starts.setdefault((parent, int(pos)), []).append(i)
 
-    pending_branches = list(doc.get("branches", []))
-    pending_merges = []
-    for m in doc.get("merges", []):
-        names = m["branch"] if isinstance(m["branch"], list) else [m["branch"]]
-        pending_merges.append((names, m.get("into", "main"), m["at"]))
+    handles = {"main": b.main}
+    done = {"main": 0}
+    made = [False] * len(entries)
+    pending = set(range(len(merges)))
+    armed: list[int] = []  # merges whose target stands at their position
 
-    def create_ready_branches():
-        progress = True
-        while progress:
-            progress = False
-            for entry in list(pending_branches):
-                parent, pos = entry["from"].split("@")
-                if parent not in handles:
-                    continue
-                pos = int(pos)
-                have = done_steps.get(parent, 0)
-                if have == pos:
-                    handles[entry["name"]] = b.split(
-                        entry["name"], from_branch=handles[parent])
-                    pending_branches.remove(entry)
-                    progress = True
-                elif have > pos:
-                    raise ConfigError(
-                        f"branch {entry['name']!r} splits at {entry['from']} "
-                        f"but the parent already has {have} steps")
+    def reach(name: str) -> None:
+        # ``name`` has done[name] steps: split off the branches starting there
+        # and at their own @0, in rounds over the branch list (a child listed
+        # before its parent waits a round), and arm the merges landing on each
+        heap = [(0, i, name) for i in starts.get((name, done[name]), ())]
+        armed.extend(landing.get((name, done[name]), ()))
+        while heap:
+            rnd, i, parent = heapq.heappop(heap)
+            child = entries[i]["name"]
+            handles[child] = b.split(child, from_branch=handles[parent])
+            made[i] = True
+            done[child] = 0
+            armed.extend(landing.get((child, 0), ()))
+            for j in starts.get((child, 0), ()):
+                heapq.heappush(heap, (rnd + (j < i), j, child))
 
-    def apply_ready_merges(stepping: str | None):
-        # stepping is the branch about to receive a step, None at the end
-        for entry in list(pending_merges):
-            names, into, at = entry
-            if stepping is not None and done_steps.get(into, 0) != at:
-                continue
-            if stepping is None and done_steps.get(into, 0) > at:
+    def apply(i: int, stepping: str | None) -> bool:
+        names, into, at = merges[i]
+        if stepping is None and into in done and done[into] < at:
+            raise ConfigError(f"merge of {names} into {into}@{at}: {into} "
+                              f"has {done[into]} steps")
+        if not (all(n in handles for n in names + [into])
+                and all(remaining[n] == 0 for n in names)):
+            if stepping == into or stepping is None:
                 raise ConfigError(
-                    f"merge of {names} into {into}@{at}: position already "
-                    f"passed")
-            ready = (all(n in handles for n in names + [into])
-                     and all(remaining.get(n, 0) == 0 for n in names))
-            if not ready:
-                if stepping == into or stepping is None:
-                    raise ConfigError(
-                        f"merge of {names} into {into}@{at}: a branch it "
-                        f"names does not exist yet or a merging branch still "
-                        f"has steps pending")
-                continue
-            b.merge(*[handles[n] for n in names], into=handles[into])
-            pending_merges.remove(entry)
+                    f"merge of {names} into {into}@{at}: a branch it names "
+                    f"does not exist yet or a merging branch still has steps "
+                    f"pending")
+            return False
+        b.merge(*[handles[n] for n in names], into=handles[into])
+        pending.remove(i)
+        return True
 
-    create_ready_branches()
+    reach("main")
     for s, body in zip(steps, bodies):
         br = s.get("branch", "main")
         if br not in handles:
             raise ConfigError(f"step {s['name']!r} targets unknown branch {br!r}")
-        apply_ready_merges(br)
+        armed[:] = [i for i in sorted(armed) if not apply(i, br)]
         b.add_step(handles[br], body)
-        done_steps[br] = done_steps.get(br, 0) + 1
+        done[br] += 1
         remaining[br] -= 1
-        create_ready_branches()
-    create_ready_branches()
-    apply_ready_merges(None)
-    if pending_branches:
+        reach(br)
+    for i in sorted(pending):
+        apply(i, None)
+    if not all(made):
+        entry = entries[made.index(False)]
         raise ConfigError(
-            f"branch {pending_branches[0]['name']!r} could not be created at "
-            f"{pending_branches[0]['from']}")
+            f"branch {entry['name']!r} could not be created at {entry['from']}")
     b.drive_output([(o["name"], o["from"]) for o in doc["outputs"]])
     return b
-
-
-def graph_from_spec(doc: dict) -> SyncGraph:
-    return builder_from_spec(doc).build()

@@ -385,3 +385,33 @@ def test_sweep_variants(capsys, tmp_path):
 def test_missing_spec_file_exit_2(capsys, tmp_path):
     code, _, err = run_cli(capsys, "build", str(tmp_path / "nope.json"))
     assert code == 2
+
+
+def _reads_in_valid(tmp_path):
+    # a design whose data input is named like a handshake port
+    spec = tmp_path / "in_valid.json"
+    spec.write_text(json.dumps({
+        "name": "hs", "inputs": [{"name": "in_valid", "width": 4}],
+        "outputs": [{"name": "q_out", "from": "q"}],
+        "steps": [{"name": "s", "kind": "wire", "defines": [
+            {"name": "q", "width": 4, "expr": "in_valid"}]}]}))
+    return str(spec)
+
+
+def test_raw_input_named_like_a_handshake_port_is_data(capsys, tmp_path):
+    stim = tmp_path / "stim.json"
+    stim.write_text(json.dumps({"inputs": [{}, {"in_valid": 5}, {"in_valid": 7}]}))
+    csv = tmp_path / "trace.csv"
+    code, _, err = run_cli(capsys, "simulate", _reads_in_valid(tmp_path),
+                           "--stimulus", str(stim), "--csv", str(csv))
+    assert code == 0, err
+    rows = [line.split(",") for line in csv.read_text().splitlines()]
+    col = rows[0].index("q_out")
+    assert [r[col] for r in rows[1:]] == ["0", "5", "7", "0"]
+
+
+def test_ready_valid_design_with_a_handshake_port_exit_3(capsys, tmp_path):
+    code, _, err = run_cli(capsys, "generate", _reads_in_valid(tmp_path),
+                           "--protocol", "ready_valid")
+    assert code == 3, err
+    assert "port 'in_valid' is reserved" in err

@@ -355,3 +355,17 @@ def test_hostile_net_names_in_fifo_errors(bad):
     with pytest.raises(pf.SimulationError) as empty:
         pf.simulate(always, pf.Stimulus(12))
     assert str(empty.value) == f"FIFO {n['f']!r} read while empty"
+
+
+def test_equivalence_compares_a_raw_output_named_out_valid():
+    def netlist(expr):
+        g = pf.resolve_direct_backward(pf.balance_merges(pf.graph_from_spec({
+            "name": "hs", "inputs": [{"name": "x", "width": 1}],
+            "outputs": [{"name": "out_valid", "from": "q"}],
+            "steps": [{"name": "s", "kind": "reg", "defines": [
+                {"name": "q", "width": 1, "expr": expr}]}]})))
+        return pf.lower(g, pf.apply_protocol(g, pf.Protocol.RAW))
+
+    plain, flipped = netlist("x"), netlist(["xor", "x", ["const", 1, 1]])
+    assert pf.check_equivalence(plain, plain).ok
+    assert not pf.check_equivalence(plain, flipped).ok

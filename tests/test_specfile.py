@@ -96,3 +96,95 @@ def test_merge_at_waits_for_into_branch(tmp_path):
     g = graph_from_spec(load_spec(str(p)))
     order = g.forward_order()
     assert order.index("addB") > order.index("merged_mul_mul")
+
+
+def _reg(name, sig, expr, branch="main"):
+    return {"branch": branch, "name": name, "kind": "reg",
+            "defines": [{"name": sig, "width": 8, "expr": expr}]}
+
+
+def _doc(branches, steps, merges):
+    return {"name": "t", "inputs": [{"name": "x", "width": 8}],
+            "branches": branches, "steps": steps, "merges": merges,
+            "outputs": [{"name": "y", "from": "o"}]}
+
+
+REPLAY_CASES = {
+    # a nested branch listed before its parent splits once the parent
+    # reaches the position
+    "nested_before_parent": (_doc(
+        [{"name": "c", "from": "b@1"}, {"name": "b", "from": "main@0"}],
+        [_reg("b1", "u", ["add", "x", "x"], "b"),
+         _reg("c1", "v", ["add", "u", "x"], "c"),
+         _reg("b2", "w", ["add", "u", "x"], "b"),
+         _reg("m1", "o", ["xor", "v", "w"])],
+        [{"branch": "c", "into": "b", "at": 2}, {"branch": "b", "at": 0}]),
+        [("_init_", []), ("b1", ["_init_"]), ("c1", ["b1"]), ("b2", ["b1"]),
+         ("merged_c_c1", ["c1", "b2"]), ("merged_b_b2", ["merged_c_c1", "_init_"]),
+         ("m1", ["merged_b_b2"])]),
+    # splits at a new branch's start: those listed after it first, then
+    # those listed before it
+    "siblings_around_parent": (_doc(
+        [{"name": "d", "from": "b@0"}, {"name": "b", "from": "main@0"},
+         {"name": "e", "from": "b@0"}],
+        [_reg("d1", "p", ["add", "x", "x"], "d"),
+         _reg("e1", "q", ["add", "x", "x"], "e"),
+         _reg("b1", "u", ["add", "x", "x"], "b"),
+         _reg("m1", "o", ["xor", "u", "x"])],
+        [{"branch": ["d", "e"], "into": "b", "at": 0}, {"branch": "b", "at": 0}]),
+        [("_init_", []), ("e1", ["_init_"]), ("d1", ["_init_"]),
+         ("merged_d_d1", ["d1", "e1", "_init_"]), ("b1", ["merged_d_d1"]),
+         ("merged_b_b1", ["b1", "_init_"]), ("m1", ["merged_b_b1"])]),
+    "parent_never_created": (_doc(
+        [{"name": "c", "from": "zz@0"}], [_reg("m1", "o", ["add", "x", "x"])], []),
+        "branch 'c' could not be created at zz@0"),
+    # two merges into main@1: the one whose branch finishes first goes first
+    "merges_ready_in_reverse": (_doc(
+        [{"name": "b", "from": "main@0"}, {"name": "c", "from": "main@0"}],
+        [_reg("c1", "v", ["add", "x", "x"], "c"),
+         _reg("b1", "u", ["add", "x", "x"], "b"),
+         _reg("m1", "s", ["add", "x", "x"]),
+         _reg("b2", "u2", ["add", "u", "x"], "b"),
+         _reg("m2", "o", ["xor", "u2", "v"])],
+        [{"branch": "b", "at": 1}, {"branch": "c", "at": 1}]),
+        [("_init_", []), ("b1", ["_init_"]), ("b2", ["b1"]), ("c1", ["_init_"]),
+         ("m1", ["_init_"]), ("merged_c_c1", ["c1", "m1"]),
+         ("merged_b_b2", ["b2", "merged_c_c1"]), ("m2", ["merged_b_b2"])]),
+    # at main@1 the split of c comes before the merge of b
+    "split_and_merge_same_position": (_doc(
+        [{"name": "b", "from": "main@0"}, {"name": "c", "from": "main@1"}],
+        [_reg("b1", "u", ["add", "x", "x"], "b"),
+         _reg("m1", "s", ["add", "x", "x"]),
+         _reg("c1", "v", ["add", "s", "x"], "c"),
+         _reg("m2", "o", ["xor", "u", "s"])],
+        [{"branch": "b", "at": 1}, {"branch": "c", "at": 1}]),
+        [("_init_", []), ("b1", ["_init_"]), ("m1", ["_init_"]), ("c1", ["m1"]),
+         ("merged_b_b1", ["b1", "m1"]), ("merged_c_c1", ["c1", "merged_b_b1"]),
+         ("m2", ["merged_c_c1"])]),
+}
+
+
+@pytest.mark.parametrize("case", REPLAY_CASES)
+def test_replay_order(case):
+    doc, expected = REPLAY_CASES[case]
+    jsonschema.validate(doc, schema(), cls=jsonschema.Draft202012Validator)
+    if isinstance(expected, str):
+        with pytest.raises(pf.ConfigError, match=re.escape(expected)):
+            graph_from_spec(doc)
+        return
+    g = graph_from_spec(doc)
+    assert [(z, [r.source for r in zone.inbound])
+            for z, zone in g.zones.items()] == expected
+
+
+def test_merge_past_the_target_end_is_config_error():
+    # main has two steps, so a merge at 7 has no position to land on
+    doc = _doc([{"name": "b", "from": "main@0"}],
+               [_reg("b1", "u", ["add", "x", "x"], "b"),
+                _reg("m1", "s", ["add", "x", "x"]),
+                _reg("m2", "o", ["xor", "s", "x"])],
+               [{"branch": "b", "into": "main", "at": 7}])
+    with pytest.raises(pf.ConfigError, match=r"main@7: main has 2 steps"):
+        graph_from_spec(doc)
+    doc["merges"][0]["at"] = 2
+    assert "merged_b_b1" in graph_from_spec(doc).zones

@@ -1,7 +1,11 @@
+import re
+
 import pipeforge as pf
+from pipeforge import expr as E
+from pipeforge.netlist import CombCell
 from pipeforge.verilog import NO_EXTRACT_ATTR
 
-from conftest import build_running
+from conftest import build_running, data_path
 
 
 def emit(xor_delay=0, with_e=False, policy=None, protocol=pf.Protocol.RAW,
@@ -58,3 +62,44 @@ def test_fifo_emits_helper_module_once():
 def test_header_option():
     v = emit(options=pf.EmitOptions(header="build 123"))
     assert v.startswith("// build 123")
+
+
+def _operands(e: E.Expr) -> tuple:
+    if isinstance(e, E.BinOp):
+        return (e.lhs, e.rhs)
+    if isinstance(e, E.Mux):
+        return (e.sel, e.then, e.other)
+    if isinstance(e, E.Concat):
+        return e.parts
+    if isinstance(e, (E.Not, E.Shift, E.Slice)):
+        return (e.arg,)
+    return ()
+
+
+def _temp_widths(e: E.Expr, widths: dict, out: list) -> list:
+    """The model's width of each operand that is not a plain net, innermost
+    first, in the order the emitter declares their temporaries."""
+    for sub in _operands(e):
+        if not isinstance(sub, E.Ref):
+            _temp_widths(sub, widths, out)
+            out.append(sub.width(widths))
+    return out
+
+
+def test_nested_expression_temporaries():
+    # every operator, const included, sits at least two levels deep
+    g = pf.resolve_direct_backward(pf.balance_merges(pf.graph_from_spec(
+        pf.load_spec(data_path("nested_expr.json")))))
+    nl = pf.lower(g, pf.apply_protocol(g, pf.Protocol.RAW))
+    v = pf.emit_verilog(nl)
+    temps = re.findall(r"^  wire (?:\[(\d+):0\] )?_e(\d+) = .*;$", v, re.M)
+    assert [int(n) for _, n in temps] == list(range(len(temps)))
+    declared = [int(hi) + 1 if hi else 1 for hi, _ in temps]
+    expected = []
+    for c in nl.cells:
+        if isinstance(c, CombCell):
+            _temp_widths(c.expr, nl.nets, expected)
+    assert declared == expected
+    assert len(temps) == 28 and 1 in declared
+    with open(data_path("golden_nested_expr.v"), encoding="utf-8") as fh:
+        assert v == fh.read()
