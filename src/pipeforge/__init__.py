@@ -38,18 +38,13 @@ from .model import (
     ZoneKind,
     pipe_new,
 )
-from .netlist import Netlist, comb_order, lower
+from .netlist import Netlist, comb_order, lower, select_primitive
 from .protocol import HandshakePlan, Protocol, apply_protocol
 from .resolve import (
     INFINITE,
     DistributionReport,
-    Fifo,
     PrimitivePolicy,
-    Register,
-    RegisterChain,
-    ShiftRegister,
     ShiftregMode,
-    Wire,
     balance_merges,
     direct_auto,
     direct_fifo,
@@ -59,7 +54,6 @@ from .resolve import (
     resolve_direct_backward,
     resolve_exhaustive_forward,
     resolve_p2p_backward,
-    select_primitive,
     sweep_thresholds,
     validate,
 )

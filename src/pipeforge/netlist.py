@@ -17,15 +17,7 @@ from . import expr as E
 from .errors import PipeforgeError, WidthMismatchError
 from .model import SignalStatus, SyncGraph, ZoneKind
 from .protocol import HANDSHAKE_INPUTS, HANDSHAKE_OUTPUTS, HandshakePlan, Protocol
-from .resolve import (
-    Fifo,
-    PrimitivePolicy,
-    Register,
-    RegisterChain,
-    ShiftRegister,
-    Wire,
-    select_primitive,
-)
+from .resolve import PrimitivePolicy, ShiftregMode
 
 
 @dataclass
@@ -35,6 +27,20 @@ class CombCell:
 
 
 DELAY_STYLES = ("register", "no_extract", "srl")
+_LINE_STYLE = {ShiftregMode.AUTO: "register",
+               ShiftregMode.FORCE_REG: "no_extract",
+               ShiftregMode.FORCE_SRL: "srl"}
+
+
+def select_primitive(latency: int, width: int, policy: PrimitivePolicy) -> str:
+    """The decision table for one propagation: ``"wire"`` at latency 0,
+    ``"fifo"`` at or above both thresholds, else a delay-line style (a
+    single register is always ``"register"``)."""
+    if latency >= 2:
+        if latency >= policy.depth_threshold and width >= policy.width_threshold:
+            return "fifo"
+        return _LINE_STYLE[policy.shiftreg_mode]
+    return "wire" if latency == 0 else "register"
 
 
 @dataclass
@@ -191,20 +197,6 @@ def comb_order(netlist: Netlist) -> list[CombCell]:
 # ---------------------------------------------------------------------------
 
 
-class _Names:
-    def __init__(self):
-        self.nets: dict[str, int] = {}
-
-    def alloc(self, base: str, width: int) -> str:
-        name = base
-        n = 2
-        while name in self.nets:
-            name = f"{base}__{n}"
-            n += 1
-        self.nets[name] = width
-        return name
-
-
 def lower(graph: SyncGraph, plan: HandshakePlan,
           policy: PrimitivePolicy | None = None) -> Netlist:
     """Lower a resolved graph plus handshake plan to a netlist.
@@ -218,34 +210,43 @@ def lower(graph: SyncGraph, plan: HandshakePlan,
     handshake terms under the global enable.
     """
     policy = policy or PrimitivePolicy()
-    names = _Names()
     nl = Netlist(graph.name, protocol=plan.protocol)
-    nl.nets = names.nets
+    nets = nl.nets
+
+    def alloc(base: str, width: int) -> str:
+        name = base
+        n = 2
+        while name in nets:
+            name = f"{base}__{n}"
+            n += 1
+        nets[name] = width
+        return name
+
     depths = plan.depths
     rv = plan.protocol is Protocol.READY_VALID
 
     init_zone = graph.zones[graph.input_zone]
     net_of: dict[tuple[str, str], str] = {}
     for slot in init_zone.slots.values():
-        names.alloc(slot.signal, slot.width)
+        alloc(slot.signal, slot.width)
         net_of[(graph.input_zone, slot.signal)] = slot.signal
         nl.inputs.append((slot.signal, slot.width))
     for spec in graph.outputs:
         for port, src in spec.mapping:
-            names.alloc(port, graph.signal_width(src))
+            alloc(port, graph.signal_width(src))
             nl.outputs.append((port, graph.signal_width(src)))
 
     taps: list[str] = []
     if rv:
         for p in HANDSHAKE_INPUTS + HANDSHAKE_OUTPUTS:
-            if p in names.nets:  # only the design's ports are named so far
+            if p in nets:  # only the design's ports are named so far
                 raise PipeforgeError(f"port {p!r} is reserved for the ready/valid handshake")
-        nl.inputs += [(names.alloc(p, 1), 1) for p in HANDSHAKE_INPUTS]
-        nl.outputs += [(names.alloc(p, 1), 1) for p in HANDSHAKE_OUTPUTS]
-        nl.enable = names.alloc("enable", 1)
+        nl.inputs += [(alloc(p, 1), 1) for p in HANDSHAKE_INPUTS]
+        nl.outputs += [(alloc(p, 1), 1) for p in HANDSHAKE_OUTPUTS]
+        nl.enable = alloc("enable", 1)
         nl.cells.append(CombCell(nl.enable, E.Ref("out_ready")))
         nl.cells.append(CombCell("in_ready", E.Ref("out_ready")))
-        taps = [names.alloc(f"valid_{d}", 1)
+        taps = [alloc(f"valid_{d}", 1)
                 for d in range(plan.total_latency + 1)]
         nl.cells.append(CombCell(taps[0], E.Ref("in_valid")))
         if plan.total_latency:
@@ -256,49 +257,43 @@ def lower(graph: SyncGraph, plan: HandshakePlan,
         if z == graph.input_zone:
             continue
         for slot in zone.slots.values():
-            net_of[(z, slot.signal)] = names.alloc(
+            net_of[(z, slot.signal)] = alloc(
                 f"{z}__{slot.signal}", slot.width)
 
     def transport(out: str, inp: str, latency: int, width: int,
                   sink_depth: int) -> None:
-        prim = select_primitive(latency, width, policy)
-        if isinstance(prim, Wire):
+        style = select_primitive(latency, width, policy)
+        if style == "wire":
             nl.cells.append(CombCell(out, E.Ref(inp)))
-        elif isinstance(prim, Register):
-            nl.cells.append(DelayCell(out, inp, width, 1))
-        elif isinstance(prim, RegisterChain):
-            stages = tuple(names.alloc(f"{out}__d{i}", width)
-                           for i in range(1, prim.n))
-            style = "no_extract" if prim.no_extract else "register"
-            nl.cells.append(DelayCell(out, inp, width, prim.n, style, stages))
-        elif isinstance(prim, ShiftRegister):
-            nl.cells.append(DelayCell(out, inp, width, prim.n, "srl"))
+        elif style == "fifo":
+            _lower_fifo(out, inp, latency, width, sink_depth)
         else:
-            _lower_fifo(nl, names, taps, prim, out, inp, sink_depth)
+            stages = () if style == "srl" else tuple(
+                alloc(f"{out}__d{i}", width) for i in range(1, latency))
+            nl.cells.append(DelayCell(out, inp, width, latency, style, stages))
 
-    def _lower_fifo(nl: Netlist, names: _Names, taps: list[str], prim: Fifo,
-                    out: str, inp: str, sink_depth: int) -> None:
-        full = names.alloc(f"{out}__full", 1)
-        empty = names.alloc(f"{out}__empty", 1)
-        we = names.alloc(f"{out}__we", 1)
-        re = names.alloc(f"{out}__re", 1)
+    def _lower_fifo(out: str, inp: str, depth: int, width: int,
+                   sink_depth: int) -> None:
+        full = alloc(f"{out}__full", 1)
+        empty = alloc(f"{out}__empty", 1)
+        we = alloc(f"{out}__we", 1)
+        re = alloc(f"{out}__re", 1)
         if not rv:
             # the FIFO's read latency gives the last of its depth cycles
-            init = prim.depth - 1
-            cnt = names.alloc(f"{out}__read_start", max(1, init.bit_length()))
-            zero = names.alloc(f"{out}__read_start_zero", 1)
+            init = depth - 1
+            cnt = alloc(f"{out}__read_start", max(1, init.bit_length()))
+            zero = alloc(f"{out}__read_start_zero", 1)
             nl.cells.append(CounterCell(cnt, zero, init))
             nl.cells.append(CombCell(we, E.Const(1, 1)))
             nl.cells.append(CombCell(re, E.Ref(zero)))
         else:
-            src_depth = sink_depth - prim.depth
+            src_depth = sink_depth - depth
             nl.cells.append(CombCell(
                 we, E.BinOp("and", E.Ref(taps[src_depth]), E.Not(E.Ref(full)))))
             nl.cells.append(CombCell(
                 re, E.BinOp("and", E.Ref(taps[sink_depth - 1]),
                             E.Not(E.Ref(empty)))))
-        nl.cells.append(FifoCell(out, inp, prim.width, prim.depth,
-                                 we, re, full, empty))
+        nl.cells.append(FifoCell(out, inp, width, depth, we, re, full, empty))
 
     for z, zone in graph.zones.items():
         if zone.kind is ZoneKind.INPUT:
@@ -312,7 +307,7 @@ def lower(graph: SyncGraph, plan: HandshakePlan,
                 mapping[sig] = net_of[(src, sig)]
             for sig, width, body in step.defines:
                 netexpr = E.map_refs(body, mapping)
-                got = netexpr.width(names.nets)
+                got = netexpr.width(nets)
                 if got != width:
                     raise WidthMismatchError(
                         f"{z}:{sig} declared {width} bits but its expression "
@@ -322,7 +317,7 @@ def lower(graph: SyncGraph, plan: HandshakePlan,
                     nl.cells.append(CombCell(out, netexpr))
                     mapping[sig] = out
                 else:
-                    cnet = names.alloc(f"{z}__{sig}__c", width)
+                    cnet = alloc(f"{z}__{sig}__c", width)
                     nl.cells.append(CombCell(cnet, netexpr))
                     transport(out, cnet, lat, width, depths[z])
         for slot in zone.slots.values():

@@ -67,83 +67,6 @@ def direct_fifo(depth_threshold: int, width_threshold: int) -> PrimitivePolicy:
     return PrimitivePolicy(depth_threshold, width_threshold)
 
 
-# -- primitive kinds --------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Wire:
-    pass
-
-
-@dataclass(frozen=True)
-class Register:
-    pass
-
-
-@dataclass(frozen=True)
-class RegisterChain:
-    n: int
-    no_extract: bool
-
-    def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("register chains have length >= 2")
-
-
-@dataclass(frozen=True)
-class ShiftRegister:
-    n: int
-
-    def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("shift registers have depth >= 2")
-
-
-@dataclass(frozen=True)
-class Fifo:
-    depth: int
-    width: int
-
-    def __post_init__(self):
-        if self.depth < 2:
-            raise ValueError("FIFO delays have depth >= 2")
-
-
-PrimitiveKind = Wire | Register | RegisterChain | ShiftRegister | Fifo
-
-_WIRE = Wire()
-_REGISTER = Register()
-# interned primitives: repeated queries return identical objects, keeping the
-# exhaustive policy-grid checks and sweeps cheap
-_chain_cache: dict[ShiftregMode, dict[int, PrimitiveKind]] = {
-    m: {} for m in ShiftregMode}
-_fifo_cache: dict[int, dict[int, Fifo]] = {}
-
-
-def select_primitive(latency: int, width: int, policy: PrimitivePolicy) -> PrimitiveKind:
-    """Pick the implementation primitive for one propagation."""
-    if latency >= 2:
-        if latency >= policy.depth_threshold and width >= policy.width_threshold:
-            row = _fifo_cache.get(latency)
-            if row is None:
-                row = _fifo_cache[latency] = {}
-            f = row.get(width)
-            if f is None:
-                f = row[width] = Fifo(latency, width)
-            return f
-        mode = policy.shiftreg_mode
-        row = _chain_cache[mode]
-        c = row.get(latency)
-        if c is None:
-            if mode is ShiftregMode.FORCE_SRL:
-                c = ShiftRegister(latency)
-            else:
-                c = RegisterChain(latency, mode is ShiftregMode.FORCE_REG)
-            row[latency] = c
-        return c
-    return _WIRE if latency == 0 else _REGISTER
-
-
 # -- balancing --------------------------------------------------------------
 
 

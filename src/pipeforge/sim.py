@@ -35,9 +35,9 @@ from .protocol import Protocol
 @dataclass
 class Stimulus:
     cycles: int
-    # per-cycle input values: list of dicts, or a callable cycle -> dict;
-    # missing ports read as 0 (in_valid defaults to 1 under ready/valid)
-    inputs: list[dict] | Callable[[int], dict] | None = None
+    # per-cycle input values; cycles past the list and missing ports read as
+    # 0 (in_valid defaults to 1 under ready/valid)
+    inputs: list[dict] | None = None
     sink_ready: list[int] | None = None  # per cycle; None means always ready
     reset_cycles: int = 1
     watch: tuple[str, ...] = ()
@@ -47,11 +47,7 @@ class Stimulus:
             raise SimulationError("stimulus shorter than its reset")
 
     def input_at(self, cycle: int) -> dict:
-        if self.inputs is None:
-            return {}
-        if callable(self.inputs):
-            return self.inputs(cycle)
-        if cycle < len(self.inputs):
+        if self.inputs is not None and cycle < len(self.inputs):
             return self.inputs[cycle]
         return {}
 
@@ -443,7 +439,7 @@ def _latency(sim: _Compiled, seed: int) -> int:
         impulse = {n: rng.randrange(1, 1 << w) for n, w in netlist.inputs}
         stim = Stimulus(
             cycles=2 * warm + 2,
-            inputs=lambda c, imp=impulse: imp if c == warm else {},
+            inputs=[{}] * warm + [impulse],
         )
         trace = sim.run(stim)
         settled = trace.samples[warm - 1]

@@ -18,6 +18,10 @@ NO_EXTRACT_ATTR = '(* shreg_extract = "no" *)'
 
 
 class ShregAttr(enum.Enum):
+    """Attribute on register-style delay lines.  ``NO_EXTRACT`` marks every
+    such register ``shreg_extract = "no"``.  ``EXPLICIT_SRL`` emits the same
+    bytes as ``NONE``: an srl line is always a ``pf_shiftreg_*`` instance
+    whatever the option, and register lines carry no attribute."""
     NONE = "none"
     NO_EXTRACT = "no_extract"
     EXPLICIT_SRL = "explicit_srl"

@@ -96,25 +96,6 @@ def test_05_decision_table_conformance():
     with verdict(5, "select_primitive matches the decision table (< 10 s)"):
         t0 = time.time()
         INF = pf.INFINITE
-        base = pf.PrimitivePolicy()
-        # reference objects, each verified against a direct transcription of
-        # the decision rules before being reused across the exhaustive grid
-        fifo_pol = pf.PrimitivePolicy(2, 1)
-        wire = pf.select_primitive(0, 1, base)
-        reg = pf.select_primitive(1, 1, base)
-        assert isinstance(wire, pf.Wire) and isinstance(reg, pf.Register)
-        fifo_row = {}
-        chain_obj = {}
-        for latency in range(2, 65):
-            chain_obj[latency] = pf.select_primitive(latency, 1, base)
-            assert chain_obj[latency] == pf.RegisterChain(latency, False)
-            row = [pf.select_primitive(latency, w, fifo_pol)
-                   for w in range(1, 513)]
-            for w, got in enumerate(row, start=1):
-                assert got == pf.Fifo(latency, w)
-            fifo_row[latency] = row
-        wire_row = [wire] * 512
-        reg_row = [reg] * 512
         wrange = range(1, 513)
         for d_thr in list(range(2, 10)) + [INF]:
             for w_thr in list(range(1, 65)) + [INF]:
@@ -122,14 +103,11 @@ def test_05_decision_table_conformance():
                 wi = 513 if w_thr == INF else int(w_thr)
                 for latency in range(0, 65):
                     if latency == 0:
-                        exp = wire_row
-                    elif latency == 1:
-                        exp = reg_row
-                    elif d_thr != INF and latency >= d_thr:
-                        exp = ([chain_obj[latency]] * (wi - 1)
-                               + fifo_row[latency][wi - 1:])
+                        exp = ["wire"] * 512
+                    elif latency >= d_thr:  # every d_thr is >= 2
+                        exp = ["register"] * (wi - 1) + ["fifo"] * (513 - wi)
                     else:
-                        exp = [chain_obj[latency]] * 512
+                        exp = ["register"] * 512
                     got = [pf.select_primitive(latency, w, pol)
                            for w in wrange]
                     assert got == exp, (d_thr, w_thr, latency)

@@ -382,6 +382,21 @@ def test_sweep_variants(capsys, tmp_path):
     assert fifo_counts["Dinf_Winf_auto"] == 0
 
 
+@pytest.mark.parametrize("argv", [
+    ("generate", "--verilog", "{blocker}/x.v"),
+    ("sweep", "--out-dir", "{blocker}/sweep"),
+], ids=["generate_verilog", "sweep_out_dir"])
+def test_output_under_a_regular_file_exit_2(capsys, tmp_path, argv):
+    blocker = tmp_path / "plain.txt"
+    blocker.write_text("not a directory\n")
+    cmd, flag, target = argv
+    code, _, err = run_cli(capsys, cmd, data_path("running.json"),
+                           flag, target.format(blocker=blocker))
+    assert code == 2
+    assert "cannot write" in err
+    assert blocker.read_text() == "not a directory\n"
+
+
 def test_missing_spec_file_exit_2(capsys, tmp_path):
     code, _, err = run_cli(capsys, "build", str(tmp_path / "nope.json"))
     assert code == 2

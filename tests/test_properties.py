@@ -73,7 +73,7 @@ def test_simulated_outputs_match_golden_eval(random_corpus):
         inputs = {n: rng.randrange(0, 1 << w) for n, w in nl.inputs}
         lat = max(r.depths()[z] for z in g.output_zones)
         trace = pf.simulate(nl, pf.Stimulus(
-            cycles=lat + 3, inputs=lambda c, i=inputs: i))
+            cycles=lat + 3, inputs=[inputs] * (lat + 3)))
         expected = golden_eval(g, inputs)
         sample = trace.samples[-1]
         for port, val in expected.items():

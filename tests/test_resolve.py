@@ -138,27 +138,19 @@ def test_direct_adjacent_use_collapses_to_register():
 
 def test_select_primitive_table_rows():
     pol = pf.direct_fifo(3, 3)
-    assert isinstance(pf.select_primitive(0, 64, pol), pf.Wire)
-    assert isinstance(pf.select_primitive(1, 64, pol), pf.Register)
-    assert pf.select_primitive(4, 4, pol) == pf.Fifo(4, 4)
-    got = pf.select_primitive(4, 2, pol)
-    assert got == pf.RegisterChain(4, False)
-    assert pf.select_primitive(2, 64, pol) == pf.RegisterChain(2, False)
+    assert pf.select_primitive(0, 64, pol) == "wire"
+    assert pf.select_primitive(1, 64, pol) == "register"
+    assert pf.select_primitive(4, 4, pol) == "fifo"
+    assert pf.select_primitive(4, 2, pol) == "register"
+    assert pf.select_primitive(2, 64, pol) == "register"
 
 
 def test_select_primitive_modes():
-    assert pf.select_primitive(3, 8, pf.direct_force_reg()) == \
-        pf.RegisterChain(3, True)
-    assert pf.select_primitive(3, 8, pf.direct_force_srl()) == \
-        pf.ShiftRegister(3)
-    assert pf.select_primitive(3, 8, pf.direct_auto()) == \
-        pf.RegisterChain(3, False)
-
-
-def test_select_primitive_pure_and_interned():
-    pol = pf.direct_fifo(2, 1)
-    assert pf.select_primitive(5, 9, pol) is pf.select_primitive(5, 9, pol)
-    assert pf.select_primitive(0, 1, pol) is pf.select_primitive(0, 99, pol)
+    assert pf.select_primitive(3, 8, pf.direct_force_reg()) == "no_extract"
+    assert pf.select_primitive(1, 8, pf.direct_force_reg()) == "register"
+    assert pf.select_primitive(3, 8, pf.direct_force_srl()) == "srl"
+    assert pf.select_primitive(1, 8, pf.direct_force_srl()) == "register"
+    assert pf.select_primitive(3, 8, pf.direct_auto()) == "register"
 
 
 def test_policy_threshold_validation():

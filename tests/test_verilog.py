@@ -51,6 +51,8 @@ def test_explicit_srl_emits_helper_module():
     assert "module pf_shiftreg_w4_d2" in v
     # one helper definition per distinct shape, even if instantiated twice
     assert v.count("module pf_shiftreg_w4_d2") == 1
+    # an srl line is always an instance, so the attribute adds nothing
+    assert v == emit(with_e=True, policy=pf.direct_force_srl())
 
 
 def test_fifo_emits_helper_module_once():
