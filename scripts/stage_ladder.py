@@ -6,7 +6,8 @@
 Generates one pipeline per size N in ``SIZES`` with the benchmark's
 ``generate_deep`` shape (``perfbench/workloads.DEEP``, seed 0), runs every
 stage of ``pipeforge generate`` on it and records the best of three wall
-times per stage (``copy`` is one ``SyncGraph.copy()`` of the built graph),
+times per stage (``load_spec`` reads and schema-checks the document from a
+temporary file; ``copy`` is one ``SyncGraph.copy()`` of the built graph),
 plus the zone, slot and cell counts and the storage bits
 (``perfbench/oracle.storage_bits`` of the Verilog) of the direct-resolved
 raw netlist under ``direct_auto()``, the policy of the ROADMAP baseline.
@@ -24,6 +25,7 @@ import json
 import os
 import platform
 import sys
+import tempfile
 import time
 from dataclasses import replace
 
@@ -46,6 +48,11 @@ def rung(pf, specgen, oracle, shape, n: int) -> dict:
     doc = specgen.generate(f"deep{n}", replace(shape, steps=n), 0)
     policy = pf.direct_auto()
     secs = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "spec.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        _, secs["load_spec"] = best_of(pf.load_spec, path)
     g, secs["graph_from_spec"] = best_of(pf.graph_from_spec, doc)
     _, secs["copy"] = best_of(g.copy)
     b, secs["balance_merges"] = best_of(pf.balance_merges, g)

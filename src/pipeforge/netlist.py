@@ -236,11 +236,16 @@ def lower(graph: SyncGraph, plan: HandshakePlan,
             alloc(port, graph.signal_width(src))
             nl.outputs.append((port, graph.signal_width(src)))
 
+    # only the design's ports are named so far; the emitter adds clk and rst
+    reserved = dict.fromkeys(("clk", "rst"), "the clock and reset")
+    if rv:
+        reserved.update(dict.fromkeys(HANDSHAKE_INPUTS + HANDSHAKE_OUTPUTS,
+                                      "the ready/valid handshake"))
+    for p, use in reserved.items():
+        if p in nets:
+            raise PipeforgeError(f"port {p!r} is reserved for {use}")
     taps: list[str] = []
     if rv:
-        for p in HANDSHAKE_INPUTS + HANDSHAKE_OUTPUTS:
-            if p in nets:  # only the design's ports are named so far
-                raise PipeforgeError(f"port {p!r} is reserved for the ready/valid handshake")
         nl.inputs += [(alloc(p, 1), 1) for p in HANDSHAKE_INPUTS]
         nl.outputs += [(alloc(p, 1), 1) for p in HANDSHAKE_OUTPUTS]
         nl.enable = alloc("enable", 1)

@@ -11,66 +11,127 @@ API for that shape.
 
 from __future__ import annotations
 
-import functools
 import heapq
 import json
+import re
 from collections import Counter
 from importlib import resources
-
-import jsonschema
 
 from .errors import ConfigError
 from .expr import from_sexpr
 from .model import PipeBuilder, StepBody, SyncGraph, pipe_new
 
-_schema_cache: dict | None = None
-
 
 def schema() -> dict:
-    global _schema_cache
-    if _schema_cache is None:
-        text = (resources.files("pipeforge") / "pipeline_spec.schema.json").read_text()
-        _schema_cache = json.loads(text)
-    return _schema_cache
+    """A fresh copy of ``pipeline_spec.schema.json``."""
+    return json.loads(
+        (resources.files("pipeforge") / "pipeline_spec.schema.json").read_text())
 
 
-def _inline_refs(node, defs: dict):
-    """A copy of a schema node with each ``#/$defs/...`` reference replaced
-    by its target, so validation looks nothing up."""
-    if isinstance(node, list):
-        return [_inline_refs(v, defs) for v in node]
-    if not isinstance(node, dict):
-        return node
-    ref = node.get("$ref", "")
-    if ref.startswith("#/$defs/") and len(node) == 1:
-        return _inline_refs(defs[ref[len("#/$defs/"):]], defs)
-    return {k: _inline_refs(v, defs) for k, v in node.items()}
+# the JSON types the schema names; an integer is a JSON integer, not 8.0
+_TYPES = {"object": dict, "array": list, "string": str, "integer": int}
+_IGNORED = {"$schema", "$id", "title", "$defs"}
+_spec_check = None
 
 
-@functools.cache
-def _spec_validator() -> jsonschema.Draft202012Validator:
-    doc = schema()
-    return jsonschema.Draft202012Validator(_inline_refs(doc, doc["$defs"]))
+def _keyword(key: str, arg, node: dict, sub):
+    """The check of one schema keyword: a function of a value that returns
+    its violations as (path, message) pairs, or a false value.  Messages
+    are worded as jsonschema words them."""
+    if key == "type":
+        names = arg if isinstance(arg, list) else [arg]
+        ok, text = tuple(_TYPES[n] for n in names), ", ".join(map(repr, names))
+        return lambda v: type(v) not in ok and [((), f"{v!r} is not of type {text}")]
+    if key == "required":
+        return lambda v: type(v) is dict and [
+            ((), f"{k!r} is a required property") for k in arg if k not in v]
+    if key == "additionalProperties" and arg is False:
+        known = node.get("properties", {}).keys()
+        return lambda v: type(v) is dict and not known >= v.keys() and [(
+            (), "Additional properties are not allowed (%s %s unexpected)" % (
+                ", ".join(map(repr, sorted(v.keys() - known, key=str))),
+                "was" if len(v.keys() - known) == 1 else "were"))]
+    if key == "properties":
+        subs = [(k, sub(s)) for k, s in arg.items()]
+        return lambda v: type(v) is dict and [
+            ((k, *p), m) for k, c in subs if k in v for p, m in c(v[k]) or ()]
+    if key == "items":
+        c = sub(arg)
+        return lambda v: type(v) is list and [
+            ((i, *p), m) for i, x in enumerate(v) for p, m in c(x) or ()]
+    if key == "minItems":
+        text = "should be non-empty" if arg == 1 else "is too short"
+        return lambda v: type(v) is list and len(v) < arg and [((), f"{v!r} {text}")]
+    if key == "minimum":
+        return lambda v: type(v) in (int, float) and v < arg and [
+            ((), f"{v!r} is less than the minimum of {arg!r}")]
+    if key == "maximum":
+        return lambda v: type(v) in (int, float) and v > arg and [
+            ((), f"{v!r} is greater than the maximum of {arg!r}")]
+    if key == "pattern":
+        search = re.compile(arg).search
+        return lambda v: type(v) is str and not search(v) and [
+            ((), f"{v!r} does not match {arg!r}")]
+    if key == "enum" and all(type(x) is str for x in arg):
+        return lambda v: v not in arg and [((), f"{v!r} is not one of {arg!r}")]
+    if key == "oneOf":
+        subs = [sub(s) for s in arg]
+
+        def one_of(v):
+            valid = sum(not c(v) for c in subs)
+            how = "not valid under any" if valid == 0 else "valid under more than one"
+            return valid != 1 and [((), f"{v!r} is {how} of the given schemas")]
+        return one_of
+    raise ValueError(f"schema keyword {key!r}: {arg!r} is not supported")
+
+
+def compile_schema(doc: dict):
+    """A checker for the JSON Schema subset that ``pipeline_spec.schema.json``
+    uses: the keywords ``_keyword`` knows and ``$ref`` into ``$defs`` (not
+    a recursive one).  Any other keyword raises ``ValueError`` here, so a
+    schema edit is never silently ignored.  The checker returns the
+    violation at the smallest path, as (JSON pointer, message), or None."""
+    defs = doc.get("$defs", {})
+
+    def sub(node: dict):
+        checks = [sub(defs[arg.removeprefix("#/$defs/")]) if key == "$ref"
+                  else _keyword(key, arg, node, sub)
+                  for key, arg in node.items() if key not in _IGNORED]
+        if len(checks) == 1:
+            return checks[0]
+        return lambda v: [e for c in checks for e in c(v) or ()]
+
+    for node in defs.values():  # a $defs entry no $ref names is checked too
+        sub(node)
+    root = sub(doc)
+
+    def check(value):
+        errors = root(value)
+        if not errors:
+            return None
+        path, message = min(errors, key=lambda e: e[0])
+        return "/" + "/".join(map(str, path)), message
+    return check
 
 
 def load_spec(path: str) -> dict:
-    """Read and schema-validate a pipeline description file."""
-    validator = _spec_validator()
+    """Read and schema-check a pipeline description file."""
+    global _spec_check
+    if _spec_check is None:
+        _spec_check = compile_schema(schema())
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-        errors = sorted(validator.iter_errors(doc),
-                        key=lambda e: list(e.absolute_path))
+        violation = _spec_check(doc)
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:  # bad JSON, or an integer too long to read
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise ConfigError(f"{path} is nested too deeply") from exc
-    if errors:
-        e = errors[0]
-        pointer = "/" + "/".join(str(p) for p in e.absolute_path)
-        raise ConfigError(f"{path}: schema violation at {pointer}: {e.message}")
+    if violation:
+        raise ConfigError(f"{path}: schema violation at {violation[0]}: "
+                          f"{violation[1]}")
     return doc
 
 

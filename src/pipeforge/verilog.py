@@ -48,6 +48,8 @@ class _ExprEmitter:
         self.n = 0
 
     def _temp(self, width: int, rhs: str) -> str:
+        while f"_e{self.n}" in self.widths:  # a port may be named _eN
+            self.n += 1
         name = f"_e{self.n}"
         self.n += 1
         self.lines.append(f"  wire {_decl(width)}{name} = {rhs};")

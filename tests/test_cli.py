@@ -316,6 +316,37 @@ def test_name_with_trailing_newline_exit_2(capsys, tmp_path, mutate, pointer):
     assert f"schema violation at {pointer}:" in err
 
 
+@pytest.mark.parametrize("keys,literal,where", [
+    pytest.param(("inputs", 0, "width"), "8.0",
+                 "/inputs/0/width: 8.0 is not of type 'integer'",
+                 id="input_width"),
+    pytest.param(("steps", 1, "defines", 0, "width"), "8e0",
+                 "/steps/1/defines/0/width: 8.0 is not of type 'integer'",
+                 id="define_width"),
+    # a kind is one of two shapes, so the violation is the kind's
+    pytest.param(("steps", 3, "kind", "delay"), "2.0",
+                 "/steps/3/kind: {'delay': 2.0} is not valid under any",
+                 id="delay"),
+    pytest.param(("merges", 0, "at"), "2.0",
+                 "/merges/0/at: 2.0 is not of type 'integer'", id="merge_at"),
+])
+def test_integral_float_in_an_integer_field_exit_2(capsys, tmp_path, keys,
+                                                   literal, where):
+    # an integer field takes a JSON integer only, not a float equal to one
+    with open(data_path("running_delay2.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    node = doc
+    for k in keys[:-1]:
+        node = node[k]
+    node[keys[-1]] = "FLOAT"
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(doc).replace('"FLOAT"', literal))
+    for cmd in ("generate", "simulate"):
+        code, _, err = run_cli(capsys, cmd, str(spec))
+        assert code == 2, err
+        assert f"schema violation at {where}" in err
+
+
 @pytest.mark.parametrize("stimulus,protocol,want", [
     pytest.param({"inputs": [{"x": 3, "y": 4}], "cycles": 10,
                   "watch": ["mul__mulXY"]}, "raw", 0, id="valid"),
@@ -430,3 +461,25 @@ def test_ready_valid_design_with_a_handshake_port_exit_3(capsys, tmp_path):
                            "--protocol", "ready_valid")
     assert code == 3, err
     assert "port 'in_valid' is reserved" in err
+
+
+@pytest.mark.parametrize("port", ["clk", "rst"])
+@pytest.mark.parametrize("protocol", ["raw", "ready_valid"])
+@pytest.mark.parametrize("side", ["input", "output"])
+def test_port_named_like_the_clock_or_reset_exit_3(capsys, tmp_path, port,
+                                                   protocol, side):
+    # the emitter declares clk and rst itself, so a design port may not
+    doc = {"name": "ck", "inputs": [{"name": "x", "width": 4}],
+           "outputs": [{"name": "q_out", "from": "q"}],
+           "steps": [{"name": "s", "kind": "reg", "defines": [
+               {"name": "q", "width": 4, "expr": "x"}]}]}
+    if side == "input":
+        doc["inputs"][0]["name"] = port
+        doc["steps"][0]["defines"][0]["expr"] = port
+    else:
+        doc["outputs"][0]["name"] = port
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(doc))
+    code, _, err = run_cli(capsys, "generate", str(spec), "--protocol", protocol)
+    assert code == 3, err
+    assert f"port {port!r} is reserved for the clock and reset" in err

@@ -52,16 +52,19 @@ def paths(node, prefix=()):
 
 
 def retype(value):
-    """The same content under another JSON type."""
+    """The same content under other JSON types: an integer also as its
+    float, which an integer field rejects."""
     if isinstance(value, bool) or value is None:
-        return 0
+        return [0]
     if isinstance(value, int):
-        return str(value)
+        return [str(value), float(value)]
+    if isinstance(value, float):
+        return [str(value)]
     if isinstance(value, str):
-        return [value]
+        return [[value]]
     if isinstance(value, list):
-        return {str(i): v for i, v in enumerate(value)}
-    return list(value.values())
+        return [{str(i): v for i, v in enumerate(value)}]
+    return [list(value.values())]
 
 
 def replacement(old):
@@ -93,7 +96,7 @@ def mutated_running(draw):
         elif op == "delete":
             del parent[key]
         elif op == "retype":
-            parent[key] = retype(parent[key])
+            parent[key] = draw(st.sampled_from(retype(parent[key])))
         elif isinstance(parent, list):
             parent.insert(key, copy.deepcopy(parent[key]))
         else:

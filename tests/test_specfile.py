@@ -3,11 +3,10 @@ import json
 import os
 import re
 
-import jsonschema
 import pytest
 
 import pipeforge as pf
-from pipeforge.specfile import graph_from_spec, load_spec, schema
+from pipeforge.specfile import compile_schema, graph_from_spec, load_spec, schema
 
 from conftest import build_running, data_path
 
@@ -28,8 +27,7 @@ def test_documented_json_blocks_are_valid():
         for block in re.findall(r"^```json\n(.*?)^```", text, re.M | re.S):
             doc = json.loads(block)
             whole = "steps" in doc
-            jsonschema.validate(doc, full if whole else step,
-                                cls=jsonschema.Draft202012Validator)
+            assert compile_schema(full if whole else step)(doc) is None
             if whole:
                 graph_from_spec(doc)
             blocks += 1
@@ -167,7 +165,7 @@ REPLAY_CASES = {
 @pytest.mark.parametrize("case", REPLAY_CASES)
 def test_replay_order(case):
     doc, expected = REPLAY_CASES[case]
-    jsonschema.validate(doc, schema(), cls=jsonschema.Draft202012Validator)
+    assert compile_schema(schema())(doc) is None
     if isinstance(expected, str):
         with pytest.raises(pf.ConfigError, match=re.escape(expected)):
             graph_from_spec(doc)

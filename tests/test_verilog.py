@@ -1,3 +1,4 @@
+import json
 import re
 
 import pipeforge as pf
@@ -105,3 +106,29 @@ def test_nested_expression_temporaries():
     assert len(temps) == 28 and 1 in declared
     with open(data_path("golden_nested_expr.v"), encoding="utf-8") as fh:
         assert v == fh.read()
+
+
+def _rename_refs(node, old, new):
+    if node == old:
+        return new
+    if isinstance(node, list):
+        return [_rename_refs(n, old, new) for n in node]
+    return node
+
+
+def test_temporaries_skip_port_names():
+    # with its input named _e3, the emitter must not declare a temporary
+    # _e3 as well
+    with open(data_path("nested_expr.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["inputs"][0]["name"] = "_e3"
+    for d in doc["steps"][0]["defines"]:
+        d["expr"] = _rename_refs(d["expr"], "a", "_e3")
+    g = pf.resolve_direct_backward(pf.balance_merges(pf.graph_from_spec(doc)))
+    v = pf.emit_verilog(pf.lower(g, pf.apply_protocol(g, pf.Protocol.RAW)))
+    module = v[v.index("module nested("):]
+    declared = re.findall(
+        r"^\s*(?:input|output|wire|reg)\s+(?:\[\d+:0\]\s+)?(\w+)", module, re.M)
+    assert declared.count("_e3") == 1
+    assert len(declared) == len(set(declared))
+    assert "input [7:0] _e3" in module
