@@ -11,8 +11,9 @@ temporary file; ``copy`` is one ``SyncGraph.copy()`` of the built graph),
 plus the zone, slot and cell counts and the storage bits
 (``perfbench/oracle.storage_bits`` of the Verilog) of the direct-resolved
 raw netlist under ``direct_auto()``, the policy of the ROADMAP baseline.
-``measured_latency`` times that netlist, and ``check_equivalence`` compares
-it with the p2p-resolved raw netlist under the same policy.
+``measured_latency`` times that netlist, ``check_equivalence`` compares
+it with the p2p-resolved raw netlist under the same policy, and
+``check_equivalence_exhaustive`` with the exhaustive-resolved one.
 Each run appends its rows to ``--out`` under ``--label``, so alternating
 runs of two checkouts all land in one file.  ``--src`` names the pipeforge
 source tree to import (default: this checkout's ``src``).
@@ -59,7 +60,7 @@ def rung(pf, specgen, oracle, shape, n: int) -> dict:
     _, secs["missing_relations"] = best_of(b.missing_relations)
     d, secs["resolve_direct"] = best_of(pf.resolve_direct_backward, b, policy)
     p, secs["resolve_p2p"] = best_of(pf.resolve_p2p_backward, b)
-    _, secs["resolve_exhaustive"] = best_of(pf.resolve_exhaustive_forward, b)
+    x, secs["resolve_exhaustive"] = best_of(pf.resolve_exhaustive_forward, b)
     _, secs["validate"] = best_of(pf.validate, d)
     plan, secs["apply_protocol"] = best_of(pf.apply_protocol, d, pf.Protocol.RAW)
     nl, secs["lower"] = best_of(pf.lower, d, plan, policy)
@@ -70,6 +71,11 @@ def rung(pf, specgen, oracle, shape, n: int) -> dict:
     verdict, secs["check_equivalence"] = best_of(pf.check_equivalence, nl, p2p)
     if not verdict.ok:
         raise SystemExit(f"N={n}: direct and p2p differ: {verdict.detail}")
+    exhaustive = pf.lower(x, pf.apply_protocol(x, pf.Protocol.RAW), policy)
+    verdict, secs["check_equivalence_exhaustive"] = best_of(
+        pf.check_equivalence, nl, exhaustive)
+    if not verdict.ok:
+        raise SystemExit(f"N={n}: direct and exhaustive differ: {verdict.detail}")
     counts = {
         "zones": len(d.zones),
         "slots": sum(len(z.slots) for z in d.zones.values()),

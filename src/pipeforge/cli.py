@@ -32,7 +32,8 @@ from .resolve import (
     sweep_thresholds,
     validate,
 )
-from .sim import Stimulus, check_equivalence, measured_latency, simulate
+from .sim import (Stimulus, _Compiled, _equivalence, _stream_latency,
+                  measured_latency, simulate)
 from .specfile import graph_from_spec, load_spec
 from .verilog import EmitOptions, ShregAttr, emit_verilog
 
@@ -178,15 +179,18 @@ def cmd_sweep(args) -> int:
     base_policy = PrimitivePolicy()
     resolved = resolve_direct_backward(balanced, base_policy)
     plan = apply_protocol(resolved, Protocol(args.protocol))
-    baseline = lower(resolved, plan, base_policy)
+    baseline = _Compiled(lower(resolved, plan, base_policy))
     if not validate(resolved).ok:
         raise PipeforgeError("sweep variant failed validation")
+    # every variant is checked against the one compiled baseline, whose
+    # latency is measured once, with the first variant's seed
+    base_latency = _stream_latency(baseline, args.seed)
 
     results = []
     for i, policy in enumerate(policies):
         netlist = lower(resolved, plan, policy)
-        verdict = check_equivalence(baseline, netlist, trials=2,
-                                    seed=args.seed + i, cycles=200)
+        verdict = _equivalence(baseline, base_latency, _Compiled(netlist),
+                               trials=2, seed=args.seed + i, cycles=200)
         depth, width = _fmt_thr(policy.depth_threshold), _fmt_thr(policy.width_threshold)
         name = f"D{depth}_W{width}_{policy.shiftreg_mode.value}"
         manifest = {

@@ -96,6 +96,22 @@ class CounterCell:
 
 Cell = CombCell | DelayCell | FifoCell | CounterCell
 
+# IEEE 1364-2005 Annex B: no Verilog tool takes these as a port or module name
+VERILOG_KEYWORDS = frozenset("""
+    always and assign automatic begin buf bufif0 bufif1 case casex casez cell
+    cmos config deassign default defparam design disable edge else end
+    endcase endconfig endfunction endgenerate endmodule endprimitive
+    endspecify endtable endtask event for force forever fork function
+    generate genvar highz0 highz1 if ifnone incdir include initial inout input
+    instance integer join large liblist library localparam macromodule medium
+    module nand negedge nmos nor noshowcancelled not notif0 notif1 or output
+    parameter pmos posedge primitive pull0 pull1 pulldown pullup
+    pulsestyle_ondetect pulsestyle_onevent rcmos real realtime reg release
+    repeat rnmos rpmos rtran rtranif0 rtranif1 scalared showcancelled signed
+    small specify specparam strong0 strong1 supply0 supply1 table task time
+    tran tranif0 tranif1 tri tri0 tri1 triand trior trireg unsigned use uwire
+    vectored wait wand weak0 weak1 while wire wor xnor xor""".split())
+
 
 @dataclass
 class Netlist:
@@ -236,14 +252,18 @@ def lower(graph: SyncGraph, plan: HandshakePlan,
             alloc(port, graph.signal_width(src))
             nl.outputs.append((port, graph.signal_width(src)))
 
+    if graph.name in VERILOG_KEYWORDS:
+        raise PipeforgeError(
+            f"design name {graph.name!r} is reserved as a Verilog keyword")
     # only the design's ports are named so far; the emitter adds clk and rst
-    reserved = dict.fromkeys(("clk", "rst"), "the clock and reset")
+    reserved = dict.fromkeys(VERILOG_KEYWORDS, "as a Verilog keyword")
+    reserved.update(dict.fromkeys(("clk", "rst"), "for the clock and reset"))
     if rv:
         reserved.update(dict.fromkeys(HANDSHAKE_INPUTS + HANDSHAKE_OUTPUTS,
-                                      "the ready/valid handshake"))
-    for p, use in reserved.items():
-        if p in nets:
-            raise PipeforgeError(f"port {p!r} is reserved for {use}")
+                                      "for the ready/valid handshake"))
+    for p in nets:
+        if p in reserved:
+            raise PipeforgeError(f"port {p!r} is reserved {reserved[p]}")
     taps: list[str] = []
     if rv:
         nl.inputs += [(alloc(p, 1), 1) for p in HANDSHAKE_INPUTS]

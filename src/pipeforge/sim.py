@@ -12,10 +12,20 @@ statement with its widths and masks resolved to literals, and a cycle is a
 call of a few generated functions.  Nothing is cached across calls, so a
 netlist may be changed between them.
 
+Only the output cone is compiled.  The observed nets are the ports, the
+watched nets, the global enable and every FIFO's enables; one walk back
+from them over an index of each net's driving cell picks the cells to
+compile, and a cell no observed net reads costs nothing per cycle.  Every
+FIFO is still simulated and counted, so its "read while empty" and "write
+while full" errors fire on the same cycles as if everything were compiled
+(one whose output nothing reads stores zeros), and every combinational
+cell is still ordered and width-checked, so a combinational cycle or a
+width error anywhere raises.
+
 ``measured_latency`` warms a netlist up for as long as its own longest
-sequential path into the outputs, found in one walk over the nets; a net
-that feeds back into itself through sequential cells never settles, and is
-reported as an error rather than measured.
+sequential path into the outputs, found in one walk over the same index; a
+net that feeds back into itself through sequential cells never settles,
+and is reported as an error rather than measured.
 """
 
 from __future__ import annotations
@@ -24,11 +34,12 @@ import random
 from collections import deque
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Callable
+from typing import Callable, Sequence
 
 from .errors import NoResponseError, PortMismatchError, SimulationError
 from .expr import BinOp, Concat, Const, Expr, Mux, Not, Ref, Shift, Slice
-from .netlist import CombCell, CounterCell, DelayCell, FifoCell, Netlist, comb_order
+from .netlist import (Cell, CombCell, CounterCell, DelayCell, FifoCell, Netlist,
+                      comb_order)
 from .protocol import Protocol
 
 
@@ -116,13 +127,13 @@ def _mask(width: int) -> str:
 class _Compiled:
     """A netlist compiled to straight-line Python, with its sequential state.
 
-    Every net has a slot in the value list ``v``.  Each combinational cell
-    is one assignment with its masks resolved to literals, and a wire needs
-    none: it shares its source's slot.  The statements are compiled as
-    functions of at most ``_CHUNK`` lines: the settle functions compute a
-    cycle's values, the update functions advance the state at the clock
-    edge.  Net names enter the generated source only as ``repr`` literals in
-    error messages.
+    Every net of the output cone (below) has a slot in the value list
+    ``v``.  Each combinational cell of the cone is one assignment with its
+    masks resolved to literals, and a wire needs none: it shares its
+    source's slot.  The statements are compiled as functions of at most
+    ``_CHUNK`` lines: the settle functions compute a cycle's values, the
+    update functions advance the state at the clock edge.  Net names enter
+    the generated source only as ``repr`` literals in error messages.
 
     Every sequential cell shares the one global enable, so one count ``t``
     of enabled cycles since reset drives them all.  The delay lines of one
@@ -132,31 +143,76 @@ class _Compiled:
     cycles ago, so one slice assignment reads every output of the group and
     one gather ``G[j]`` overwrites the frame.  A FIFO's output register is
     ``S[j]`` and its contents the deque ``Q[j]``, and a startup counter
-    reads ``max(init - t, 0)``.  Stage nets, FIFO flags and counter nets are
-    only computed where something reads them.
+    reads ``max(init - t, 0)``.
+
+    ``drivers`` maps every net to its driving cell.  The walk back from the
+    observed nets over it reaches the nets that get slots and the cells
+    that get statements: a combinational cell's reads, a delay line's input
+    from its output or any stage net, and a FIFO's input from its output
+    only.  Every FIFO keeps its update, since its enables are observed;
+    one whose output is not reached queues zeros.  Stage nets, FIFO flags
+    and counter nets are only computed where the walk reaches them.
     """
 
     def __init__(self, netlist: Netlist, watch: tuple[str, ...] = ()):
         self.netlist = netlist
-        groups: dict[int, list[DelayCell]] = {}
+        nets = netlist.nets
+        # net -> its driving cell; one object per entry, as a tuple per net
+        # would make the collector rescan a large netlist several times
+        drivers: dict[str, Cell] = {}
+        fifos: list[FifoCell] = []
+        counters: list[CounterCell] = []
         for c in netlist.cells:
             if isinstance(c, DelayCell):
-                groups.setdefault(c.depth, []).append(c)
-        fifos = [c for c in netlist.cells if isinstance(c, FifoCell)]
-        counters = [c for c in netlist.cells if isinstance(c, CounterCell)]
+                drivers[c.out] = c
+                for net in c.stages:
+                    drivers[net] = c
+            elif isinstance(c, CombCell):
+                drivers[c.out] = c
+            elif isinstance(c, FifoCell):
+                drivers[c.out] = drivers[c.full] = drivers[c.empty] = c
+                fifos.append(c)
+            else:
+                drivers[c.count] = drivers[c.zero] = c
+                counters.append(c)
+        self.drivers = drivers
+        # the observed nets and every net they read, walked backwards
+        reached: dict[str, None] = {}
+        lines: dict[int, DelayCell] = {}  # the delay lines met, by id
+        stack = [n for n, _ in netlist.inputs + netlist.outputs] + list(watch)
+        if netlist.enable is not None:
+            stack.append(netlist.enable)
+        for c in fifos:  # every FIFO counts, so its enables are observed
+            stack += (c.write_en, c.read_en)
+        while stack:
+            net = stack.pop()
+            if net in reached:
+                continue
+            reached[net] = None
+            c = drivers.get(net)
+            if isinstance(c, FifoCell) and net != c.out:
+                continue  # a flag reads only the enables, observed above
+            if isinstance(c, DelayCell):
+                lines[id(c)] = c
+            stack += _feed(c, net)[0]
+        groups: dict[int, list[DelayCell]] = {}
+        for c in lines.values():
+            groups.setdefault(c.depth, []).append(c)
         # sequential outputs first, in state order, so slices copy them
-        nets = [c.out for group in groups.values() for c in group]
-        nets += [c.out for c in fifos] + list(netlist.nets)
-        self.slot = {net: i for i, net in enumerate(dict.fromkeys(nets))}
+        order = [c.out for group in groups.values() for c in group]
+        order += [c.out for c in fifos] + list(reached)
+        self.slot = {net: i for i, net in enumerate(dict.fromkeys(order))}
         self.nslots = len(self.slot)
-        cells = comb_order(netlist)
-        read = set(watch) | {n for n, _ in netlist.outputs}
-        for c in cells:
-            read |= c.expr.refs()
-        # in topological order, so a chain of wires ends at its first source
-        for c in cells:
-            if isinstance(c.expr, Ref):
+        cells: list[CombCell] = []
+        for c in comb_order(netlist):  # raises on a cycle anywhere
+            if c.out not in reached:
+                c.expr.width(nets)  # so a width error anywhere still raises
+            elif isinstance(c.expr, Ref):
+                # in topological order, so a chain of wires ends at its
+                # first source
                 self.slot[c.out] = self.slot[c.expr.name]
+            else:
+                cells.append(c)
         self.rings = [[(0,) * len(group)] * depth
                       for depth, group in groups.items()]
         gathers = [_gather([self.slot[c.inp] for c in group])
@@ -172,19 +228,21 @@ class _Compiled:
                 f"v[{first}:{first + len(group)}] = R[{j}][t % {depth}]")
             settle += [f"{ref(net)} = R[{j}][t % {depth} - {k}][{i}]"
                        for i, c in enumerate(group)
-                       for k, net in enumerate(c.stages, 1) if net in read]
+                       for k, net in enumerate(c.stages, 1) if net in reached]
             update.append(f"R[{j}][t % {depth}] = G[{j}](v)")
         if fifos:
             first = self.slot[fifos[0].out]
             settle.append(f"v[{first}:{first + len(fifos)}] = S")
         for j, c in enumerate(fifos):
-            if c.full in read:
+            if c.full in reached:
                 settle.append(f"{ref(c.full)} = "
                               f"1 if len(Q[{j}]) >= {c.capacity} else 0")
-            if c.empty in read:
+            if c.empty in reached:
                 settle.append(f"{ref(c.empty)} = 0 if Q[{j}] else 1")
             empty = repr(f"FIFO {c.out!r} read while empty")
             full = repr(f"FIFO {c.out!r} write while full")
+            # an unread FIFO still counts, so its checks fire as before
+            data = ref(c.inp) if c.out in reached else "0"
             update += [f"if {ref(c.read_en)}:\n"
                        f"    if not Q[{j}]:\n"
                        f"        raise SimulationError({empty})\n"
@@ -192,17 +250,16 @@ class _Compiled:
                        f"if {ref(c.write_en)}:\n"
                        f"    if len(Q[{j}]) >= {c.capacity}:\n"
                        f"        raise SimulationError({full})\n"
-                       f"    Q[{j}].append({ref(c.inp)})"]
+                       f"    Q[{j}].append({data})"]
         for c in counters:
-            if c.count in read:
+            if c.count in reached:
                 settle.append(
                     f"{ref(c.count)} = {c.init} - t if t < {c.init} else 0")
-            if c.zero in read:
+            if c.zero in reached:
                 settle.append(f"{ref(c.zero)} = 0 if t < {c.init} else 1")
         for c in cells:
-            if not isinstance(c.expr, Ref):
-                src, _ = self._expr(c.expr, settle)
-                settle.append(f"{ref(c.out)} = {src}")
+            src, _ = self._expr(c.expr, settle)
+            settle.append(f"{ref(c.out)} = {src}")
         self.v = [0] * self.nslots
         # the code names nothing else: CPython interns each name a compile
         # meets and frees it with the code, and names per ring or per depth
@@ -369,7 +426,7 @@ def simulate(netlist: Netlist, stim: Stimulus) -> Trace:
     return _Compiled(netlist, stim.watch).run(stim)
 
 
-def _settle_time(netlist: Netlist, nets: list[str]) -> int:
+def _settle_time(sim: _Compiled, nets: list[str]) -> int:
     """Longest sequential path into ``nets``, in enabled cycles.
 
     Inputs and constants settle at 0, a combinational net at the latest of
@@ -377,21 +434,9 @@ def _settle_time(netlist: Netlist, nets: list[str]) -> int:
     FIFO's nets ``capacity + 1`` cycles after the latest of its input and
     enables, and a startup counter's nets at its ``init``.  So once the
     inputs have held still this long after reset, ``nets`` hold still too.
-    Walks only the nets that ``nets`` depend on, in one depth-first pass.
+    Walks only the nets that ``nets`` depend on, in one depth-first pass
+    over the compiled netlist's driver index.
     """
-    feeds: dict[str, tuple[tuple[str, ...], int]] = {}
-    for c in netlist.cells:
-        if isinstance(c, CombCell):
-            feeds[c.out] = (tuple(c.expr.refs()), 0)
-        elif isinstance(c, DelayCell):
-            feeds[c.out] = ((c.inp,), c.depth)
-            for k, net in enumerate(c.stages, 1):
-                feeds[net] = ((c.inp,), k)
-        elif isinstance(c, FifoCell):
-            fifo = ((c.inp, c.write_en, c.read_en), c.capacity + 1)
-            feeds[c.out] = feeds[c.full] = feeds[c.empty] = fifo
-        else:
-            feeds[c.count] = feeds[c.zero] = ((), c.init)
     settle: dict[str, int] = {}
     entered: set[str] = set()  # on the stack below its unsettled sources
     stack = list(nets)
@@ -400,7 +445,7 @@ def _settle_time(netlist: Netlist, nets: list[str]) -> int:
         if net in settle:
             stack.pop()
             continue
-        srcs, delay = feeds.get(net, ((), 0))
+        srcs, delay = _feed(sim.drivers.get(net), net)
         if net not in entered:
             entered.add(net)
             todo = [n for n in srcs if n not in settle]
@@ -413,6 +458,23 @@ def _settle_time(netlist: Netlist, nets: list[str]) -> int:
         stack.pop()
         settle[net] = max((settle[n] for n in srcs), default=0) + delay
     return max((settle[n] for n in nets), default=0)
+
+
+def _feed(cell: Cell | None, net: str) -> tuple[Sequence[str], int]:
+    """The nets ``cell`` reads to drive ``net``, and the enabled cycles
+    between them.  References come sorted, so walks visit nets in the same
+    order on every run."""
+    if isinstance(cell, CombCell):
+        return sorted(cell.expr.refs()), 0
+    if isinstance(cell, DelayCell):
+        if net == cell.out:
+            return (cell.inp,), cell.depth
+        return (cell.inp,), cell.stages.index(net) + 1
+    if isinstance(cell, FifoCell):
+        return (cell.inp, cell.write_en, cell.read_en), cell.capacity + 1
+    if isinstance(cell, CounterCell):
+        return (), cell.init
+    return (), 0
 
 
 def measured_latency(netlist: Netlist, seed: int = 0) -> int:
@@ -434,7 +496,7 @@ def _latency(sim: _Compiled, seed: int) -> int:
     netlist = sim.netlist
     rng = random.Random(seed)
     out_ports = [n for n, _ in netlist.outputs]
-    warm = _settle_time(netlist, out_ports) + 8
+    warm = _settle_time(sim, out_ports) + 8
     for _ in range(20):
         impulse = {n: rng.randrange(1, 1 << w) for n, w in netlist.inputs}
         stim = Stimulus(
@@ -472,7 +534,7 @@ def _stream_latency(sim: _Compiled, seed: int) -> int:
     a raw netlist, the depth of the valid chain under ready/valid."""
     if sim.netlist.protocol is Protocol.RAW:
         return _latency(sim, seed)
-    return _settle_time(sim.netlist, ["out_valid"])
+    return _settle_time(sim, ["out_valid"])
 
 
 def _stream_outputs(sim: _Compiled, data: list[dict], rng: random.Random,
@@ -523,9 +585,18 @@ def check_equivalence(a: Netlist, b: Netlist, trials: int = 4,
     if a.data_ports() != b.data_ports():
         raise PortMismatchError(
             f"port interfaces differ: {a.data_ports()} vs {b.data_ports()}")
-    ins, _ = a.data_ports()
     sim_a, sim_b = _Compiled(a), _Compiled(b)
-    lat_a, lat_b = _stream_latency(sim_a, seed), _stream_latency(sim_b, seed)
+    return _equivalence(sim_a, _stream_latency(sim_a, seed), sim_b,
+                        trials, seed, cycles)
+
+
+def _equivalence(sim_a: _Compiled, lat_a: int, sim_b: _Compiled,
+                 trials: int, seed: int, cycles: int) -> Verdict:
+    """``check_equivalence`` of two compiled netlists with equal data ports,
+    the first one's stream latency given, so a baseline checked against
+    many variants is compiled and measured once."""
+    ins, _ = sim_a.netlist.data_ports()
+    lat_b = _stream_latency(sim_b, seed)
     rng = random.Random(seed)
     for trial in range(trials):
         n = max(16, cycles // 4)

@@ -463,23 +463,55 @@ def test_ready_valid_design_with_a_handshake_port_exit_3(capsys, tmp_path):
     assert "port 'in_valid' is reserved" in err
 
 
+def _one_register(tmp_path, design="ck", inp="x", out="q_out"):
+    """A one-step spec file: ``out`` is ``inp`` one cycle late."""
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "name": design, "inputs": [{"name": inp, "width": 4}],
+        "outputs": [{"name": out, "from": "q"}],
+        "steps": [{"name": "s", "kind": "reg", "defines": [
+            {"name": "q", "width": 4, "expr": inp}]}]}))
+    return str(spec)
+
+
 @pytest.mark.parametrize("port", ["clk", "rst"])
 @pytest.mark.parametrize("protocol", ["raw", "ready_valid"])
 @pytest.mark.parametrize("side", ["input", "output"])
 def test_port_named_like_the_clock_or_reset_exit_3(capsys, tmp_path, port,
                                                    protocol, side):
     # the emitter declares clk and rst itself, so a design port may not
-    doc = {"name": "ck", "inputs": [{"name": "x", "width": 4}],
-           "outputs": [{"name": "q_out", "from": "q"}],
-           "steps": [{"name": "s", "kind": "reg", "defines": [
-               {"name": "q", "width": 4, "expr": "x"}]}]}
-    if side == "input":
-        doc["inputs"][0]["name"] = port
-        doc["steps"][0]["defines"][0]["expr"] = port
-    else:
-        doc["outputs"][0]["name"] = port
-    spec = tmp_path / "spec.json"
-    spec.write_text(json.dumps(doc))
-    code, _, err = run_cli(capsys, "generate", str(spec), "--protocol", protocol)
+    spec = _one_register(tmp_path, **{("inp" if side == "input" else "out"): port})
+    code, _, err = run_cli(capsys, "generate", spec, "--protocol", protocol)
     assert code == 3, err
     assert f"port {port!r} is reserved for the clock and reset" in err
+
+
+@pytest.mark.parametrize("what, names", [
+    ("design name", {"design": "module"}),
+    ("port", {"inp": "begin"}),
+    ("port", {"out": "end"}),
+], ids=["design", "input", "output"])
+def test_verilog_keyword_as_a_name_exit_3(capsys, tmp_path, what, names):
+    spec = _one_register(tmp_path, **names)
+    code, _, err = run_cli(capsys, "generate", spec)
+    assert code == 3, err
+    name, = names.values()
+    assert f"{what} {name!r} is reserved as a Verilog keyword" in err
+
+
+def test_sweep_compiles_the_baseline_once(capsys, tmp_path, monkeypatch):
+    from pipeforge import sim
+    built = []
+    compile_netlist = sim._Compiled.__init__
+
+    def counting(self, netlist, *args):
+        built.append(netlist.name)
+        compile_netlist(self, netlist, *args)
+
+    monkeypatch.setattr(sim._Compiled, "__init__", counting)
+    out_dir = tmp_path / "sweep"
+    code, _, err = run_cli(capsys, "sweep", data_path("running_delay2.json"),
+                           "--out-dir", str(out_dir))
+    assert code == 0, err
+    variants = json.loads((out_dir / "index.json").read_text())["variants"]
+    assert len(built) == len(variants) + 1

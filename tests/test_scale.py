@@ -1,6 +1,6 @@
-"""The resolution properties and simulation equivalence on a pipeline ten
-times the size of the random corpus, generated by the benchmark's spec
-generator and checked against its depth oracle."""
+"""The resolution properties and simulation equivalence on pipelines ten
+and more times the size of the random corpus, generated by the benchmark's
+spec generator and checked against its depth oracle."""
 
 import os
 import sys
@@ -34,6 +34,10 @@ def zone_depths(graph: pf.SyncGraph) -> dict[str, int]:
 DOC = specgen.generate("deep120", replace(workloads.DEEP, steps=120), 0)
 
 
+def lowered(graph, protocol=pf.Protocol.RAW, policy=None):
+    return pf.lower(graph, pf.apply_protocol(graph, protocol), policy)
+
+
 def test_properties_on_a_120_step_pipeline():
     balanced = pf.balance_merges(pf.graph_from_spec(DOC))
     depth = zone_depths(balanced)
@@ -58,10 +62,6 @@ def test_properties_on_a_120_step_pipeline():
 def test_simulation_equivalence_on_a_120_step_pipeline():
     balanced = pf.balance_merges(pf.graph_from_spec(DOC))
     direct = pf.resolve_direct_backward(balanced)
-
-    def lowered(graph, protocol=pf.Protocol.RAW, policy=None):
-        return pf.lower(graph, pf.apply_protocol(graph, protocol), policy)
-
     base = lowered(direct)
     assert pf.measured_latency(base) == oracle.spec_depth(DOC) == 64
     others = [lowered(pf.resolve_p2p_backward(balanced)),
@@ -71,3 +71,15 @@ def test_simulation_equivalence_on_a_120_step_pipeline():
     for other in others:
         verdict = pf.check_equivalence(base, other, trials=1, cycles=200)
         assert verdict.ok, (other.protocol, verdict.detail)
+
+
+def test_direct_and_exhaustive_agree_on_a_400_step_pipeline():
+    # the exhaustive netlist has about 106,000 cells; the simulator compiles
+    # only the few thousand that the outputs read
+    doc = specgen.generate("deep400", replace(workloads.DEEP, steps=400), 0)
+    balanced = pf.balance_merges(pf.graph_from_spec(doc))
+    direct = lowered(pf.resolve_direct_backward(balanced))
+    exhaustive = lowered(pf.resolve_exhaustive_forward(balanced))
+    assert pf.measured_latency(exhaustive) == oracle.spec_depth(doc) == 216
+    verdict = pf.check_equivalence(direct, exhaustive)
+    assert verdict.ok, verdict.detail

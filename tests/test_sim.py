@@ -369,3 +369,128 @@ def test_equivalence_compares_a_raw_output_named_out_valid():
     plain, flipped = netlist("x"), netlist(["xor", "x", ["const", 1, 1]])
     assert pf.check_equivalence(plain, plain).ok
     assert not pf.check_equivalence(plain, flipped).ok
+
+
+# -- the output cone ----------------------------------------------------------
+
+
+def _port_columns(nl, trace):
+    ports = [n for n, _ in nl.inputs + nl.outputs]
+    return [{p: s[p] for p in ports} for s in trace.samples]
+
+
+def test_unwatched_traces_match_fully_watched_ones(random_corpus):
+    # only the output cone is compiled unless every net is watched, so the
+    # two must agree on the ports wherever dead cells exist
+    rng = random.Random(13)
+    policies = [pf.direct_auto(), pf.direct_fifo(2, 1), pf.direct_force_srl()]
+    for g in rng.sample(random_corpus, 10):
+        b = pf.balance_merges(g)
+        for resolver in (pf.resolve_direct_backward, pf.resolve_p2p_backward,
+                         pf.resolve_exhaustive_forward):
+            r = resolver(b)
+            for protocol in pf.Protocol:
+                plan = pf.apply_protocol(r, protocol)
+                for policy in policies:
+                    nl = pf.lower(r, plan, policy)
+                    ins, _ = nl.data_ports()
+                    stim = [{p: rng.randrange(1 << w) for p, w in ins}
+                            | {"in_valid": rng.randrange(2)} for _ in range(30)]
+                    ready = [rng.randrange(2) for _ in range(30)]
+                    cone, full = (pf.simulate(nl, pf.Stimulus(
+                        30, stim, ready, watch=watch))
+                        for watch in ((), tuple(nl.nets)))
+                    assert _port_columns(nl, cone) == _port_columns(nl, full)
+                    assert cone.accepted_outputs == full.accepted_outputs
+
+
+def _through_every_edge():
+    """``o`` reads a FIFO fed from the first stage net of a delay line,
+    read from a startup counter: x -> s -> d1 -> m -> f -> o.  The line's
+    own output ``d`` and the FIFO's flags are read by nothing."""
+    from pipeforge.netlist import CombCell, CounterCell, DelayCell, FifoCell
+    widths = {"x": 8, "s": 8, "d": 8, "d1": 8, "d2": 8, "m": 8, "f": 8,
+              "o": 8, "we": 1, "re": 1, "full": 1, "empty": 1, "cnt": 2,
+              "zero": 1}
+    cells = [CombCell("s", pf.BinOp("add", pf.Ref("x"), pf.Const(3, 8))),
+             DelayCell("d", "s", 8, 3, stages=("d1", "d2")),
+             CombCell("m", pf.Not(pf.Ref("d1"))),
+             CounterCell("cnt", "zero", 2),
+             CombCell("we", pf.Const(1, 1)),
+             CombCell("re", pf.Ref("zero")),
+             FifoCell("f", "m", 8, 3, "we", "re", "full", "empty"),
+             CombCell("o", pf.Ref("f"))]
+    return pf.Netlist("edges", inputs=[("x", 8)], outputs=[("o", 8)],
+                      nets=widths, cells=cells)
+
+
+def test_cone_walks_every_edge_kind():
+    nl = _through_every_edge()
+    nl.check()
+    xs = [(29 * c + 5) % 256 for c in range(24)]
+
+    # by hand, in enabled cycles t since the one reset cycle
+    def s(t):
+        return (xs[t + 1] + 3) & 0xFF
+
+    def m(t):
+        return ~(s(t - 1) if t >= 1 else 0) & 0xFF
+
+    # the FIFO's first read, at t = 2, is visible from t = 3 on
+    want = [0] + [m(t - 3) if t >= 3 else 0 for t in range(len(xs) - 1)]
+    for watch in ((), tuple(nl.nets)):
+        trace = pf.simulate(nl, pf.Stimulus(len(xs), [{"x": x} for x in xs],
+                                            watch=watch))
+        assert [sample["o"] for sample in trace.samples] == want, watch
+    assert pf.measured_latency(nl) == 4
+    # the settle-time walk reads the same index: a stage net k cycles after
+    # the line's input, a FIFO capacity + 1 after its latest source
+    from pipeforge.sim import _Compiled, _settle_time
+    sim = _Compiled(nl)
+    assert [_settle_time(sim, [n]) for n in ("s", "d1", "d2", "d", "m", "re",
+                                             "o")] == [0, 1, 2, 3, 1, 2, 6]
+
+
+def _unread_fifo(read_en):
+    """``o`` is ``~x``; a FIFO written every cycle and read when
+    ``read_en`` says feeds nothing."""
+    from pipeforge.netlist import CombCell, FifoCell
+    widths = {"x": 4, "o": 4, "f": 4, "we": 1, "re": 1, "full": 1, "empty": 1}
+    return pf.Netlist("unread", inputs=[("x", 4)], outputs=[("o", 4)],
+                      nets=widths,
+                      cells=[CombCell("o", pf.Not(pf.Ref("x"))),
+                             CombCell("we", pf.Const(1, 1)),
+                             CombCell("re", pf.Const(read_en, 1)),
+                             FifoCell("f", "x", 4, 3, "we", "re", "full",
+                                      "empty")])
+
+
+def test_unread_fifo_still_checks_its_occupancy():
+    with pytest.raises(pf.SimulationError, match="'f' write while full"):
+        pf.simulate(_unread_fifo(0), pf.Stimulus(cycles=8))
+    with pytest.raises(pf.SimulationError, match="'f' read while empty"):
+        pf.simulate(_unread_fifo(1), pf.Stimulus(cycles=8))
+    # three writes fit: the fourth enabled cycle is the first to overflow
+    trace = pf.simulate(_unread_fifo(0), pf.Stimulus(cycles=4,
+                                                      inputs=[{"x": 5}] * 4))
+    assert [sample["o"] for sample in trace.samples] == [10] * 4
+
+
+def test_dead_cells_still_raise():
+    from pipeforge.netlist import CombCell
+    widths = {"x": 4, "o": 4, "a": 4, "b": 4}
+
+    def netlist(*dead):
+        return pf.Netlist("dead", inputs=[("x", 4)], outputs=[("o", 4)],
+                          nets=widths,
+                          cells=[CombCell("o", pf.Ref("x")), *dead])
+
+    ok = netlist(CombCell("a", pf.Not(pf.Ref("x"))))
+    assert pf.simulate(ok, pf.Stimulus(cycles=2)).samples
+    mux = pf.Mux(pf.Ref("x"), pf.Ref("x"), pf.Ref("x"))  # a 4-bit selector
+    with pytest.raises(pf.WidthMismatchError):
+        pf.simulate(netlist(CombCell("a", mux)), pf.Stimulus(cycles=2))
+    loop = netlist(CombCell("a", pf.Not(pf.Ref("b"))),
+                   CombCell("b", pf.Not(pf.Ref("a"))))
+    with pytest.raises(pf.PipeforgeError, match="combinational cycle"):
+        pf.simulate(loop, pf.Stimulus(cycles=2))
