@@ -32,8 +32,8 @@ from .resolve import (
     sweep_thresholds,
     validate,
 )
-from .sim import (Stimulus, _Compiled, _equivalence, _stream_latency,
-                  measured_latency, simulate)
+from .sim import (Stimulus, Verdict, _Compiled, _equivalence, _output_terms,
+                  _stream_latency, measured_latency, simulate)
 from .specfile import graph_from_spec, load_spec
 from .verilog import EmitOptions, ShregAttr, emit_verilog
 
@@ -179,18 +179,28 @@ def cmd_sweep(args) -> int:
     base_policy = PrimitivePolicy()
     resolved = resolve_direct_backward(balanced, base_policy)
     plan = apply_protocol(resolved, Protocol(args.protocol))
-    baseline = _Compiled(lower(resolved, plan, base_policy))
+    baseline = lower(resolved, plan, base_policy)
     if not validate(resolved).ok:
         raise PipeforgeError("sweep variant failed validation")
-    # every variant is checked against the one compiled baseline, whose
-    # latency is measured once, with the first variant's seed
-    base_latency = _stream_latency(baseline, args.seed)
+    # a variant with the baseline's output terms is equivalent to it; the
+    # others are checked against the one compiled baseline, compiled and
+    # measured when the first of them needs it, with the first variant's
+    # seed
+    cores: dict = {}
+    base_terms = _output_terms(baseline, cores)
+    compiled = base_latency = None
 
     results = []
     for i, policy in enumerate(policies):
         netlist = lower(resolved, plan, policy)
-        verdict = _equivalence(baseline, base_latency, _Compiled(netlist),
-                               trials=2, seed=args.seed + i, cycles=200)
+        if base_terms is not None and _output_terms(netlist, cores) == base_terms:
+            verdict = Verdict(True)
+        else:
+            if compiled is None:
+                compiled = _Compiled(baseline)
+                base_latency = _stream_latency(compiled, args.seed)
+            verdict = _equivalence(compiled, base_latency, _Compiled(netlist),
+                                   trials=2, seed=args.seed + i, cycles=200)
         depth, width = _fmt_thr(policy.depth_threshold), _fmt_thr(policy.width_threshold)
         name = f"D{depth}_W{width}_{policy.shiftreg_mode.value}"
         manifest = {
@@ -224,9 +234,9 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _count(value, field: str) -> int:
+def _count(value, what: str) -> int:
     if type(value) is not int or value < 0:
-        raise ConfigError(f"stimulus {field} must be a count, got {value!r}")
+        raise ConfigError(f"{what} must be a count, got {value!r}")
     return value
 
 
@@ -254,8 +264,8 @@ def _read_stimulus(path: str, netlist: Netlist) -> Stimulus:
                 raise ConfigError(
                     f"stimulus inputs[{cycle}].{port} is not a "
                     f"{widths[port]}-bit value: {value!r}")
-    reset = _count(sdoc.get("reset_cycles", 1), "reset_cycles")
-    cycles = _count(sdoc.get("cycles", len(inputs) + reset), "cycles")
+    reset = _count(sdoc.get("reset_cycles", 1), "stimulus reset_cycles")
+    cycles = _count(sdoc.get("cycles", len(inputs) + reset), "stimulus cycles")
     if cycles < reset:
         raise ConfigError("cycles must cover the reset")
     ready = sdoc.get("sink_ready")
@@ -276,7 +286,8 @@ def cmd_simulate(args) -> int:
     if args.stimulus:
         stim = _read_stimulus(args.stimulus, netlist)
     else:
-        if args.cycles < args.reset_cycles:
+        if (_count(args.cycles, "--cycles")
+                < _count(args.reset_cycles, "--reset-cycles")):
             raise ConfigError("cycles must cover the reset")
         rng = random.Random(args.seed)
         data_ports, _ = netlist.data_ports()

@@ -26,6 +26,16 @@ width error anywhere raises.
 sequential path into the outputs, found in one walk over the same index; a
 net that feeds back into itself through sequential cells never settles,
 and is reported as an error rather than measured.
+
+Raw equivalence is first asked of timed terms (``_timed_terms``), read off
+the netlist alone in one more walk over that index: each output is a
+hash-consed expression over the input ports and a shift, the enabled cycles
+its inputs take to reach it, as latency is in retiming (Leiserson and Saxe,
+"Retiming Synchronous Circuitry", Algorithmica 1991).  Two raw netlists
+whose outputs have equal terms, where those terms decide (``_output_terms``),
+compute the same outputs from the same inputs once their pipelines have
+filled, so the pair is equivalent without a simulated cycle.  Every other
+pair is simulated.  ``simulate`` and ``measured_latency`` always simulate.
 """
 
 from __future__ import annotations
@@ -36,7 +46,8 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Callable, Sequence
 
-from .errors import NoResponseError, PortMismatchError, SimulationError
+from .errors import (NoResponseError, PortMismatchError, SimulationError,
+                     WidthMismatchError)
 from .expr import BinOp, Concat, Const, Expr, Mux, Not, Ref, Shift, Slice
 from .netlist import (Cell, CombCell, CounterCell, DelayCell, FifoCell, Netlist,
                       comb_order)
@@ -124,6 +135,32 @@ def _mask(width: int) -> str:
     return hex((1 << width) - 1)
 
 
+def _driver_index(netlist: Netlist) -> tuple[dict[str, Cell], list[FifoCell],
+                                             list[CounterCell]]:
+    """Every net's driving cell, stage nets and FIFO and counter flags
+    included, and the netlist's FIFOs and counters, in one pass over its
+    cells."""
+    # one object per entry, as a tuple per net would make the collector
+    # rescan a large netlist several times
+    drivers: dict[str, Cell] = {}
+    fifos: list[FifoCell] = []
+    counters: list[CounterCell] = []
+    for c in netlist.cells:
+        if isinstance(c, DelayCell):
+            drivers[c.out] = c
+            for net in c.stages:
+                drivers[net] = c
+        elif isinstance(c, CombCell):
+            drivers[c.out] = c
+        elif isinstance(c, FifoCell):
+            drivers[c.out] = drivers[c.full] = drivers[c.empty] = c
+            fifos.append(c)
+        else:
+            drivers[c.count] = drivers[c.zero] = c
+            counters.append(c)
+    return drivers, fifos, counters
+
+
 class _Compiled:
     """A netlist compiled to straight-line Python, with its sequential state.
 
@@ -157,24 +194,7 @@ class _Compiled:
     def __init__(self, netlist: Netlist, watch: tuple[str, ...] = ()):
         self.netlist = netlist
         nets = netlist.nets
-        # net -> its driving cell; one object per entry, as a tuple per net
-        # would make the collector rescan a large netlist several times
-        drivers: dict[str, Cell] = {}
-        fifos: list[FifoCell] = []
-        counters: list[CounterCell] = []
-        for c in netlist.cells:
-            if isinstance(c, DelayCell):
-                drivers[c.out] = c
-                for net in c.stages:
-                    drivers[net] = c
-            elif isinstance(c, CombCell):
-                drivers[c.out] = c
-            elif isinstance(c, FifoCell):
-                drivers[c.out] = drivers[c.full] = drivers[c.empty] = c
-                fifos.append(c)
-            else:
-                drivers[c.count] = drivers[c.zero] = c
-                counters.append(c)
+        drivers, fifos, counters = _driver_index(netlist)
         self.drivers = drivers
         # the observed nets and every net they read, walked backwards
         reached: dict[str, None] = {}
@@ -426,6 +446,34 @@ def simulate(netlist: Netlist, stim: Stimulus) -> Trace:
     return _Compiled(netlist, stim.watch).run(stim)
 
 
+def _postorder(nets: Sequence[str],
+               sources: Callable[[str], Sequence[str]]) -> list[str]:
+    """``nets`` and every net they read through ``sources``, each after
+    the nets it reads.  One depth-first pass kept on a stack, as chains of
+    delay lines run thousands deep; a net that feeds back into itself
+    raises."""
+    done: dict[str, None] = {}
+    entered: set[str] = set()  # on the stack below its unfinished sources
+    stack = list(nets)
+    while stack:
+        net = stack[-1]
+        if net in done:
+            stack.pop()
+            continue
+        if net not in entered:
+            entered.add(net)
+            todo = [n for n in sources(net) if n not in done]
+            if any(n in entered for n in todo):
+                raise SimulationError(
+                    f"net {net!r} feeds back into itself, so it never settles")
+            if todo:
+                stack.extend(todo)
+                continue
+        stack.pop()
+        done[net] = None
+    return list(done)
+
+
 def _settle_time(sim: _Compiled, nets: list[str]) -> int:
     """Longest sequential path into ``nets``, in enabled cycles.
 
@@ -437,25 +485,10 @@ def _settle_time(sim: _Compiled, nets: list[str]) -> int:
     Walks only the nets that ``nets`` depend on, in one depth-first pass
     over the compiled netlist's driver index.
     """
+    drivers = sim.drivers
     settle: dict[str, int] = {}
-    entered: set[str] = set()  # on the stack below its unsettled sources
-    stack = list(nets)
-    while stack:
-        net = stack[-1]
-        if net in settle:
-            stack.pop()
-            continue
-        srcs, delay = _feed(sim.drivers.get(net), net)
-        if net not in entered:
-            entered.add(net)
-            todo = [n for n in srcs if n not in settle]
-            if any(n in entered for n in todo):
-                raise SimulationError(
-                    f"net {net!r} feeds back into itself, so it never settles")
-            if todo:
-                stack.extend(todo)
-                continue
-        stack.pop()
+    for net in _postorder(nets, lambda n: _feed(drivers.get(n), n)[0]):
+        srcs, delay = _feed(drivers.get(net), net)
         settle[net] = max((settle[n] for n in srcs), default=0) + delay
     return max((settle[n] for n in nets), default=0)
 
@@ -475,6 +508,163 @@ def _feed(cell: Cell | None, net: str) -> tuple[Sequence[str], int]:
     if isinstance(cell, CounterCell):
         return (), cell.init
     return (), 0
+
+
+# A core is ``(id, reads_input, aligned)``: ``id`` numbers it in the table
+# of one comparison, so equal cores are equal functions; ``reads_input`` is
+# set where an input port is among its leaves, and ``aligned`` where no
+# delay node is.
+Core = tuple[int, bool, bool]
+
+
+def _core(cores: dict, op: str, width: int | None, params,
+          args: tuple[Core, ...]) -> Core:
+    """The core ``op`` of ``width`` bits with ``params`` over ``args``,
+    interned in ``cores``."""
+    key = (op, width, params, args)
+    core = cores.get(key)
+    if core is None:
+        core = cores[key] = (len(cores),
+                             op == "in" or any(a[1] for a in args),
+                             op != "delay" and all(a[2] for a in args))
+    return core
+
+
+def _aligned(cores: dict, op: str, width: int, params,
+             args: list[tuple[int, Core]]) -> tuple[int, Core]:
+    """The term of ``op`` over the terms ``args``.  Its shift is the
+    earliest among the arguments that read an input, or the latest if none
+    does; an argument at a later shift gets a delay node for the
+    difference.  An argument that reads no input and settles by the shift
+    is a constant there and needs none."""
+    reading = [shift for shift, core in args if core[1]]
+    at = min(reading) if reading else max(shift for shift, _ in args)
+    return at, _core(cores, op, width, params, tuple(
+        core if shift <= at else _core(cores, "delay", None, shift - at, (core,))
+        for shift, core in args))
+
+
+def _expr_term(e: Expr, terms: dict, widths: dict[str, int],
+               cores: dict) -> tuple[int, Core]:
+    """The term of ``e`` over the terms of the nets it reads.  Each node
+    keeps what its compiled statement computes with: its op, width and
+    parameters, and for a concatenation the width of every part."""
+    if isinstance(e, Ref):
+        return terms[e.name]
+    w = e.width(widths)
+    if isinstance(e, Const):
+        return 0, _core(cores, "const", w, e.value, ())
+    if isinstance(e, Shift) and e.amount >= w:
+        return 0, _core(cores, "const", w, 0, ())  # every bit shifts out
+    if isinstance(e, BinOp):
+        op, params, parts = e.op, None, (e.lhs, e.rhs)
+    elif isinstance(e, Not):
+        op, params, parts = "not", None, (e.arg,)
+    elif isinstance(e, Shift):
+        op, params, parts = e.op, e.amount, (e.arg,)
+    elif isinstance(e, Mux):
+        op, params, parts = "mux", None, (e.sel, e.then, e.other)
+    elif isinstance(e, Slice):
+        op, params, parts = "slice", (e.hi, e.lo), (e.arg,)
+    elif isinstance(e, Concat):
+        op, params = "cat", tuple(p.width(widths) for p in e.parts)
+        parts = e.parts
+    else:
+        raise TypeError(f"unknown expression node {e!r}")
+    return _aligned(cores, op, w, params,
+                    [_expr_term(p, terms, widths, cores) for p in parts])
+
+
+def _started(fifo: FifoCell, drivers: dict[str, Cell]) -> bool:
+    """Whether ``fifo`` has the enables ``lower`` gives a raw FIFO: written
+    on every cycle and read from the zero flag of a startup counter of
+    ``capacity - 1``.  Such a FIFO delays its input by ``capacity`` cycles,
+    shows zeros until then, and never overflows or runs empty."""
+    write, read = drivers.get(fifo.write_en), drivers.get(fifo.read_en)
+    if not (isinstance(write, CombCell) and write.expr == Const(1, 1)
+            and isinstance(read, CombCell) and isinstance(read.expr, Ref)):
+        return False
+    counter = drivers.get(read.expr.name)
+    return (isinstance(counter, CounterCell)
+            and counter.zero == read.expr.name
+            and counter.init == fifo.capacity - 1)
+
+
+def _timed_terms(netlist: Netlist, nets: Sequence[str],
+                 cores: dict) -> dict[str, tuple[int, Core]] | None:
+    """Each of ``nets`` as a timed term ``(shift, core)``: ``core`` applied
+    to the inputs of ``shift`` enabled cycles before, read off the netlist
+    alone.  ``cores`` interns the cores, so the terms of every walk given
+    the same table compare with ``==``.
+
+    An input port is a leaf, and so is a constant (shift 0).  A
+    combinational cell is interned node by node, with its arguments aligned
+    by ``_aligned``, and a wire is its source's term.  A delay line adds
+    its depth to its input's shift, and its kth stage net adds k.  A FIFO
+    adds its capacity, and only if every FIFO has the startup pattern of
+    ``_started``.  Anything else returns None, as not handled: a FIFO off
+    that pattern, a read of a FIFO's or counter's flags, a net with no
+    driver that is not an input, a net that feeds back into itself, and a
+    width error.  One ``_postorder`` pass over the driver index.
+    """
+    drivers, fifos, _ = _driver_index(netlist)
+    if not all(_started(c, drivers) for c in fifos):
+        return None
+
+    def sources(net: str) -> Sequence[str]:
+        cell = drivers.get(net)
+        if isinstance(cell, FifoCell):  # a flag is not handled below
+            return (cell.inp,) if net == cell.out else ()
+        return _feed(cell, net)[0]
+
+    try:
+        order = _postorder(nets, sources)
+    except SimulationError:
+        return None
+    inputs = dict(netlist.inputs)
+    terms: dict[str, tuple[int, Core]] = {}
+    for net in order:
+        cell = drivers.get(net)
+        if isinstance(cell, CombCell):
+            try:
+                terms[net] = _expr_term(cell.expr, terms, netlist.nets, cores)
+            except WidthMismatchError:
+                return None
+        elif isinstance(cell, DelayCell):
+            shift, core = terms[cell.inp]
+            terms[net] = shift + _feed(cell, net)[1], core
+        elif isinstance(cell, FifoCell) and net == cell.out:
+            shift, core = terms[cell.inp]
+            terms[net] = shift + cell.capacity, core
+        elif cell is None and net in inputs:
+            terms[net] = 0, _core(cores, "in", inputs[net], net, ())
+        else:
+            return None
+    return {n: terms[n] for n in nets}
+
+
+def _output_terms(netlist: Netlist,
+                  cores: dict) -> list[tuple[int, Core]] | None:
+    """The output ports' timed terms of a raw netlist, where they decide
+    equivalence: the walk handles the netlist, no term has a delay node,
+    the outputs that read an input (at least one) share one shift, and the
+    others settle by then.  From that shift on, every output is its core
+    applied to the inputs that far back, in any netlist with the same
+    terms.  None elsewhere."""
+    if netlist.protocol is not Protocol.RAW or netlist.enable is not None:
+        return None
+    outs = [n for n, _ in netlist.outputs]
+    found = _timed_terms(netlist, outs, cores)
+    if found is None:
+        return None
+    terms = [found[n] for n in outs]
+    shifts = {shift for shift, core in terms if core[1]}
+    if len(shifts) != 1:
+        return None
+    latency, = shifts
+    if all(core[2] and shift <= latency for shift, core in terms):
+        return terms
+    return None
 
 
 def measured_latency(netlist: Netlist, seed: int = 0) -> int:
@@ -581,10 +771,26 @@ def check_equivalence(a: Netlist, b: Netlist, trials: int = 4,
     Port interfaces must agree up to the handshake ports; transaction
     streams (aligned per netlist) must be identical.  Each netlist is
     compiled once, for its latency and every trial.
+
+    A pair of raw netlists is first compared by the timed terms of its
+    outputs.  Where those decide (every output reads its inputs at one
+    shift, with no FIFO off the raw startup pattern, no flag read and no
+    feedback; see ``_output_terms``) and are equal, the pair is equivalent
+    and nothing is compiled or simulated: ``trials``, ``seed`` and
+    ``cycles`` then have no effect, cells that no output reads are not
+    checked, and outputs that read their inputs but are constant functions
+    of them (``x xor x``) are equivalent where the impulse of the latency
+    measurement raised ``NoResponseError``.  Every other pair, ready/valid
+    ones included, is simulated, and a divergence reads as before.
     """
     if a.data_ports() != b.data_ports():
         raise PortMismatchError(
             f"port interfaces differ: {a.data_ports()} vs {b.data_ports()}")
+    if a.protocol is b.protocol is Protocol.RAW:
+        cores: dict = {}
+        terms = _output_terms(a, cores)
+        if terms is not None and terms == _output_terms(b, cores):
+            return Verdict(True)
     sim_a, sim_b = _Compiled(a), _Compiled(b)
     return _equivalence(sim_a, _stream_latency(sim_a, seed), sim_b,
                         trials, seed, cycles)

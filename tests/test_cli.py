@@ -388,6 +388,16 @@ def test_simulate_cycle_check(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("cycles,reset", [("-1", "-2"), ("4", "-3"),
+                                          ("-1", "0")])
+def test_simulate_negative_counts(capsys, cycles, reset):
+    code, out, err = run_cli(
+        capsys, "simulate", data_path("running.json"),
+        "--cycles", cycles, "--reset-cycles", reset)
+    assert code == 2 and out == ""
+    assert "must be a count" in err
+
+
 def test_sweep_variants(capsys, tmp_path):
     out_dir = tmp_path / "sweep"
     code, out, _ = run_cli(
@@ -499,7 +509,7 @@ def test_verilog_keyword_as_a_name_exit_3(capsys, tmp_path, what, names):
     assert f"{what} {name!r} is reserved as a Verilog keyword" in err
 
 
-def test_sweep_compiles_the_baseline_once(capsys, tmp_path, monkeypatch):
+def _count_compiles(monkeypatch) -> list[str]:
     from pipeforge import sim
     built = []
     compile_netlist = sim._Compiled.__init__
@@ -509,9 +519,27 @@ def test_sweep_compiles_the_baseline_once(capsys, tmp_path, monkeypatch):
         compile_netlist(self, netlist, *args)
 
     monkeypatch.setattr(sim._Compiled, "__init__", counting)
+    return built
+
+
+def test_sweep_compiles_the_baseline_once(capsys, tmp_path, monkeypatch):
+    built = _count_compiles(monkeypatch)
+    out_dir = tmp_path / "sweep"
+    code, _, err = run_cli(capsys, "sweep", data_path("running_delay2.json"),
+                           "--protocol", "ready_valid", "--out-dir", str(out_dir))
+    assert code == 0, err
+    variants = json.loads((out_dir / "index.json").read_text())["variants"]
+    assert len(built) == len(variants) + 1
+
+
+def test_raw_sweep_decides_every_variant_from_terms(capsys, tmp_path,
+                                                    monkeypatch):
+    # every variant, FIFOs and shift registers included, has the baseline's
+    # output terms, so nothing is compiled
+    built = _count_compiles(monkeypatch)
     out_dir = tmp_path / "sweep"
     code, _, err = run_cli(capsys, "sweep", data_path("running_delay2.json"),
                            "--out-dir", str(out_dir))
     assert code == 0, err
     variants = json.loads((out_dir / "index.json").read_text())["variants"]
-    assert len(built) == len(variants) + 1
+    assert len(variants) == 5 and built == []

@@ -73,13 +73,25 @@ def test_simulation_equivalence_on_a_120_step_pipeline():
         assert verdict.ok, (other.protocol, verdict.detail)
 
 
-def test_direct_and_exhaustive_agree_on_a_400_step_pipeline():
+def test_direct_and_exhaustive_agree_on_a_400_step_pipeline(monkeypatch):
     # the exhaustive netlist has about 106,000 cells; the simulator compiles
-    # only the few thousand that the outputs read
+    # only the few thousand that the outputs read, and equivalence compiles
+    # nothing, since the terms of the two outputs' cones are equal
     doc = specgen.generate("deep400", replace(workloads.DEEP, steps=400), 0)
     balanced = pf.balance_merges(pf.graph_from_spec(doc))
     direct = lowered(pf.resolve_direct_backward(balanced))
     exhaustive = lowered(pf.resolve_exhaustive_forward(balanced))
     assert pf.measured_latency(exhaustive) == oracle.spec_depth(doc) == 216
+    from pipeforge import sim
+    monkeypatch.setattr(sim, "_Compiled", None)  # any compile fails
     verdict = pf.check_equivalence(direct, exhaustive)
+    assert verdict.ok, verdict.detail
+
+
+def test_direct_and_p2p_agree_on_an_800_step_pipeline():
+    doc = specgen.generate("deep800", replace(workloads.DEEP, steps=800), 0)
+    balanced = pf.balance_merges(pf.graph_from_spec(doc))
+    verdict = pf.check_equivalence(
+        lowered(pf.resolve_direct_backward(balanced)),
+        lowered(pf.resolve_p2p_backward(balanced)))
     assert verdict.ok, verdict.detail

@@ -445,10 +445,13 @@ def test_cone_walks_every_edge_kind():
     assert pf.measured_latency(nl) == 4
     # the settle-time walk reads the same index: a stage net k cycles after
     # the line's input, a FIFO capacity + 1 after its latest source
-    from pipeforge.sim import _Compiled, _settle_time
+    from pipeforge.sim import _Compiled, _settle_time, _timed_terms
     sim = _Compiled(nl)
     assert [_settle_time(sim, [n]) for n in ("s", "d1", "d2", "d", "m", "re",
                                              "o")] == [0, 1, 2, 3, 1, 2, 6]
+    # and so do the timed terms, where the FIFO is a delay of its capacity
+    terms = _timed_terms(nl, ["s", "d1", "d2", "d", "m", "o"], {})
+    assert [shift for shift, _ in terms.values()] == [0, 1, 2, 3, 1, 4]
 
 
 def _unread_fifo(read_en):
@@ -494,3 +497,176 @@ def test_dead_cells_still_raise():
                    CombCell("b", pf.Not(pf.Ref("a"))))
     with pytest.raises(pf.PipeforgeError, match="combinational cycle"):
         pf.simulate(loop, pf.Stimulus(cycles=2))
+
+
+# -- timed terms ----------------------------------------------------------------
+
+
+def _outputs(nl):
+    return [n for n, _ in nl.outputs]
+
+
+def test_terms_agree_with_the_simulator(random_corpus):
+    # the raw half of the grid above: every output term sits at the
+    # measured latency, and a pair the terms call equal simulates alike
+    from pipeforge.sim import (_Compiled, _equivalence, _latency,
+                               _output_terms, _timed_terms)
+    rng = random.Random(13)
+    policies = [pf.direct_auto(), pf.direct_fifo(2, 1), pf.direct_force_srl()]
+    for g in rng.sample(random_corpus, 10):
+        b = pf.balance_merges(g)
+        cores = {}
+        base = None
+        for resolver in (pf.resolve_direct_backward, pf.resolve_p2p_backward,
+                         pf.resolve_exhaustive_forward):
+            r = resolver(b)
+            plan = pf.apply_protocol(r, pf.Protocol.RAW)
+            for policy in policies:
+                nl = pf.lower(r, plan, policy)
+                terms = _timed_terms(nl, _outputs(nl), cores)
+                assert terms is not None, g.name
+                sim = _Compiled(nl)
+                latency = _latency(sim, 0)
+                assert {shift for shift, _ in terms.values()} == {latency}
+                if base is None:
+                    base = sim, latency, _output_terms(nl, cores)
+                    continue
+                assert _output_terms(nl, cores) == base[2], g.name
+                verdict = _equivalence(base[0], base[1], sim, 1, 0, 80)
+                assert verdict.ok, (g.name, verdict.detail)
+
+
+def _mutable():
+    """x - y one cycle on, xor x, through a 3-deep FIFO, and e through a
+    4-deep one: a sub, a delay line on one of two paths and two FIFOs."""
+    g = pf.resolve_direct_backward(pf.balance_merges(pf.graph_from_spec({
+        "name": "mut",
+        "inputs": [{"name": "x", "width": 8}, {"name": "y", "width": 8},
+                   {"name": "e", "width": 4}],
+        "outputs": [{"name": "q_out", "from": "q"},
+                    {"name": "e_out", "from": "e"}],
+        "steps": [{"name": "d", "kind": "reg", "defines": [
+                      {"name": "diff", "width": 8, "expr": ["sub", "x", "y"]}]},
+                  {"name": "m", "kind": {"delay": 3}, "defines": [
+                      {"name": "q", "width": 8,
+                       "expr": ["xor", "diff", "x"]}]}]})))
+    return pf.lower(g, pf.apply_protocol(g, pf.Protocol.RAW),
+                    pf.direct_fifo(3, 3))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except pf.PipeforgeError as exc:
+        return type(exc), str(exc)
+
+
+def _swap_sub(nl):
+    cell = nl.drivers()["d__diff__c"]
+    cell.expr = pf.BinOp("sub", cell.expr.rhs, cell.expr.lhs)
+
+
+def _deepen_x(nl):
+    from dataclasses import replace
+    from pipeforge.netlist import DelayCell
+    i = next(i for i, c in enumerate(nl.cells)
+             if isinstance(c, DelayCell) and c.out == "d__x")
+    nl.cells[i] = replace(nl.cells[i], depth=2, style="srl")
+
+
+def _read_from_the_start(nl):
+    nl.drivers()["m__e__re"].expr = pf.Ref("m__e__we")
+
+
+@pytest.mark.parametrize("mutate", [_swap_sub, _deepen_x,
+                                    _read_from_the_start])
+def test_mutations_change_terms_and_still_diverge(mutate):
+    from pipeforge.sim import (_Compiled, _equivalence, _stream_latency,
+                               _timed_terms)
+    good, bad = _mutable(), _mutable()
+    mutate(bad)
+    cores = {}
+    assert _timed_terms(good, _outputs(good), cores) != _timed_terms(
+        bad, _outputs(bad), cores)
+
+    def simulated(a, b):
+        sim = _Compiled(a)
+        return _equivalence(sim, _stream_latency(sim, 0), _Compiled(b),
+                            4, 0, 400)
+
+    got = _outcome(pf.check_equivalence, good, bad)
+    assert got == _outcome(simulated, good, bad)
+    assert isinstance(got, tuple) or not got.ok
+
+
+def test_terms_decide_only_a_settled_window():
+    # not-then-delay and delay-then-not agree once the line has filled, and
+    # show zeros or ones before; that shows wherever the terms do not put
+    # every output at one shift, so those pairs are simulated
+    from pipeforge.netlist import CombCell, DelayCell
+    widths = {"x": 4, "n": 4, "d": 4, "o": 4, "p": 4}
+    not_first = [CombCell("n", pf.Not(pf.Ref("x"))),
+                 DelayCell("d", "n", 4, 2, "srl"), CombCell("o", pf.Ref("d"))]
+    delay_first = [DelayCell("d", "x", 4, 2, "srl"),
+                   CombCell("o", pf.Not(pf.Ref("d")))]
+
+    def netlist(cells, p):
+        return pf.Netlist("t", inputs=[("x", 4)], outputs=[("o", 4), ("p", 4)],
+                          nets=widths, cells=cells + [CombCell("p", p)])
+
+    for p in (pf.Ref("x"), pf.BinOp("add", pf.Ref("x"), pf.Ref("o"))):
+        verdict = pf.check_equivalence(netlist(not_first, p),
+                                       netlist(delay_first, p))
+        assert not verdict.ok and "transaction 0 differs" in verdict.detail
+    # with both outputs two cycles on, the window opens after the fill
+    p = pf.Shift("shl", 0, pf.Ref("o"))
+    assert pf.check_equivalence(netlist(not_first, p),
+                                netlist(delay_first, p)).ok
+
+
+def test_constant_functions_of_the_inputs_are_equivalent():
+    # x xor x reads x but never responds to it: an impulse finds no
+    # latency, while the terms of two copies are equal
+    nl = _expr_netlist(pf.BinOp("xor", pf.Ref("x"), pf.Ref("x")), {"x": 4})
+    with pytest.raises(pf.NoResponseError):
+        pf.measured_latency(nl)
+    assert pf.check_equivalence(nl, nl).ok
+    # outputs that read no input at all are still simulated
+    static = _expr_netlist(pf.Const(5, 4), {"x": 4})
+    with pytest.raises(pf.NoResponseError):
+        pf.check_equivalence(static, static)
+
+
+def test_terms_keep_what_each_node_computes_with():
+    # pairs that differ in one op, parameter, operand order or part width
+    # compute different functions, and their terms differ; a rebuilt copy
+    # has the same term
+    from pipeforge.netlist import CombCell
+    from pipeforge.sim import _timed_terms
+    x, y, s = pf.Ref("x"), pf.Ref("y"), pf.Slice(0, 0, pf.Ref("y"))
+    widths = {"x": 8, "y": 8}
+    pairs = [(pf.BinOp("add", x, y), pf.BinOp("sub", x, y)),
+             (pf.BinOp("sub", x, y), pf.BinOp("sub", y, x)),
+             (pf.Shift("shl", 1, x), pf.Shift("shl", 2, x)),
+             (pf.Shift("shl", 1, x), pf.Shift("shr", 1, x)),
+             (pf.Slice(3, 0, x), pf.Slice(4, 1, x)),
+             (pf.BinOp("add", x, pf.Const(1, 8)), pf.BinOp("add", x, pf.Const(2, 8))),
+             (pf.Not(x), pf.Not(pf.Concat((pf.Const(0, 1), x)))),
+             (pf.Mux(s, x, y), pf.Mux(s, y, x))]
+    cores = {}
+
+    def term(nl):
+        return _timed_terms(nl, ["o"], cores)["o"]
+
+    for a, b in pairs:
+        assert term(_expr_netlist(a, widths)) == term(_expr_netlist(a, widths))
+        assert term(_expr_netlist(a, widths)) != term(_expr_netlist(b, widths))
+    # a concatenation shifts by its parts' widths, which wires may declare
+    # apart from their sources'
+    def cat(wa, wb):
+        return pf.Netlist("c", inputs=[("x", 8), ("y", 8)], outputs=[("o", 16)],
+                          nets={"x": 8, "y": 8, "a": wa, "b": wb, "o": 16},
+                          cells=[CombCell("a", x), CombCell("b", y),
+                                 CombCell("o", pf.Concat((pf.Ref("a"),
+                                                          pf.Ref("b"))))])
+    assert term(cat(4, 12)) != term(cat(12, 4))
