@@ -12,8 +12,10 @@ plus the zone, slot and cell counts and the storage bits
 (``perfbench/oracle.storage_bits`` of the Verilog) of the direct-resolved
 raw netlist under ``direct_auto()``, the policy of the ROADMAP baseline.
 ``measured_latency`` times that netlist, ``check_equivalence`` compares
-it with the p2p-resolved raw netlist under the same policy, and
-``check_equivalence_exhaustive`` with the exhaustive-resolved one.
+it with the p2p-resolved raw netlist under the same policy,
+``check_equivalence_exhaustive`` with the exhaustive-resolved one, and
+``check_equivalence_ready_valid`` with the p2p-resolved one lowered
+ready/valid.
 Each run appends its rows to ``--out`` under ``--label``, so alternating
 runs of two checkouts all land in one file.  ``--src`` names the pipeforge
 source tree to import (default: this checkout's ``src``).
@@ -76,6 +78,12 @@ def rung(pf, specgen, oracle, shape, n: int) -> dict:
         pf.check_equivalence, nl, exhaustive)
     if not verdict.ok:
         raise SystemExit(f"N={n}: direct and exhaustive differ: {verdict.detail}")
+    rv = pf.lower(p, pf.apply_protocol(p, pf.Protocol.READY_VALID), policy)
+    verdict, secs["check_equivalence_ready_valid"] = best_of(
+        pf.check_equivalence, nl, rv)
+    if not verdict.ok:
+        raise SystemExit(f"N={n}: direct and ready/valid p2p differ: "
+                         f"{verdict.detail}")
     counts = {
         "zones": len(d.zones),
         "slots": sum(len(z.slots) for z in d.zones.values()),

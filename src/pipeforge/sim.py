@@ -27,15 +27,21 @@ sequential path into the outputs, found in one walk over the same index; a
 net that feeds back into itself through sequential cells never settles,
 and is reported as an error rather than measured.
 
-Raw equivalence is first asked of timed terms (``_timed_terms``), read off
-the netlist alone in one more walk over that index: each output is a
+Equivalence is first asked of timed terms (``_timed_terms``), read off the
+netlist alone in one more walk over that index: each output is a
 hash-consed expression over the input ports and a shift, the enabled cycles
 its inputs take to reach it, as latency is in retiming (Leiserson and Saxe,
-"Retiming Synchronous Circuitry", Algorithmica 1991).  Two raw netlists
-whose outputs have equal terms, where those terms decide (``_output_terms``),
+"Retiming Synchronous Circuitry", Algorithmica 1991).  Two netlists whose
+data outputs have equal terms, where those terms decide (``_output_terms``),
 compute the same outputs from the same inputs once their pipelines have
-filled, so the pair is equivalent without a simulated cycle.  Every other
-pair is simulated.  ``simulate`` and ``measured_latency`` always simulate.
+filled, so the pair is equivalent without a simulated cycle.  That holds
+for raw netlists, and for ready/valid ones whose one enable and ``in_ready``
+are wires from ``out_ready``, whose ``out_valid`` is ``in_valid`` through
+delay lines at the outputs' shift, and whose FIFOs have the valid-chain
+enables ``lower`` gives them: uniform backpressure then makes the kth
+accepted output the outputs' terms applied to the kth accepted input.
+Every other pair is simulated.  ``simulate`` and ``measured_latency``
+always simulate.
 """
 
 from __future__ import annotations
@@ -65,8 +71,14 @@ class Stimulus:
     watch: tuple[str, ...] = ()
 
     def __post_init__(self):
+        if self.cycles < 0 or self.reset_cycles < 0:
+            raise SimulationError("stimulus counts must not be negative")
         if self.cycles < self.reset_cycles:
             raise SimulationError("stimulus shorter than its reset")
+        if self.sink_ready is not None and len(self.sink_ready) < self.cycles:
+            raise SimulationError(
+                f"sink_ready lists {len(self.sink_ready)} of "
+                f"{self.cycles} cycles")
 
     def input_at(self, cycle: int) -> dict:
         if self.inputs is not None and cycle < len(self.inputs):
@@ -512,8 +524,9 @@ def _feed(cell: Cell | None, net: str) -> tuple[Sequence[str], int]:
 
 # A core is ``(id, reads_input, aligned)``: ``id`` numbers it in the table
 # of one comparison, so equal cores are equal functions; ``reads_input`` is
-# set where an input port is among its leaves, and ``aligned`` where no
-# delay node is.
+# set where a data input port is among its leaves, and ``aligned`` where
+# neither a delay node nor a handshake port is, so the core is a function
+# of the data inputs at its one shift alone.
 Core = tuple[int, bool, bool]
 
 
@@ -526,8 +539,14 @@ def _core(cores: dict, op: str, width: int | None, params,
     if core is None:
         core = cores[key] = (len(cores),
                              op == "in" or any(a[1] for a in args),
-                             op != "delay" and all(a[2] for a in args))
+                             op not in ("delay", "handshake")
+                             and all(a[2] for a in args))
     return core
+
+
+def _handshake(cores: dict, port: str) -> Core:
+    """The leaf of the 1-bit handshake input ``port``."""
+    return _core(cores, "handshake", 1, port, ())
 
 
 def _aligned(cores: dict, op: str, width: int, params,
@@ -590,6 +609,22 @@ def _started(fifo: FifoCell, drivers: dict[str, Cell]) -> bool:
             and counter.init == fifo.capacity - 1)
 
 
+def _taps(fifo: FifoCell, drivers: dict[str, Cell]) -> tuple[str, str] | None:
+    """The nets ``tap_w`` and ``tap_r`` of a ready/valid FIFO whose enables
+    have the form ``lower`` gives them, ``write_en = tap_w & ~full`` and
+    ``read_en = tap_r & ~empty``; None for any other form."""
+    taps = []
+    for enable, flag in ((fifo.write_en, fifo.full),
+                         (fifo.read_en, fifo.empty)):
+        cell = drivers.get(enable)
+        e = cell.expr if isinstance(cell, CombCell) else None
+        if not (isinstance(e, BinOp) and isinstance(e.lhs, Ref)
+                and e == BinOp("and", e.lhs, Not(Ref(flag)))):
+            return None
+        taps.append(e.lhs.name)
+    return taps[0], taps[1]
+
+
 def _timed_terms(netlist: Netlist, nets: Sequence[str],
                  cores: dict) -> dict[str, tuple[int, Core]] | None:
     """Each of ``nets`` as a timed term ``(shift, core)``: ``core`` applied
@@ -597,31 +632,50 @@ def _timed_terms(netlist: Netlist, nets: Sequence[str],
     alone.  ``cores`` interns the cores, so the terms of every walk given
     the same table compare with ``==``.
 
-    An input port is a leaf, and so is a constant (shift 0).  A
+    An input port is a leaf, and so is a constant (shift 0); a handshake
+    port of a ready/valid netlist is a leaf of its own kind.  A
     combinational cell is interned node by node, with its arguments aligned
     by ``_aligned``, and a wire is its source's term.  A delay line adds
     its depth to its input's shift, and its kth stage net adds k.  A FIFO
-    adds its capacity, and only if every FIFO has the startup pattern of
-    ``_started``.  Anything else returns None, as not handled: a FIFO off
-    that pattern, a read of a FIFO's or counter's flags, a net with no
-    driver that is not an input, a net that feeds back into itself, and a
-    width error.  One ``_postorder`` pass over the driver index.
+    adds its capacity, and only if every FIFO has the enables ``lower``
+    gives it.  Under raw that is the startup pattern of ``_started``.
+    Under ready/valid it is the form of ``_taps``, where ``tap_w`` is
+    ``in_valid`` at some shift w and ``tap_r`` at w + capacity - 1, through
+    wires and delay lines only; the FIFO's input, aligned, sits at w, or at
+    most at w if it reads no input, and its output at w + capacity.  Such a
+    FIFO holds the valid transactions between its taps, so it never blocks,
+    overflows or runs empty, and its output is its input w + capacity
+    enabled cycles on whenever ``in_valid`` was set then.  Anything else
+    returns None, as not handled: a FIFO off its pattern, a read of a
+    FIFO's or counter's flags, a net with no driver that is not an input, a
+    net that feeds back into itself, and a width error.  One ``_postorder``
+    pass over the driver index, from ``nets`` and every FIFO's taps.
     """
     drivers, fifos, _ = _driver_index(netlist)
-    if not all(_started(c, drivers) for c in fifos):
-        return None
+    taps: dict[str, tuple[str, str]] = {}  # by FIFO output, ready/valid only
+    if netlist.protocol is Protocol.RAW:
+        if not all(_started(c, drivers) for c in fifos):
+            return None
+    else:
+        for c in fifos:
+            found = _taps(c, drivers)
+            if found is None:
+                return None
+            taps[c.out] = found
 
     def sources(net: str) -> Sequence[str]:
         cell = drivers.get(net)
         if isinstance(cell, FifoCell):  # a flag is not handled below
-            return (cell.inp,) if net == cell.out else ()
+            return (cell.inp, *taps.get(net, ())) if net == cell.out else ()
         return _feed(cell, net)[0]
 
     try:
-        order = _postorder(nets, sources)
+        order = _postorder([*nets, *(t for pair in taps.values() for t in pair)],
+                           sources)
     except SimulationError:
         return None
     inputs = dict(netlist.inputs)
+    data = dict(netlist.data_ports()[0])
     terms: dict[str, tuple[int, Core]] = {}
     for net in order:
         cell = drivers.get(net)
@@ -635,26 +689,48 @@ def _timed_terms(netlist: Netlist, nets: Sequence[str],
             terms[net] = shift + _feed(cell, net)[1], core
         elif isinstance(cell, FifoCell) and net == cell.out:
             shift, core = terms[cell.inp]
+            if net in taps:
+                at = terms[taps[net][0]][0]
+                if not core[2] or (shift != at if core[1] else shift > at):
+                    return None
+                shift = at
             terms[net] = shift + cell.capacity, core
         elif cell is None and net in inputs:
-            terms[net] = 0, _core(cores, "in", inputs[net], net, ())
+            op = "in" if net in data else "handshake"
+            terms[net] = 0, _core(cores, op, inputs[net], net, ())
         else:
             return None
+    if taps:
+        valid = _handshake(cores, "in_valid")
+        for c in fifos:
+            write, read = (terms[t] for t in taps[c.out])
+            if write[1] != valid or read != (write[0] + c.capacity - 1, valid):
+                return None
     return {n: terms[n] for n in nets}
 
 
 def _output_terms(netlist: Netlist,
                   cores: dict) -> list[tuple[int, Core]] | None:
-    """The output ports' timed terms of a raw netlist, where they decide
-    equivalence: the walk handles the netlist, no term has a delay node,
-    the outputs that read an input (at least one) share one shift, and the
-    others settle by then.  From that shift on, every output is its core
-    applied to the inputs that far back, in any netlist with the same
-    terms.  None elsewhere."""
-    if netlist.protocol is not Protocol.RAW or netlist.enable is not None:
+    """The data output ports' timed terms, where they decide equivalence:
+    the walk handles the netlist, every term is aligned (no delay node and
+    no handshake port), the outputs that read an input (at least one) share
+    one shift, and the others settle by then.  From that shift on, every
+    output is its core applied to the inputs that far back, in any netlist
+    with the same terms.
+
+    A raw netlist has no enable.  Under ready/valid, ``enable`` and
+    ``in_ready`` are wires from ``out_ready``, and ``out_valid`` is
+    ``in_valid`` at that same shift through wires and delay lines only.
+    One enable then freezes every sequential cell, an input is accepted on
+    the enabled cycles ``in_valid`` is set, and its output leaves that
+    shift of enabled cycles later, so the kth accepted output is the cores
+    applied to the kth accepted input.  None elsewhere."""
+    outs = [n for n, _ in netlist.data_ports()[1]]
+    rv = netlist.protocol is Protocol.READY_VALID
+    if (netlist.enable is not None) != rv:
         return None
-    outs = [n for n, _ in netlist.outputs]
-    found = _timed_terms(netlist, outs, cores)
+    handshake = ["out_valid", "in_ready", netlist.enable] if rv else []
+    found = _timed_terms(netlist, outs + handshake, cores)
     if found is None:
         return None
     terms = [found[n] for n in outs]
@@ -662,9 +738,15 @@ def _output_terms(netlist: Netlist,
     if len(shifts) != 1:
         return None
     latency, = shifts
-    if all(core[2] and shift <= latency for shift, core in terms):
-        return terms
-    return None
+    if not all(core[2] and shift <= latency for shift, core in terms):
+        return None
+    if rv:
+        ready = 0, _handshake(cores, "out_ready")
+        if not (found[netlist.enable] == found["in_ready"] == ready
+                and found["out_valid"] == (latency,
+                                           _handshake(cores, "in_valid"))):
+            return None
+    return terms
 
 
 def measured_latency(netlist: Netlist, seed: int = 0) -> int:
@@ -772,25 +854,30 @@ def check_equivalence(a: Netlist, b: Netlist, trials: int = 4,
     streams (aligned per netlist) must be identical.  Each netlist is
     compiled once, for its latency and every trial.
 
-    A pair of raw netlists is first compared by the timed terms of its
-    outputs.  Where those decide (every output reads its inputs at one
-    shift, with no FIFO off the raw startup pattern, no flag read and no
-    feedback; see ``_output_terms``) and are equal, the pair is equivalent
-    and nothing is compiled or simulated: ``trials``, ``seed`` and
-    ``cycles`` then have no effect, cells that no output reads are not
-    checked, and outputs that read their inputs but are constant functions
-    of them (``x xor x``) are equivalent where the impulse of the latency
-    measurement raised ``NoResponseError``.  Every other pair, ready/valid
-    ones included, is simulated, and a divergence reads as before.
+    Every pair, raw, ready/valid or one of each, is first compared by the
+    timed terms of its data outputs.  Where those decide on both sides
+    (see ``_output_terms``) and are equal, the pair is equivalent and
+    nothing is compiled or simulated.  They decide where every data output
+    reads its inputs at one shift, with no flag read, no feedback and
+    every FIFO on the pattern ``lower`` gives it; under ready/valid also
+    where one enable and ``in_ready`` are wires from ``out_ready`` and
+    ``out_valid`` is ``in_valid`` at that shift through delay lines.  Then
+    ``trials``, ``seed`` and ``cycles`` have no effect, cells that no
+    output reads are not checked, and outputs that read their inputs but
+    are constant functions of them (``x xor x``) are equivalent where the
+    impulse of the latency measurement raised ``NoResponseError``.  Every
+    other pair is simulated, and a divergence reads as before.  ``trials``
+    below 1 raises ``SimulationError``, as it would compare nothing.
     """
+    if trials < 1:
+        raise SimulationError(f"equivalence needs a trial, got {trials}")
     if a.data_ports() != b.data_ports():
         raise PortMismatchError(
             f"port interfaces differ: {a.data_ports()} vs {b.data_ports()}")
-    if a.protocol is b.protocol is Protocol.RAW:
-        cores: dict = {}
-        terms = _output_terms(a, cores)
-        if terms is not None and terms == _output_terms(b, cores):
-            return Verdict(True)
+    cores: dict = {}
+    terms = _output_terms(a, cores)
+    if terms is not None and terms == _output_terms(b, cores):
+        return Verdict(True)
     sim_a, sim_b = _Compiled(a), _Compiled(b)
     return _equivalence(sim_a, _stream_latency(sim_a, seed), sim_b,
                         trials, seed, cycles)

@@ -523,13 +523,19 @@ def _count_compiles(monkeypatch) -> list[str]:
 
 
 def test_sweep_compiles_the_baseline_once(capsys, tmp_path, monkeypatch):
+    # where the terms cannot decide, every variant is simulated against the
+    # one compiled baseline
+    from pipeforge import cli
+    monkeypatch.setattr(cli, "_output_terms", lambda netlist, cores: None)
     built = _count_compiles(monkeypatch)
-    out_dir = tmp_path / "sweep"
-    code, _, err = run_cli(capsys, "sweep", data_path("running_delay2.json"),
-                           "--protocol", "ready_valid", "--out-dir", str(out_dir))
-    assert code == 0, err
-    variants = json.loads((out_dir / "index.json").read_text())["variants"]
-    assert len(built) == len(variants) + 1
+    for protocol in ("raw", "ready_valid"):
+        built.clear()
+        out_dir = tmp_path / protocol
+        code, _, err = run_cli(capsys, "sweep", data_path("running_delay2.json"),
+                               "--protocol", protocol, "--out-dir", str(out_dir))
+        assert code == 0, err
+        variants = json.loads((out_dir / "index.json").read_text())["variants"]
+        assert len(built) == len(variants) + 1
 
 
 def test_raw_sweep_decides_every_variant_from_terms(capsys, tmp_path,
@@ -543,3 +549,17 @@ def test_raw_sweep_decides_every_variant_from_terms(capsys, tmp_path,
     assert code == 0, err
     variants = json.loads((out_dir / "index.json").read_text())["variants"]
     assert len(variants) == 5 and built == []
+
+
+def test_ready_valid_sweep_decides_every_variant_from_terms(capsys, tmp_path,
+                                                            monkeypatch):
+    # the FIFO variant's enables read the valid chain at its taps, so it
+    # too has the baseline's output terms, and nothing is compiled
+    built = _count_compiles(monkeypatch)
+    out_dir = tmp_path / "sweep"
+    code, _, err = run_cli(capsys, "sweep", data_path("running_delay2.json"),
+                           "--protocol", "ready_valid", "--out-dir", str(out_dir))
+    assert code == 0, err
+    variants = json.loads((out_dir / "index.json").read_text())["variants"]
+    assert len(variants) == 5 and built == []
+    assert any(v["cell_counts"]["fifo"] for v in variants)

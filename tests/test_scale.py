@@ -88,6 +88,24 @@ def test_direct_and_exhaustive_agree_on_a_400_step_pipeline(monkeypatch):
     assert verdict.ok, verdict.detail
 
 
+def test_ready_valid_direct_and_p2p_agree_on_a_400_step_pipeline(monkeypatch):
+    # under ready/valid the terms decide too, FIFOs included, and so does a
+    # raw netlist against a ready/valid one: nothing is compiled
+    doc = specgen.generate("deep400", replace(workloads.DEEP, steps=400), 0)
+    balanced = pf.balance_merges(pf.graph_from_spec(doc))
+    direct = pf.resolve_direct_backward(balanced)
+    p2p = pf.resolve_p2p_backward(balanced)
+    rv = pf.Protocol.READY_VALID
+    pairs = [(lowered(direct, rv), lowered(p2p, rv)),
+             (lowered(direct, rv, pf.direct_fifo(4, 16)), lowered(p2p, rv)),
+             (lowered(direct), lowered(p2p, rv, pf.direct_fifo(4, 16)))]
+    from pipeforge import sim
+    monkeypatch.setattr(sim, "_Compiled", None)  # any compile fails
+    for a, b in pairs:
+        verdict = pf.check_equivalence(a, b)
+        assert verdict.ok, (a.protocol, b.protocol, verdict.detail)
+
+
 def test_direct_and_p2p_agree_on_an_800_step_pipeline():
     doc = specgen.generate("deep800", replace(workloads.DEEP, steps=800), 0)
     balanced = pf.balance_merges(pf.graph_from_spec(doc))

@@ -56,6 +56,15 @@ def test_passthrough_latency_zero():
 def test_stimulus_guards():
     with pytest.raises(pf.SimulationError):
         pf.Stimulus(cycles=1, reset_cycles=2)
+    with pytest.raises(pf.SimulationError, match="must not be negative"):
+        pf.Stimulus(cycles=-1, reset_cycles=-2)
+    with pytest.raises(pf.SimulationError, match="must not be negative"):
+        pf.Stimulus(cycles=4, reset_cycles=-1)
+    with pytest.raises(pf.SimulationError, match="sink_ready lists 2 of 6"):
+        pf.Stimulus(cycles=6, sink_ready=[1, 1])
+    rv = lowered(protocol=pf.Protocol.READY_VALID)
+    trace = pf.simulate(rv, pf.Stimulus(cycles=2, sink_ready=[1, 1]))
+    assert len(trace.samples) == 2
     with pytest.raises(pf.SimulationError):
         pf.simulate(lowered(), pf.Stimulus(cycles=4, watch=("no_such_net",)))
 
@@ -136,6 +145,15 @@ def test_equivalence_port_mismatch():
         pf.check_equivalence(lowered(), lowered(with_e=True), trials=1)
 
 
+@pytest.mark.parametrize("trials", [0, -3])
+def test_equivalence_needs_a_trial(trials):
+    # no trial compares nothing, on the term path and the simulated one
+    for protocol in pf.Protocol:
+        nl = lowered(protocol=protocol)
+        with pytest.raises(pf.SimulationError, match="needs a trial"):
+            pf.check_equivalence(nl, nl, trials=trials)
+
+
 def test_trace_serialization():
     nl = lowered()
     t = pf.simulate(nl, pf.Stimulus(cycles=4, inputs=[{}, {"x": 3, "y": 5}]))
@@ -181,8 +199,13 @@ def test_deep_ready_valid_stream_gets_every_output():
     g = pf.resolve_direct_backward(pf.balance_merges(b.build()))
     nl = pf.lower(g, pf.apply_protocol(g, pf.Protocol.READY_VALID))
     assert g.depths()["s31"] == 64
-    # 200 cycles at a low ready duty hold fewer ready cycles than the depth
-    verdict = pf.check_equivalence(nl, nl, trials=2, cycles=200)
+    # 200 cycles at a low ready duty hold fewer ready cycles than the depth;
+    # the terms decide the pair, so the simulation is asked on its own too
+    from pipeforge.sim import _Compiled, _equivalence, _stream_latency
+    assert pf.check_equivalence(nl, nl, trials=2, cycles=200).ok
+    sim = _Compiled(nl)
+    verdict = _equivalence(sim, _stream_latency(sim, 0), _Compiled(nl), 2, 0,
+                           200)
     assert verdict.ok, verdict.detail
 
 
@@ -507,10 +530,11 @@ def _outputs(nl):
 
 
 def test_terms_agree_with_the_simulator(random_corpus):
-    # the raw half of the grid above: every output term sits at the
-    # measured latency, and a pair the terms call equal simulates alike
+    # the grid above: every raw output term sits at the measured latency,
+    # every ready/valid design decides with its outputs at the depth of
+    # its valid chain, and a pair the terms call equal simulates alike
     from pipeforge.sim import (_Compiled, _equivalence, _latency,
-                               _output_terms, _timed_terms)
+                               _output_terms, _settle_time, _timed_terms)
     rng = random.Random(13)
     policies = [pf.direct_auto(), pf.direct_fifo(2, 1), pf.direct_force_srl()]
     for g in rng.sample(random_corpus, 10):
@@ -520,23 +544,31 @@ def test_terms_agree_with_the_simulator(random_corpus):
         for resolver in (pf.resolve_direct_backward, pf.resolve_p2p_backward,
                          pf.resolve_exhaustive_forward):
             r = resolver(b)
-            plan = pf.apply_protocol(r, pf.Protocol.RAW)
-            for policy in policies:
-                nl = pf.lower(r, plan, policy)
-                terms = _timed_terms(nl, _outputs(nl), cores)
-                assert terms is not None, g.name
-                sim = _Compiled(nl)
-                latency = _latency(sim, 0)
-                assert {shift for shift, _ in terms.values()} == {latency}
-                if base is None:
-                    base = sim, latency, _output_terms(nl, cores)
-                    continue
-                assert _output_terms(nl, cores) == base[2], g.name
-                verdict = _equivalence(base[0], base[1], sim, 1, 0, 80)
-                assert verdict.ok, (g.name, verdict.detail)
+            for protocol in pf.Protocol:
+                plan = pf.apply_protocol(r, protocol)
+                for policy in policies:
+                    nl = pf.lower(r, plan, policy)
+                    sim = _Compiled(nl)
+                    if protocol is pf.Protocol.RAW:
+                        terms = _timed_terms(nl, _outputs(nl), cores)
+                        assert terms is not None, g.name
+                        latency = _latency(sim, 0)
+                        shifts = {shift for shift, _ in terms.values()}
+                    else:
+                        terms = _output_terms(nl, cores)
+                        assert terms is not None, g.name
+                        latency = _settle_time(sim, ["out_valid"])
+                        shifts = {shift for shift, core in terms if core[1]}
+                    assert shifts == {latency}, g.name
+                    if base is None:
+                        base = sim, latency, _output_terms(nl, cores)
+                        continue
+                    assert _output_terms(nl, cores) == base[2], g.name
+                    verdict = _equivalence(base[0], base[1], sim, 1, 0, 80)
+                    assert verdict.ok, (g.name, verdict.detail)
 
 
-def _mutable():
+def _mutable(protocol=pf.Protocol.RAW):
     """x - y one cycle on, xor x, through a 3-deep FIFO, and e through a
     4-deep one: a sub, a delay line on one of two paths and two FIFOs."""
     g = pf.resolve_direct_backward(pf.balance_merges(pf.graph_from_spec({
@@ -550,8 +582,7 @@ def _mutable():
                   {"name": "m", "kind": {"delay": 3}, "defines": [
                       {"name": "q", "width": 8,
                        "expr": ["xor", "diff", "x"]}]}]})))
-    return pf.lower(g, pf.apply_protocol(g, pf.Protocol.RAW),
-                    pf.direct_fifo(3, 3))
+    return pf.lower(g, pf.apply_protocol(g, protocol), pf.direct_fifo(3, 3))
 
 
 def _outcome(fn, *args):
@@ -578,25 +609,128 @@ def _read_from_the_start(nl):
     nl.drivers()["m__e__re"].expr = pf.Ref("m__e__we")
 
 
+def _simulated(a, b):
+    """``check_equivalence``'s simulated path, whatever the terms say."""
+    from pipeforge.sim import _Compiled, _equivalence, _stream_latency
+    sim = _Compiled(a)
+    return _equivalence(sim, _stream_latency(sim, 0), _Compiled(b), 4, 0, 400)
+
+
 @pytest.mark.parametrize("mutate", [_swap_sub, _deepen_x,
                                     _read_from_the_start])
 def test_mutations_change_terms_and_still_diverge(mutate):
-    from pipeforge.sim import (_Compiled, _equivalence, _stream_latency,
-                               _timed_terms)
+    from pipeforge.sim import _timed_terms
     good, bad = _mutable(), _mutable()
     mutate(bad)
     cores = {}
     assert _timed_terms(good, _outputs(good), cores) != _timed_terms(
         bad, _outputs(bad), cores)
-
-    def simulated(a, b):
-        sim = _Compiled(a)
-        return _equivalence(sim, _stream_latency(sim, 0), _Compiled(b),
-                            4, 0, 400)
-
     got = _outcome(pf.check_equivalence, good, bad)
-    assert got == _outcome(simulated, good, bad)
+    assert got == _outcome(_simulated, good, bad)
     assert isinstance(got, tuple) or not got.ok
+
+
+def _valid_tap(nl, net, step):
+    """Rewire ``net`` to the valid-chain net ``step`` stages from the one
+    it reads."""
+    from pipeforge.netlist import CombCell
+    cell = nl.drivers()[net]
+    assert isinstance(cell, CombCell)
+    e = cell.expr
+    tap = (e.lhs if isinstance(e, pf.BinOp) else e).name
+    moved = pf.Ref(f"valid_{int(tap.removeprefix('valid_')) + step}")
+    cell.expr = (pf.BinOp("and", moved, e.rhs) if isinstance(e, pf.BinOp)
+                 else moved)
+
+
+def _write_one_stage_later(nl):
+    _valid_tap(nl, "m__e__we", 1)
+
+
+def _out_valid_one_tap_early(nl):
+    _valid_tap(nl, "out_valid", -1)
+
+
+def _always_ready(nl):
+    nl.drivers()["in_ready"].expr = pf.Const(1, 1)
+
+
+@pytest.mark.parametrize("mutate, diverges", [
+    (_write_one_stage_later, True), (_out_valid_one_tap_early, True),
+    # the simulated stream presents each input until out_ready takes it, so
+    # an in_ready that ignores out_ready changes no accepted output
+    (_always_ready, False), (_swap_sub, True)])
+def test_ready_valid_mutations_get_the_simulated_verdict(mutate, diverges):
+    from pipeforge.sim import _output_terms
+    rv = pf.Protocol.READY_VALID
+    good, bad = _mutable(rv), _mutable(rv)
+    mutate(bad)
+    cores = {}
+    assert _output_terms(good, cores) is not None
+    assert _output_terms(good, cores) != _output_terms(bad, cores)
+    for base in (good, _mutable()):
+        got = _outcome(pf.check_equivalence, base, bad)
+        assert got == _outcome(_simulated, base, bad)
+        assert (isinstance(got, tuple) or not got.ok) == diverges
+
+
+def _handshaked(valid_through_fifo=False, late_constant=False):
+    """A ready/valid ``o = ~x xor 5`` two enabled cycles on, with a valid
+    chain of four stages; ``out_valid`` or the constant may pass a FIFO
+    with the enables ``lower`` gives one."""
+    from pipeforge.netlist import CombCell, DelayCell, FifoCell
+    nets = {"x": 4, "in_valid": 1, "out_ready": 1, "o": 4, "out_valid": 1,
+            "in_ready": 1, "enable": 1, "n": 4, "d": 4, "k": 4, "f": 4,
+            "we": 1, "re": 1, "full": 1, "empty": 1}
+    nets |= {f"valid_{i}": 1 for i in range(5)}
+    cells = [CombCell("enable", pf.Ref("out_ready")),
+             CombCell("in_ready", pf.Ref("out_ready")),
+             CombCell("valid_0", pf.Ref("in_valid")),
+             DelayCell("valid_4", "valid_0", 1, 4,
+                       stages=("valid_1", "valid_2", "valid_3")),
+             CombCell("n", pf.Not(pf.Ref("x"))),
+             DelayCell("d", "n", 4, 2, "srl"),
+             CombCell("k", pf.Const(5, 4))]
+
+    def fifo(out, inp, width, w):
+        nets[out] = width
+        return [CombCell("we", pf.BinOp("and", pf.Ref(f"valid_{w}"),
+                                        pf.Not(pf.Ref("full")))),
+                CombCell("re", pf.BinOp("and", pf.Ref(f"valid_{w + 1}"),
+                                        pf.Not(pf.Ref("empty")))),
+                FifoCell(out, inp, width, 2, "we", "re", "full", "empty")]
+
+    if valid_through_fifo:
+        cells += fifo("vf", "valid_0", 1, 0) + [CombCell("out_valid",
+                                                         pf.Ref("vf"))]
+    else:
+        cells.append(CombCell("out_valid", pf.Ref("valid_2")))
+    if late_constant:  # the FIFO's taps sit past the output's shift
+        cells += fifo("f", "k", 4, 2)
+    else:
+        cells.append(CombCell("f", pf.Ref("k")))
+    cells.append(CombCell("o", pf.BinOp("xor", pf.Ref("d"), pf.Ref("f"))))
+    return pf.Netlist("hs", inputs=[("x", 4), ("in_valid", 1), ("out_ready", 1)],
+                      outputs=[("o", 4), ("out_valid", 1), ("in_ready", 1)],
+                      nets=nets, cells=cells, protocol=pf.Protocol.READY_VALID,
+                      enable="enable")
+
+
+def test_ready_valid_fifos_carry_data_at_their_taps_only():
+    # a FIFO shows its last read value between reads, so neither the valid
+    # chain nor a value read before the FIFO's output tap may pass one;
+    # those netlists are simulated, and diverge
+    from pipeforge.sim import _output_terms
+    plain = _handshaked()
+    assert _output_terms(plain, {}) is not None
+    assert pf.check_equivalence(plain, plain).ok
+    for bad in (_handshaked(valid_through_fifo=True),
+                _handshaked(late_constant=True)):
+        bad.check()
+        assert _output_terms(bad, {}) is None
+        got = _outcome(pf.check_equivalence, plain, bad)
+        assert got == _outcome(_simulated, plain, bad)
+        assert isinstance(got, tuple) or not got.ok
 
 
 def test_terms_decide_only_a_settled_window():
