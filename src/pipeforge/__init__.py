@@ -57,7 +57,8 @@ from .resolve import (
     sweep_thresholds,
     validate,
 )
-from .sim import Stimulus, Trace, check_equivalence, measured_latency, simulate
+from .sim import (Stimulus, Trace, check_equivalence, equivalence_to,
+                  measured_latency, simulate)
 from .specfile import graph_from_spec, load_spec
 from .verilog import EmitOptions, ShregAttr, emit_verilog
 from .dot import emit_dot

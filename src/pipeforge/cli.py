@@ -32,8 +32,7 @@ from .resolve import (
     sweep_thresholds,
     validate,
 )
-from .sim import (Stimulus, Verdict, _Compiled, _equivalence, _output_terms,
-                  _stream_latency, measured_latency, simulate)
+from .sim import Stimulus, equivalence_to, measured_latency, simulate
 from .specfile import graph_from_spec, load_spec
 from .verilog import EmitOptions, ShregAttr, emit_verilog
 
@@ -182,25 +181,12 @@ def cmd_sweep(args) -> int:
     baseline = lower(resolved, plan, base_policy)
     if not validate(resolved).ok:
         raise PipeforgeError("sweep variant failed validation")
-    # a variant with the baseline's output terms is equivalent to it; the
-    # others are checked against the one compiled baseline, compiled and
-    # measured when the first of them needs it, with the first variant's
-    # seed
-    cores: dict = {}
-    base_terms = _output_terms(baseline, cores)
-    compiled = base_latency = None
+    check = equivalence_to(baseline, args.seed)
 
     results = []
     for i, policy in enumerate(policies):
         netlist = lower(resolved, plan, policy)
-        if base_terms is not None and _output_terms(netlist, cores) == base_terms:
-            verdict = Verdict(True)
-        else:
-            if compiled is None:
-                compiled = _Compiled(baseline)
-                base_latency = _stream_latency(compiled, args.seed)
-            verdict = _equivalence(compiled, base_latency, _Compiled(netlist),
-                                   trials=2, seed=args.seed + i, cycles=200)
+        verdict = check(netlist, 2, args.seed + i, 200)
         depth, width = _fmt_thr(policy.depth_threshold), _fmt_thr(policy.width_threshold)
         name = f"D{depth}_W{width}_{policy.shiftreg_mode.value}"
         manifest = {

@@ -148,20 +148,34 @@ class Netlist:
         return counts
 
     def drivers(self) -> dict[str, Cell]:
+        """Every net's driving cell, stage nets and FIFO and counter flags
+        included, built afresh per call.  A net that two cells drive
+        raises, named as a scan in cell order first meets it twice."""
+        # counted, not looked up per net; a miscount rescans for the name
         out: dict[str, Cell] = {}
+        entries = 0
         for c in self.cells:
-            if isinstance(c, CounterCell):
-                outs = [c.count, c.zero]
+            if isinstance(c, DelayCell):
+                out[c.out] = c
+                for n in c.stages:
+                    out[n] = c
+                entries += 1 + len(c.stages)
+            elif isinstance(c, CombCell):
+                out[c.out] = c
+                entries += 1
             elif isinstance(c, FifoCell):
-                outs = [c.out, c.full, c.empty]
-            elif isinstance(c, DelayCell):
-                outs = [*c.stages, c.out]
+                out[c.out] = out[c.full] = out[c.empty] = c
+                entries += 3
             else:
-                outs = [c.out]
-            for n in outs:
-                if n in out:
-                    raise PipeforgeError(f"net {n!r} has multiple drivers")
-                out[n] = c
+                out[c.count] = out[c.zero] = c
+                entries += 2
+        if len(out) != entries:
+            seen: set[str] = set()
+            for c in self.cells:
+                for n in _driven(c):
+                    if n in seen:
+                        raise PipeforgeError(f"net {n!r} has multiple drivers")
+                    seen.add(n)
         return out
 
     def check(self) -> None:
@@ -179,6 +193,15 @@ class Netlist:
             if self.nets.get(name) != w:
                 raise WidthMismatchError(f"port {name!r} width mismatch")
         comb_order(self)  # raises on combinational cycles
+
+
+def _driven(c: Cell) -> tuple[str, ...]:
+    """The nets ``c`` drives, in the order ``Netlist.drivers`` meets them."""
+    if isinstance(c, DelayCell):
+        return *c.stages, c.out
+    if isinstance(c, FifoCell):
+        return c.out, c.full, c.empty
+    return (c.count, c.zero) if isinstance(c, CounterCell) else (c.out,)
 
 
 def comb_order(netlist: Netlist) -> list[CombCell]:

@@ -14,13 +14,14 @@ netlist may be changed between them.
 
 Only the output cone is compiled.  The observed nets are the ports, the
 watched nets, the global enable and every FIFO's enables; one walk back
-from them over an index of each net's driving cell picks the cells to
-compile, and a cell no observed net reads costs nothing per cycle.  Every
-FIFO is still simulated and counted, so its "read while empty" and "write
-while full" errors fire on the same cycles as if everything were compiled
-(one whose output nothing reads stores zeros), and every combinational
-cell is still ordered and width-checked, so a combinational cycle or a
-width error anywhere raises.
+from them over ``Netlist.drivers()``, each net's driving cell, picks the
+cells to compile, and a cell no observed net reads costs nothing per cycle.
+Every FIFO is still simulated and counted, so its "read while empty" and
+"write while full" errors fire on the same cycles as if everything were
+compiled (one whose output nothing reads stores zeros), and every
+combinational cell is still ordered and width-checked, so a combinational
+cycle or a width error anywhere raises, and so does a net that two cells
+drive, as in ``Netlist.check`` and ``emit_verilog``.
 
 ``measured_latency`` warms a netlist up for as long as its own longest
 sequential path into the outputs, found in one walk over the same index; a
@@ -41,7 +42,8 @@ delay lines at the outputs' shift, and whose FIFOs have the valid-chain
 enables ``lower`` gives them: uniform backpressure then makes the kth
 accepted output the outputs' terms applied to the kth accepted input.
 Every other pair is simulated.  ``simulate`` and ``measured_latency``
-always simulate.
+always simulate.  ``equivalence_to`` checks one netlist against many,
+and ``check_equivalence`` is it applied once.
 """
 
 from __future__ import annotations
@@ -147,32 +149,6 @@ def _mask(width: int) -> str:
     return hex((1 << width) - 1)
 
 
-def _driver_index(netlist: Netlist) -> tuple[dict[str, Cell], list[FifoCell],
-                                             list[CounterCell]]:
-    """Every net's driving cell, stage nets and FIFO and counter flags
-    included, and the netlist's FIFOs and counters, in one pass over its
-    cells."""
-    # one object per entry, as a tuple per net would make the collector
-    # rescan a large netlist several times
-    drivers: dict[str, Cell] = {}
-    fifos: list[FifoCell] = []
-    counters: list[CounterCell] = []
-    for c in netlist.cells:
-        if isinstance(c, DelayCell):
-            drivers[c.out] = c
-            for net in c.stages:
-                drivers[net] = c
-        elif isinstance(c, CombCell):
-            drivers[c.out] = c
-        elif isinstance(c, FifoCell):
-            drivers[c.out] = drivers[c.full] = drivers[c.empty] = c
-            fifos.append(c)
-        else:
-            drivers[c.count] = drivers[c.zero] = c
-            counters.append(c)
-    return drivers, fifos, counters
-
-
 class _Compiled:
     """A netlist compiled to straight-line Python, with its sequential state.
 
@@ -194,20 +170,19 @@ class _Compiled:
     ``S[j]`` and its contents the deque ``Q[j]``, and a startup counter
     reads ``max(init - t, 0)``.
 
-    ``drivers`` maps every net to its driving cell.  The walk back from the
-    observed nets over it reaches the nets that get slots and the cells
-    that get statements: a combinational cell's reads, a delay line's input
-    from its output or any stage net, and a FIFO's input from its output
-    only.  Every FIFO keeps its update, since its enables are observed;
-    one whose output is not reached queues zeros.  Stage nets, FIFO flags
-    and counter nets are only computed where the walk reaches them.
+    The walk back from the observed nets over ``drivers`` by ``_feed``
+    reaches the nets that get slots and the cells that get statements.
+    Every FIFO keeps its update, since its enables are observed; one whose
+    output is not reached queues zeros.  Stage nets, FIFO flags and counter
+    nets are only computed where the walk reaches them.
     """
 
     def __init__(self, netlist: Netlist, watch: tuple[str, ...] = ()):
         self.netlist = netlist
         nets = netlist.nets
-        drivers, fifos, counters = _driver_index(netlist)
-        self.drivers = drivers
+        drivers = self.drivers = netlist.drivers()
+        fifos = [c for c in netlist.cells if isinstance(c, FifoCell)]
+        counters = [c for c in netlist.cells if isinstance(c, CounterCell)]
         # the observed nets and every net they read, walked backwards
         reached: dict[str, None] = {}
         lines: dict[int, DelayCell] = {}  # the delay lines met, by id
@@ -222,11 +197,9 @@ class _Compiled:
                 continue
             reached[net] = None
             c = drivers.get(net)
-            if isinstance(c, FifoCell) and net != c.out:
-                continue  # a flag reads only the enables, observed above
             if isinstance(c, DelayCell):
                 lines[id(c)] = c
-            stack += _feed(c, net)[0]
+            stack += _feed(drivers, net)[0]
         groups: dict[int, list[DelayCell]] = {}
         for c in lines.values():
             groups.setdefault(c.depth, []).append(c)
@@ -491,32 +464,39 @@ def _settle_time(sim: _Compiled, nets: list[str]) -> int:
 
     Inputs and constants settle at 0, a combinational net at the latest of
     the nets it reads, a delay line's kth net k cycles after its input, a
-    FIFO's nets ``capacity + 1`` cycles after the latest of its input and
-    enables, and a startup counter's nets at its ``init``.  So once the
-    inputs have held still this long after reset, ``nets`` hold still too.
-    Walks only the nets that ``nets`` depend on, in one depth-first pass
-    over the compiled netlist's driver index.
+    FIFO's nets ``capacity + 1`` cycles after the latest of what ``_feed``
+    says they read, and a startup counter's nets at its ``init``.  So once
+    the inputs have held still this long after reset, ``nets`` hold still
+    too.  Walks only the nets that ``nets`` depend on, in one depth-first
+    pass over the compiled netlist's driver index.
     """
     drivers = sim.drivers
     settle: dict[str, int] = {}
-    for net in _postorder(nets, lambda n: _feed(drivers.get(n), n)[0]):
-        srcs, delay = _feed(drivers.get(net), net)
+    for net in _postorder(nets, lambda n: _feed(drivers, n)[0]):
+        srcs, delay = _feed(drivers, net)
         settle[net] = max((settle[n] for n in srcs), default=0) + delay
     return max((settle[n] for n in nets), default=0)
 
 
-def _feed(cell: Cell | None, net: str) -> tuple[Sequence[str], int]:
-    """The nets ``cell`` reads to drive ``net``, and the enabled cycles
-    between them.  References come sorted, so walks visit nets in the same
-    order on every run."""
+def _feed(drivers: dict[str, Cell], net: str) -> tuple[Sequence[str], int]:
+    """The nets that ``net``'s driver reads to drive it, and the enabled
+    cycles between them.  A FIFO's flag follows its occupancy: it reads
+    what the enables read, less the flags.  References come sorted, so
+    walks visit nets in the same order on every run."""
+    cell = drivers.get(net)
     if isinstance(cell, CombCell):
         return sorted(cell.expr.refs()), 0
     if isinstance(cell, DelayCell):
-        if net == cell.out:
-            return (cell.inp,), cell.depth
-        return (cell.inp,), cell.stages.index(net) + 1
+        return (cell.inp,), (cell.depth if net == cell.out
+                             else cell.stages.index(net) + 1)
     if isinstance(cell, FifoCell):
-        return (cell.inp, cell.write_en, cell.read_en), cell.capacity + 1
+        if net == cell.out:
+            return (cell.inp, cell.write_en, cell.read_en), cell.capacity + 1
+        reads: set[str] = set()
+        for enable in (cell.write_en, cell.read_en):
+            c = drivers.get(enable)
+            reads |= c.expr.refs() if isinstance(c, CombCell) else {enable}
+        return sorted(reads - {cell.full, cell.empty}), cell.capacity + 1
     if isinstance(cell, CounterCell):
         return (), cell.init
     return (), 0
@@ -651,7 +631,8 @@ def _timed_terms(netlist: Netlist, nets: Sequence[str],
     net that feeds back into itself, and a width error.  One ``_postorder``
     pass over the driver index, from ``nets`` and every FIFO's taps.
     """
-    drivers, fifos, _ = _driver_index(netlist)
+    drivers = netlist.drivers()
+    fifos = [c for c in netlist.cells if isinstance(c, FifoCell)]
     taps: dict[str, tuple[str, str]] = {}  # by FIFO output, ready/valid only
     if netlist.protocol is Protocol.RAW:
         if not all(_started(c, drivers) for c in fifos):
@@ -667,7 +648,7 @@ def _timed_terms(netlist: Netlist, nets: Sequence[str],
         cell = drivers.get(net)
         if isinstance(cell, FifoCell):  # a flag is not handled below
             return (cell.inp, *taps.get(net, ())) if net == cell.out else ()
-        return _feed(cell, net)[0]
+        return _feed(drivers, net)[0]
 
     try:
         order = _postorder([*nets, *(t for pair in taps.values() for t in pair)],
@@ -686,7 +667,7 @@ def _timed_terms(netlist: Netlist, nets: Sequence[str],
                 return None
         elif isinstance(cell, DelayCell):
             shift, core = terms[cell.inp]
-            terms[net] = shift + _feed(cell, net)[1], core
+            terms[net] = shift + _feed(drivers, net)[1], core
         elif isinstance(cell, FifoCell) and net == cell.out:
             shift, core = terms[cell.inp]
             if net in taps:
@@ -771,11 +752,7 @@ def _latency(sim: _Compiled, seed: int) -> int:
     warm = _settle_time(sim, out_ports) + 8
     for _ in range(20):
         impulse = {n: rng.randrange(1, 1 << w) for n, w in netlist.inputs}
-        stim = Stimulus(
-            cycles=2 * warm + 2,
-            inputs=[{}] * warm + [impulse],
-        )
-        trace = sim.run(stim)
+        trace = sim.run(Stimulus(2 * warm + 2, [{}] * warm + [impulse]))
         settled = trace.samples[warm - 1]
         for c in range(warm, len(trace.samples)):
             if any(trace.samples[c][p] != settled[p] for p in out_ports):
@@ -823,11 +800,8 @@ def _stream_outputs(sim: _Compiled, data: list[dict], rng: random.Random,
     out_ports = [n for n, _ in netlist.data_ports()[1]]
     reset = 1
     if netlist.protocol is Protocol.RAW:
-        stim = Stimulus(
-            cycles=reset + len(data) + latency,
-            inputs=[{}] * reset + data,
-        )
-        trace = sim.run(stim)
+        trace = sim.run(Stimulus(reset + len(data) + latency,
+                                 [{}] * reset + data))
         return [{p: trace.samples[reset + k + latency][p] for p in out_ports}
                 for k in range(len(data))]
     duty = 0.1 + 0.8 * rng.random()
@@ -851,43 +825,55 @@ def check_equivalence(a: Netlist, b: Netlist, trials: int = 4,
     """Compare two lowerings of the same pipeline on matched random streams.
 
     Port interfaces must agree up to the handshake ports; transaction
-    streams (aligned per netlist) must be identical.  Each netlist is
-    compiled once, for its latency and every trial.
+    streams (aligned per netlist) must be identical, and neither may hold
+    more outputs than the stream had inputs.  Each netlist is compiled
+    once, for its latency and every trial.
 
     Every pair, raw, ready/valid or one of each, is first compared by the
     timed terms of its data outputs.  Where those decide on both sides
     (see ``_output_terms``) and are equal, the pair is equivalent and
-    nothing is compiled or simulated.  They decide where every data output
-    reads its inputs at one shift, with no flag read, no feedback and
-    every FIFO on the pattern ``lower`` gives it; under ready/valid also
-    where one enable and ``in_ready`` are wires from ``out_ready`` and
-    ``out_valid`` is ``in_valid`` at that shift through delay lines.  Then
-    ``trials``, ``seed`` and ``cycles`` have no effect, cells that no
-    output reads are not checked, and outputs that read their inputs but
-    are constant functions of them (``x xor x``) are equivalent where the
-    impulse of the latency measurement raised ``NoResponseError``.  Every
-    other pair is simulated, and a divergence reads as before.  ``trials``
-    below 1 raises ``SimulationError``, as it would compare nothing.
+    nothing is compiled or simulated.  Then ``trials``, ``seed`` and
+    ``cycles`` have no effect, cells that no output reads are not checked,
+    and outputs that read their inputs but are constant functions of them
+    (``x xor x``) are equivalent where the impulse of the latency
+    measurement raised ``NoResponseError``.  Every other pair is
+    simulated.  ``trials`` below 1 raises ``SimulationError``, as it would
+    compare nothing.
     """
     if trials < 1:
         raise SimulationError(f"equivalence needs a trial, got {trials}")
     if a.data_ports() != b.data_ports():
         raise PortMismatchError(
             f"port interfaces differ: {a.data_ports()} vs {b.data_ports()}")
+    return equivalence_to(a, seed)(b, trials, seed, cycles)
+
+
+def equivalence_to(a: Netlist, seed: int) -> Callable[
+        [Netlist, int, int, int], Verdict]:
+    """``check(b, trials, seed_b, cycles)``: ``check_equivalence`` of ``a``
+    and ``b`` less its argument checks, with ``a``'s latency measured at
+    ``seed``.  ``a``'s terms are found once, here, and ``a`` is compiled
+    and measured once, when the first ``b`` the terms do not decide needs it."""
     cores: dict = {}
     terms = _output_terms(a, cores)
-    if terms is not None and terms == _output_terms(b, cores):
-        return Verdict(True)
-    sim_a, sim_b = _Compiled(a), _Compiled(b)
-    return _equivalence(sim_a, _stream_latency(sim_a, seed), sim_b,
-                        trials, seed, cycles)
+    base = None  # a compiled, and its stream latency
+
+    def check(b: Netlist, trials: int, seed_b: int, cycles: int) -> Verdict:
+        nonlocal base
+        if terms is not None and terms == _output_terms(b, cores):
+            return Verdict(True)
+        if base is None:
+            sim = _Compiled(a)
+            base = sim, _stream_latency(sim, seed)
+        return _equivalence(*base, _Compiled(b), trials, seed_b, cycles)
+
+    return check
 
 
 def _equivalence(sim_a: _Compiled, lat_a: int, sim_b: _Compiled,
                  trials: int, seed: int, cycles: int) -> Verdict:
-    """``check_equivalence`` of two compiled netlists with equal data ports,
-    the first one's stream latency given, so a baseline checked against
-    many variants is compiled and measured once."""
+    """The simulated half of ``check_equivalence``: two compiled netlists
+    with equal data ports, the first one's stream latency given."""
     ins, _ = sim_a.netlist.data_ports()
     lat_b = _stream_latency(sim_b, seed)
     rng = random.Random(seed)
@@ -906,4 +892,7 @@ def _equivalence(sim_a: _Compiled, lat_a: int, sim_b: _Compiled,
                 return Verdict(False,
                                f"trial {trial}: transaction {k} differs: "
                                f"{out_a[k]} vs {out_b[k]}")
+        if max(len(out_a), len(out_b)) > n:  # a valid held past the stream
+            return Verdict(False, f"trial {trial}: {len(out_a)} and "
+                                  f"{len(out_b)} outputs from {n} inputs")
     return Verdict(True)

@@ -93,6 +93,26 @@ def test_check_rejects_multiple_drivers():
         nl.check()
 
 
+@pytest.mark.parametrize("names, named", [
+    (("a", "b", "b", "a"), "b"),
+    (("d", "s2"), "s2"),  # a delay line drives its stages before its output
+    (("d",), "d"),
+    (("f_empty", "f_full"), "f_full"),  # a FIFO drives out, full, empty
+])
+def test_drivers_names_the_first_net_met_twice(names, named):
+    delay = DelayCell("d", "x", 1, 3, stages=("s1", "s2"))
+    fifo = FifoCell("f", "x", 1, 2, "x", "x", "f_full", "f_empty")
+    nl = pf.Netlist("dup", inputs=[("x", 1)],
+                    cells=[CombCell(n, E.Ref("x")) for n in names])
+    nl.cells += [delay, fifo]
+    with pytest.raises(pf.PipeforgeError,
+                       match=f"^net '{named}' has multiple drivers$"):
+        nl.drivers()
+    nl.cells = [delay, fifo]
+    assert nl.drivers() == {"s1": delay, "s2": delay, "d": delay, "f": fifo,
+                            "f_full": fifo, "f_empty": fifo}
+
+
 def test_check_rejects_dangling_net():
     nl = lowered()
     nl.nets["floating"] = 4

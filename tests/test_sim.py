@@ -733,6 +733,33 @@ def test_ready_valid_fifos_carry_data_at_their_taps_only():
         assert isinstance(got, tuple) or not got.ok
 
 
+def test_a_flag_read_by_its_own_enables_is_simulated():
+    # out_valid passes a FIFO whose enables read its flags; the flags come
+    # from the FIFO's occupancy, so that is no loop, and the FIFO's last
+    # read value holds out_valid high past the stream
+    good, bad = _handshaked(), _handshaked(valid_through_fifo=True)
+    got = pf.check_equivalence(good, bad)
+    assert not got.ok and "outputs from" in got.detail
+    assert _simulated(good, bad) == got
+
+
+def test_every_call_rejects_a_net_with_two_drivers():
+    from pipeforge.netlist import CombCell
+    single = _expr_netlist(pf.Ref("x"), {"x": 4})
+    double = _expr_netlist(pf.Ref("x"), {"x": 4})
+    double.cells.append(CombCell("o", pf.Not(pf.Ref("x"))))
+    calls = [lambda: double.check(),
+             lambda: pf.emit_verilog(double),
+             lambda: pf.simulate(double, pf.Stimulus(cycles=2)),
+             lambda: pf.measured_latency(double),
+             lambda: pf.check_equivalence(double, single),
+             lambda: pf.check_equivalence(single, double)]
+    for call in calls:
+        with pytest.raises(pf.PipeforgeError,
+                           match="^net 'o' has multiple drivers$"):
+            call()
+
+
 def test_terms_decide_only_a_settled_window():
     # not-then-delay and delay-then-not agree once the line has filled, and
     # show zeros or ones before; that shows wherever the terms do not put
