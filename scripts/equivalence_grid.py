@@ -8,7 +8,7 @@ workload's spec documents (``perfbench/workloads.WORKLOADS``) at seeds 0, 1
 and 7.  Each spec is resolved direct, p2p and exhaustive and lowered raw and
 ready/valid under ``direct_auto``, ``direct_force_reg``,
 ``direct_force_srl``, ``direct_fifo(2, 1)`` and ``direct_fifo(4, 8)``: 30
-designs per spec.  Two SHA-256 digests are printed:
+designs per spec.  Three SHA-256 digests are printed:
 
 - ``simulate``: every design's ``simulate`` trace (samples, accepted inputs
   and outputs) over twice its planned latency plus 40 cycles of a stimulus
@@ -16,7 +16,11 @@ designs per spec.  Two SHA-256 digests are printed:
   ready/valid;
 - ``equivalence``: every design's ``check_equivalence`` verdict against its
   spec's direct raw ``direct_auto`` design, and ``measured_latency`` of
-  every raw design.
+  every raw design;
+- ``simulated``: every design's verdict from the simulated oracle of
+  ``check_equivalence`` (``sim._equivalence``, 2 trials of 200 cycles at
+  seed 0) against the same baseline, forced where the timed terms would
+  decide and skip it.
 
 An exception counts as the design's result, by its type and message, so two
 checkouts that raise differently print different digests.  ``--show``
@@ -70,6 +74,12 @@ def trace_of(pf, netlist, latency: int, name: str) -> str:
                               trace.accepted_outputs)).encode()).hexdigest()
 
 
+def simulated(pf, base, netlist):
+    """The simulated verdict on ``netlist`` against ``base``, the compiled
+    baseline and its stream latency."""
+    return pf.sim._equivalence(*base, pf.sim._Compiled(netlist), 2, 0, 200)
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--src", default=os.path.join(ROOT, "src"))
@@ -87,12 +97,12 @@ def main(argv=None) -> int:
     resolvers = {"direct": pf.resolve_direct_backward,
                  "p2p": pf.resolve_p2p_backward,
                  "exhaustive": pf.resolve_exhaustive_forward}
-    digests = {"simulate": hashlib.sha256(),
-               "equivalence": hashlib.sha256()}
+    digests = {kind: hashlib.sha256()
+               for kind in ("simulate", "equivalence", "simulated")}
     designs = 0
     for spec, doc in specs(pf, workloads):
         balanced = pf.balance_merges(pf.graph_from_spec(doc))
-        base = None
+        base = oracle = None
         for strategy, resolver in resolvers.items():
             resolved = resolver(balanced)
             for protocol in pf.Protocol:
@@ -100,7 +110,10 @@ def main(argv=None) -> int:
                 for policy_name, policy in policies.items():
                     name = f"{spec}/{strategy}/{protocol.value}/{policy_name}"
                     netlist = pf.lower(resolved, plan, policy)
-                    base = base or netlist  # direct, raw, direct_auto
+                    if base is None:  # direct, raw, direct_auto
+                        base = netlist
+                        sim = pf.sim._Compiled(base)
+                        oracle = sim, pf.sim._stream_latency(sim, 0)
                     records = {"simulate": outcome(
                         trace_of, pf, netlist, plan.total_latency, name)}
                     records["equivalence"] = outcome(
@@ -108,6 +121,8 @@ def main(argv=None) -> int:
                     if protocol is pf.Protocol.RAW:
                         records["equivalence"] += " latency " + outcome(
                             pf.measured_latency, netlist)
+                    records["simulated"] = outcome(
+                        simulated, pf, oracle, netlist)
                     for kind, record in records.items():
                         digests[kind].update(f"{name}\t{record}\n".encode())
                         if args.show:

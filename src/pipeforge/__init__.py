@@ -65,4 +65,6 @@ from .dot import emit_dot
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# ``terms`` is the equivalence checker's own, imported by ``sim``
+__all__ = [name for name in dir()
+           if not name.startswith("_") and name != "terms"]

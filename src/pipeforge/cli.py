@@ -65,21 +65,10 @@ def _policy(args) -> PrimitivePolicy:
         raise ConfigError(str(exc)) from exc
 
 
-def _resolve(graph: SyncGraph, strategy: str, policy: PrimitivePolicy) -> SyncGraph:
-    balanced = balance_merges(graph)
-    if strategy == "exhaustive":
-        return resolve_exhaustive_forward(balanced)
-    if strategy == "p2p":
-        return resolve_p2p_backward(balanced)
-    return resolve_direct_backward(balanced, policy)
-
-
 def _emit_options(policy: PrimitivePolicy, name: str) -> EmitOptions:
-    attr = ShregAttr.NONE
-    if policy.shiftreg_mode is ShiftregMode.FORCE_REG:
-        attr = ShregAttr.NO_EXTRACT
-    elif policy.shiftreg_mode is ShiftregMode.FORCE_SRL:
-        attr = ShregAttr.EXPLICIT_SRL
+    # EXPLICIT_SRL would emit the same bytes as NONE
+    attr = (ShregAttr.NO_EXTRACT
+            if policy.shiftreg_mode is ShiftregMode.FORCE_REG else ShregAttr.NONE)
     return EmitOptions(shreg_attr=attr, header=f"pipeline: {name}")
 
 
@@ -102,15 +91,21 @@ def _read_spec(path: str) -> SyncGraph:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _generate_netlist(graph: SyncGraph, args):
-    policy = _policy(args)
-    resolved = _resolve(graph, args.strategy, policy)
+def _generate_netlist(balanced: SyncGraph, strategy: str,
+                      policy: PrimitivePolicy, protocol: str):
+    """Resolve, validate, plan the handshake and lower a balanced graph."""
+    if strategy == "exhaustive":
+        resolved = resolve_exhaustive_forward(balanced)
+    elif strategy == "p2p":
+        resolved = resolve_p2p_backward(balanced)
+    else:
+        resolved = resolve_direct_backward(balanced, policy)
     report = validate(resolved)
     if not report.ok:
         fails = "; ".join(f"{e.check}: {e.detail}" for e in report.failures())
         raise PipeforgeError(f"validation failed: {fails}")
-    plan = apply_protocol(resolved, Protocol(args.protocol))
-    return resolved, plan, lower(resolved, plan, policy), policy
+    plan = apply_protocol(resolved, Protocol(protocol))
+    return resolved, plan, lower(resolved, plan, policy)
 
 
 # -- subcommands ------------------------------------------------------------
@@ -133,7 +128,9 @@ def cmd_build(args) -> int:
 
 def cmd_generate(args) -> int:
     graph = _read_spec(args.spec)
-    resolved, plan, netlist, policy = _generate_netlist(graph, args)
+    policy = _policy(args)
+    resolved, plan, netlist = _generate_netlist(
+        balance_merges(graph), args.strategy, policy, args.protocol)
     if args.verilog:
         _write(args.verilog, emit_verilog(netlist, _emit_options(policy, graph.name)))
     if args.dot:
@@ -175,12 +172,8 @@ def cmd_sweep(args) -> int:
 
     # direct resolution does not depend on the policy, so every variant
     # lowers the same resolved graph and shares its DOT
-    base_policy = PrimitivePolicy()
-    resolved = resolve_direct_backward(balanced, base_policy)
-    plan = apply_protocol(resolved, Protocol(args.protocol))
-    baseline = lower(resolved, plan, base_policy)
-    if not validate(resolved).ok:
-        raise PipeforgeError("sweep variant failed validation")
+    resolved, plan, baseline = _generate_netlist(
+        balanced, "direct", PrimitivePolicy(), args.protocol)
     check = equivalence_to(baseline, args.seed)
 
     results = []
@@ -268,7 +261,8 @@ def _read_stimulus(path: str, netlist: Netlist) -> Stimulus:
 
 def cmd_simulate(args) -> int:
     graph = _read_spec(args.spec)
-    resolved, plan, netlist, _ = _generate_netlist(graph, args)
+    _, plan, netlist = _generate_netlist(
+        balance_merges(graph), args.strategy, _policy(args), args.protocol)
     if args.stimulus:
         stim = _read_stimulus(args.stimulus, netlist)
     else:

@@ -12,6 +12,7 @@ backpressure (enable low freezes every sequential cell at once).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, Sequence
 
 from . import expr as E
 from .errors import PipeforgeError, WidthMismatchError
@@ -192,7 +193,7 @@ class Netlist:
         for name, w in self.inputs + self.outputs:
             if self.nets.get(name) != w:
                 raise WidthMismatchError(f"port {name!r} width mismatch")
-        comb_order(self)  # raises on combinational cycles
+        ordered_combs(self.cells, drivers)  # raises on combinational cycles
 
 
 def _driven(c: Cell) -> tuple[str, ...]:
@@ -206,29 +207,75 @@ def _driven(c: Cell) -> tuple[str, ...]:
 
 def comb_order(netlist: Netlist) -> list[CombCell]:
     """Topological evaluation order of the combinational cells; sequential
-    outputs count as cycle-start constants."""
-    combs = [c for c in netlist.cells if isinstance(c, CombCell)]
-    by_out = {c.out: c for c in combs}
-    order: list[CombCell] = []
-    state: dict[str, int] = {}  # 0 visiting, 1 done
+    outputs count as cycle-start constants.  A combinational cycle and a
+    net with two drivers raise."""
+    return ordered_combs(netlist.cells, netlist.drivers())
 
-    def visit(cell: CombCell):
-        st = state.get(cell.out)
-        if st == 1:
-            return
-        if st == 0:
-            raise PipeforgeError(f"combinational cycle through net {cell.out!r}")
-        state[cell.out] = 0
-        for ref in sorted(cell.expr.refs()):
-            dep = by_out.get(ref)
-            if dep is not None:
-                visit(dep)
-        state[cell.out] = 1
-        order.append(cell)
 
-    for c in combs:
-        visit(c)
-    return order
+def ordered_combs(cells: list[Cell], drivers: dict[str, Cell]) -> list[CombCell]:
+    """``comb_order`` over a driver index already built from ``cells``."""
+    combs = [c for c in cells if isinstance(c, CombCell)]
+    # each cell's combinational sources, sorted; cells and sources go in
+    # reversed, as ``postorder`` takes the last first, so the order is the
+    # one a depth-first visit in cell and name order gives
+    reads = {c.out: [r for r in sorted(c.expr.refs(), reverse=True)
+                     if isinstance(drivers.get(r), CombCell)] for c in combs}
+    order = postorder([c.out for c in reversed(combs)], reads.__getitem__,
+                      lambda net: PipeforgeError(
+                          f"combinational cycle through net {net!r}"))
+    return [drivers[net] for net in order]
+
+
+def postorder(nets: Sequence[str], sources: Callable[[str], Sequence[str]],
+              cycle: Callable[[str], Exception]) -> list[str]:
+    """``nets`` and every net they read through ``sources``, each after
+    the nets it reads.  One depth-first pass kept on a stack, as chains of
+    cells run thousands deep.  A net that feeds back into itself raises
+    ``cycle(net)``, naming the net the walk comes back to."""
+    done: dict[str, None] = {}
+    entered: set[str] = set()  # on the stack below its unfinished sources
+    stack = list(nets)
+    while stack:
+        net = stack[-1]
+        if net in done:
+            stack.pop()
+            continue
+        if net not in entered:
+            entered.add(net)
+            todo = [n for n in sources(net) if n not in done]
+            if todo:
+                looped = [n for n in todo if n in entered]
+                if looped:
+                    raise cycle(looped[-1])
+                stack.extend(todo)
+                continue
+        stack.pop()
+        done[net] = None
+    return list(done)
+
+
+def feed(drivers: dict[str, Cell], net: str) -> tuple[Sequence[str], int]:
+    """The nets that ``net``'s driver reads to drive it, and the enabled
+    cycles between them.  A FIFO's flag follows its occupancy: it reads
+    what the enables read, less the flags.  References come sorted, so
+    walks visit nets in the same order on every run."""
+    cell = drivers.get(net)
+    if isinstance(cell, CombCell):
+        return sorted(cell.expr.refs()), 0
+    if isinstance(cell, DelayCell):
+        return (cell.inp,), (cell.depth if net == cell.out
+                             else cell.stages.index(net) + 1)
+    if isinstance(cell, FifoCell):
+        if net == cell.out:
+            return (cell.inp, cell.write_en, cell.read_en), cell.capacity + 1
+        reads: set[str] = set()
+        for enable in (cell.write_en, cell.read_en):
+            c = drivers.get(enable)
+            reads |= c.expr.refs() if isinstance(c, CombCell) else {enable}
+        return sorted(reads - {cell.full, cell.empty}), cell.capacity + 1
+    if isinstance(cell, CounterCell):
+        return (), cell.init
+    return (), 0
 
 
 # ---------------------------------------------------------------------------
@@ -387,3 +434,35 @@ def lower(graph: SyncGraph, plan: HandshakePlan,
 
     nl.check()
     return nl
+
+
+def fifo_started(fifo: FifoCell, drivers: dict[str, Cell]) -> bool:
+    """Whether ``fifo`` has the enables ``lower`` gives a raw FIFO: written
+    on every cycle and read from the zero flag of a startup counter of
+    ``capacity - 1``.  Such a FIFO delays its input by ``capacity`` cycles,
+    shows zeros until then, and never overflows or runs empty."""
+    write, read = drivers.get(fifo.write_en), drivers.get(fifo.read_en)
+    if not (isinstance(write, CombCell) and write.expr == E.Const(1, 1)
+            and isinstance(read, CombCell) and isinstance(read.expr, E.Ref)):
+        return False
+    counter = drivers.get(read.expr.name)
+    return (isinstance(counter, CounterCell)
+            and counter.zero == read.expr.name
+            and counter.init == fifo.capacity - 1)
+
+
+def fifo_taps(fifo: FifoCell,
+              drivers: dict[str, Cell]) -> tuple[str, str] | None:
+    """The nets ``tap_w`` and ``tap_r`` of a ready/valid FIFO whose enables
+    have the form ``lower`` gives them, ``write_en = tap_w & ~full`` and
+    ``read_en = tap_r & ~empty``; None for any other form."""
+    taps = []
+    for enable, flag in ((fifo.write_en, fifo.full),
+                         (fifo.read_en, fifo.empty)):
+        cell = drivers.get(enable)
+        e = cell.expr if isinstance(cell, CombCell) else None
+        if not (isinstance(e, E.BinOp) and isinstance(e.lhs, E.Ref)
+                and e == E.BinOp("and", e.lhs, E.Not(E.Ref(flag)))):
+            return None
+        taps.append(e.lhs.name)
+    return taps[0], taps[1]

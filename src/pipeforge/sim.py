@@ -28,22 +28,11 @@ sequential path into the outputs, found in one walk over the same index; a
 net that feeds back into itself through sequential cells never settles,
 and is reported as an error rather than measured.
 
-Equivalence is first asked of timed terms (``_timed_terms``), read off the
-netlist alone in one more walk over that index: each output is a
-hash-consed expression over the input ports and a shift, the enabled cycles
-its inputs take to reach it, as latency is in retiming (Leiserson and Saxe,
-"Retiming Synchronous Circuitry", Algorithmica 1991).  Two netlists whose
-data outputs have equal terms, where those terms decide (``_output_terms``),
-compute the same outputs from the same inputs once their pipelines have
-filled, so the pair is equivalent without a simulated cycle.  That holds
-for raw netlists, and for ready/valid ones whose one enable and ``in_ready``
-are wires from ``out_ready``, whose ``out_valid`` is ``in_valid`` through
-delay lines at the outputs' shift, and whose FIFOs have the valid-chain
-enables ``lower`` gives them: uniform backpressure then makes the kth
-accepted output the outputs' terms applied to the kth accepted input.
-Every other pair is simulated.  ``simulate`` and ``measured_latency``
-always simulate.  ``equivalence_to`` checks one netlist against many,
-and ``check_equivalence`` is it applied once.
+Equivalence is first asked of ``terms.output_terms``: two netlists
+whose data outputs' terms decide and are equal are equivalent without a
+simulated cycle, and every other pair is simulated.  ``simulate`` and
+``measured_latency`` always simulate.  ``equivalence_to`` checks one
+netlist against many, and ``check_equivalence`` is it applied once.
 """
 
 from __future__ import annotations
@@ -52,14 +41,14 @@ import random
 from collections import deque
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Callable, Sequence
+from typing import Callable
 
-from .errors import (NoResponseError, PortMismatchError, SimulationError,
-                     WidthMismatchError)
+from .errors import NoResponseError, PortMismatchError, SimulationError
 from .expr import BinOp, Concat, Const, Expr, Mux, Not, Ref, Shift, Slice
-from .netlist import (Cell, CombCell, CounterCell, DelayCell, FifoCell, Netlist,
-                      comb_order)
+from .netlist import (CombCell, CounterCell, DelayCell, FifoCell, Netlist, feed,
+                      ordered_combs, postorder)
 from .protocol import Protocol
+from .terms import output_terms
 
 
 @dataclass
@@ -170,7 +159,7 @@ class _Compiled:
     ``S[j]`` and its contents the deque ``Q[j]``, and a startup counter
     reads ``max(init - t, 0)``.
 
-    The walk back from the observed nets over ``drivers`` by ``_feed``
+    The walk back from the observed nets over ``drivers`` by ``feed``
     reaches the nets that get slots and the cells that get statements.
     Every FIFO keeps its update, since its enables are observed; one whose
     output is not reached queues zeros.  Stage nets, FIFO flags and counter
@@ -199,7 +188,7 @@ class _Compiled:
             c = drivers.get(net)
             if isinstance(c, DelayCell):
                 lines[id(c)] = c
-            stack += _feed(drivers, net)[0]
+            stack += feed(drivers, net)[0]
         groups: dict[int, list[DelayCell]] = {}
         for c in lines.values():
             groups.setdefault(c.depth, []).append(c)
@@ -209,7 +198,7 @@ class _Compiled:
         self.slot = {net: i for i, net in enumerate(dict.fromkeys(order))}
         self.nslots = len(self.slot)
         cells: list[CombCell] = []
-        for c in comb_order(netlist):  # raises on a cycle anywhere
+        for c in ordered_combs(netlist.cells, drivers):  # raises on any cycle
             if c.out not in reached:
                 c.expr.width(nets)  # so a width error anywhere still raises
             elif isinstance(c.expr, Ref):
@@ -431,40 +420,12 @@ def simulate(netlist: Netlist, stim: Stimulus) -> Trace:
     return _Compiled(netlist, stim.watch).run(stim)
 
 
-def _postorder(nets: Sequence[str],
-               sources: Callable[[str], Sequence[str]]) -> list[str]:
-    """``nets`` and every net they read through ``sources``, each after
-    the nets it reads.  One depth-first pass kept on a stack, as chains of
-    delay lines run thousands deep; a net that feeds back into itself
-    raises."""
-    done: dict[str, None] = {}
-    entered: set[str] = set()  # on the stack below its unfinished sources
-    stack = list(nets)
-    while stack:
-        net = stack[-1]
-        if net in done:
-            stack.pop()
-            continue
-        if net not in entered:
-            entered.add(net)
-            todo = [n for n in sources(net) if n not in done]
-            if any(n in entered for n in todo):
-                raise SimulationError(
-                    f"net {net!r} feeds back into itself, so it never settles")
-            if todo:
-                stack.extend(todo)
-                continue
-        stack.pop()
-        done[net] = None
-    return list(done)
-
-
 def _settle_time(sim: _Compiled, nets: list[str]) -> int:
     """Longest sequential path into ``nets``, in enabled cycles.
 
     Inputs and constants settle at 0, a combinational net at the latest of
     the nets it reads, a delay line's kth net k cycles after its input, a
-    FIFO's nets ``capacity + 1`` cycles after the latest of what ``_feed``
+    FIFO's nets ``capacity + 1`` cycles after the latest of what ``feed``
     says they read, and a startup counter's nets at its ``init``.  So once
     the inputs have held still this long after reset, ``nets`` hold still
     too.  Walks only the nets that ``nets`` depend on, in one depth-first
@@ -472,262 +433,13 @@ def _settle_time(sim: _Compiled, nets: list[str]) -> int:
     """
     drivers = sim.drivers
     settle: dict[str, int] = {}
-    for net in _postorder(nets, lambda n: _feed(drivers, n)[0]):
-        srcs, delay = _feed(drivers, net)
+    for net in postorder(nets, lambda n: feed(drivers, n)[0],
+                         lambda n: SimulationError(
+                             f"net {n!r} feeds back into itself, so it "
+                             "never settles")):
+        srcs, delay = feed(drivers, net)
         settle[net] = max((settle[n] for n in srcs), default=0) + delay
     return max((settle[n] for n in nets), default=0)
-
-
-def _feed(drivers: dict[str, Cell], net: str) -> tuple[Sequence[str], int]:
-    """The nets that ``net``'s driver reads to drive it, and the enabled
-    cycles between them.  A FIFO's flag follows its occupancy: it reads
-    what the enables read, less the flags.  References come sorted, so
-    walks visit nets in the same order on every run."""
-    cell = drivers.get(net)
-    if isinstance(cell, CombCell):
-        return sorted(cell.expr.refs()), 0
-    if isinstance(cell, DelayCell):
-        return (cell.inp,), (cell.depth if net == cell.out
-                             else cell.stages.index(net) + 1)
-    if isinstance(cell, FifoCell):
-        if net == cell.out:
-            return (cell.inp, cell.write_en, cell.read_en), cell.capacity + 1
-        reads: set[str] = set()
-        for enable in (cell.write_en, cell.read_en):
-            c = drivers.get(enable)
-            reads |= c.expr.refs() if isinstance(c, CombCell) else {enable}
-        return sorted(reads - {cell.full, cell.empty}), cell.capacity + 1
-    if isinstance(cell, CounterCell):
-        return (), cell.init
-    return (), 0
-
-
-# A core is ``(id, reads_input, aligned)``: ``id`` numbers it in the table
-# of one comparison, so equal cores are equal functions; ``reads_input`` is
-# set where a data input port is among its leaves, and ``aligned`` where
-# neither a delay node nor a handshake port is, so the core is a function
-# of the data inputs at its one shift alone.
-Core = tuple[int, bool, bool]
-
-
-def _core(cores: dict, op: str, width: int | None, params,
-          args: tuple[Core, ...]) -> Core:
-    """The core ``op`` of ``width`` bits with ``params`` over ``args``,
-    interned in ``cores``."""
-    key = (op, width, params, args)
-    core = cores.get(key)
-    if core is None:
-        core = cores[key] = (len(cores),
-                             op == "in" or any(a[1] for a in args),
-                             op not in ("delay", "handshake")
-                             and all(a[2] for a in args))
-    return core
-
-
-def _handshake(cores: dict, port: str) -> Core:
-    """The leaf of the 1-bit handshake input ``port``."""
-    return _core(cores, "handshake", 1, port, ())
-
-
-def _aligned(cores: dict, op: str, width: int, params,
-             args: list[tuple[int, Core]]) -> tuple[int, Core]:
-    """The term of ``op`` over the terms ``args``.  Its shift is the
-    earliest among the arguments that read an input, or the latest if none
-    does; an argument at a later shift gets a delay node for the
-    difference.  An argument that reads no input and settles by the shift
-    is a constant there and needs none."""
-    reading = [shift for shift, core in args if core[1]]
-    at = min(reading) if reading else max(shift for shift, _ in args)
-    return at, _core(cores, op, width, params, tuple(
-        core if shift <= at else _core(cores, "delay", None, shift - at, (core,))
-        for shift, core in args))
-
-
-def _expr_term(e: Expr, terms: dict, widths: dict[str, int],
-               cores: dict) -> tuple[int, Core]:
-    """The term of ``e`` over the terms of the nets it reads.  Each node
-    keeps what its compiled statement computes with: its op, width and
-    parameters, and for a concatenation the width of every part."""
-    if isinstance(e, Ref):
-        return terms[e.name]
-    w = e.width(widths)
-    if isinstance(e, Const):
-        return 0, _core(cores, "const", w, e.value, ())
-    if isinstance(e, Shift) and e.amount >= w:
-        return 0, _core(cores, "const", w, 0, ())  # every bit shifts out
-    if isinstance(e, BinOp):
-        op, params, parts = e.op, None, (e.lhs, e.rhs)
-    elif isinstance(e, Not):
-        op, params, parts = "not", None, (e.arg,)
-    elif isinstance(e, Shift):
-        op, params, parts = e.op, e.amount, (e.arg,)
-    elif isinstance(e, Mux):
-        op, params, parts = "mux", None, (e.sel, e.then, e.other)
-    elif isinstance(e, Slice):
-        op, params, parts = "slice", (e.hi, e.lo), (e.arg,)
-    elif isinstance(e, Concat):
-        op, params = "cat", tuple(p.width(widths) for p in e.parts)
-        parts = e.parts
-    else:
-        raise TypeError(f"unknown expression node {e!r}")
-    return _aligned(cores, op, w, params,
-                    [_expr_term(p, terms, widths, cores) for p in parts])
-
-
-def _started(fifo: FifoCell, drivers: dict[str, Cell]) -> bool:
-    """Whether ``fifo`` has the enables ``lower`` gives a raw FIFO: written
-    on every cycle and read from the zero flag of a startup counter of
-    ``capacity - 1``.  Such a FIFO delays its input by ``capacity`` cycles,
-    shows zeros until then, and never overflows or runs empty."""
-    write, read = drivers.get(fifo.write_en), drivers.get(fifo.read_en)
-    if not (isinstance(write, CombCell) and write.expr == Const(1, 1)
-            and isinstance(read, CombCell) and isinstance(read.expr, Ref)):
-        return False
-    counter = drivers.get(read.expr.name)
-    return (isinstance(counter, CounterCell)
-            and counter.zero == read.expr.name
-            and counter.init == fifo.capacity - 1)
-
-
-def _taps(fifo: FifoCell, drivers: dict[str, Cell]) -> tuple[str, str] | None:
-    """The nets ``tap_w`` and ``tap_r`` of a ready/valid FIFO whose enables
-    have the form ``lower`` gives them, ``write_en = tap_w & ~full`` and
-    ``read_en = tap_r & ~empty``; None for any other form."""
-    taps = []
-    for enable, flag in ((fifo.write_en, fifo.full),
-                         (fifo.read_en, fifo.empty)):
-        cell = drivers.get(enable)
-        e = cell.expr if isinstance(cell, CombCell) else None
-        if not (isinstance(e, BinOp) and isinstance(e.lhs, Ref)
-                and e == BinOp("and", e.lhs, Not(Ref(flag)))):
-            return None
-        taps.append(e.lhs.name)
-    return taps[0], taps[1]
-
-
-def _timed_terms(netlist: Netlist, nets: Sequence[str],
-                 cores: dict) -> dict[str, tuple[int, Core]] | None:
-    """Each of ``nets`` as a timed term ``(shift, core)``: ``core`` applied
-    to the inputs of ``shift`` enabled cycles before, read off the netlist
-    alone.  ``cores`` interns the cores, so the terms of every walk given
-    the same table compare with ``==``.
-
-    An input port is a leaf, and so is a constant (shift 0); a handshake
-    port of a ready/valid netlist is a leaf of its own kind.  A
-    combinational cell is interned node by node, with its arguments aligned
-    by ``_aligned``, and a wire is its source's term.  A delay line adds
-    its depth to its input's shift, and its kth stage net adds k.  A FIFO
-    adds its capacity, and only if every FIFO has the enables ``lower``
-    gives it.  Under raw that is the startup pattern of ``_started``.
-    Under ready/valid it is the form of ``_taps``, where ``tap_w`` is
-    ``in_valid`` at some shift w and ``tap_r`` at w + capacity - 1, through
-    wires and delay lines only; the FIFO's input, aligned, sits at w, or at
-    most at w if it reads no input, and its output at w + capacity.  Such a
-    FIFO holds the valid transactions between its taps, so it never blocks,
-    overflows or runs empty, and its output is its input w + capacity
-    enabled cycles on whenever ``in_valid`` was set then.  Anything else
-    returns None, as not handled: a FIFO off its pattern, a read of a
-    FIFO's or counter's flags, a net with no driver that is not an input, a
-    net that feeds back into itself, and a width error.  One ``_postorder``
-    pass over the driver index, from ``nets`` and every FIFO's taps.
-    """
-    drivers = netlist.drivers()
-    fifos = [c for c in netlist.cells if isinstance(c, FifoCell)]
-    taps: dict[str, tuple[str, str]] = {}  # by FIFO output, ready/valid only
-    if netlist.protocol is Protocol.RAW:
-        if not all(_started(c, drivers) for c in fifos):
-            return None
-    else:
-        for c in fifos:
-            found = _taps(c, drivers)
-            if found is None:
-                return None
-            taps[c.out] = found
-
-    def sources(net: str) -> Sequence[str]:
-        cell = drivers.get(net)
-        if isinstance(cell, FifoCell):  # a flag is not handled below
-            return (cell.inp, *taps.get(net, ())) if net == cell.out else ()
-        return _feed(drivers, net)[0]
-
-    try:
-        order = _postorder([*nets, *(t for pair in taps.values() for t in pair)],
-                           sources)
-    except SimulationError:
-        return None
-    inputs = dict(netlist.inputs)
-    data = dict(netlist.data_ports()[0])
-    terms: dict[str, tuple[int, Core]] = {}
-    for net in order:
-        cell = drivers.get(net)
-        if isinstance(cell, CombCell):
-            try:
-                terms[net] = _expr_term(cell.expr, terms, netlist.nets, cores)
-            except WidthMismatchError:
-                return None
-        elif isinstance(cell, DelayCell):
-            shift, core = terms[cell.inp]
-            terms[net] = shift + _feed(drivers, net)[1], core
-        elif isinstance(cell, FifoCell) and net == cell.out:
-            shift, core = terms[cell.inp]
-            if net in taps:
-                at = terms[taps[net][0]][0]
-                if not core[2] or (shift != at if core[1] else shift > at):
-                    return None
-                shift = at
-            terms[net] = shift + cell.capacity, core
-        elif cell is None and net in inputs:
-            op = "in" if net in data else "handshake"
-            terms[net] = 0, _core(cores, op, inputs[net], net, ())
-        else:
-            return None
-    if taps:
-        valid = _handshake(cores, "in_valid")
-        for c in fifos:
-            write, read = (terms[t] for t in taps[c.out])
-            if write[1] != valid or read != (write[0] + c.capacity - 1, valid):
-                return None
-    return {n: terms[n] for n in nets}
-
-
-def _output_terms(netlist: Netlist,
-                  cores: dict) -> list[tuple[int, Core]] | None:
-    """The data output ports' timed terms, where they decide equivalence:
-    the walk handles the netlist, every term is aligned (no delay node and
-    no handshake port), the outputs that read an input (at least one) share
-    one shift, and the others settle by then.  From that shift on, every
-    output is its core applied to the inputs that far back, in any netlist
-    with the same terms.
-
-    A raw netlist has no enable.  Under ready/valid, ``enable`` and
-    ``in_ready`` are wires from ``out_ready``, and ``out_valid`` is
-    ``in_valid`` at that same shift through wires and delay lines only.
-    One enable then freezes every sequential cell, an input is accepted on
-    the enabled cycles ``in_valid`` is set, and its output leaves that
-    shift of enabled cycles later, so the kth accepted output is the cores
-    applied to the kth accepted input.  None elsewhere."""
-    outs = [n for n, _ in netlist.data_ports()[1]]
-    rv = netlist.protocol is Protocol.READY_VALID
-    if (netlist.enable is not None) != rv:
-        return None
-    handshake = ["out_valid", "in_ready", netlist.enable] if rv else []
-    found = _timed_terms(netlist, outs + handshake, cores)
-    if found is None:
-        return None
-    terms = [found[n] for n in outs]
-    shifts = {shift for shift, core in terms if core[1]}
-    if len(shifts) != 1:
-        return None
-    latency, = shifts
-    if not all(core[2] and shift <= latency for shift, core in terms):
-        return None
-    if rv:
-        ready = 0, _handshake(cores, "out_ready")
-        if not (found[netlist.enable] == found["in_ready"] == ready
-                and found["out_valid"] == (latency,
-                                           _handshake(cores, "in_valid"))):
-            return None
-    return terms
 
 
 def measured_latency(netlist: Netlist, seed: int = 0) -> int:
@@ -830,11 +542,11 @@ def check_equivalence(a: Netlist, b: Netlist, trials: int = 4,
     once, for its latency and every trial.
 
     Every pair, raw, ready/valid or one of each, is first compared by the
-    timed terms of its data outputs.  Where those decide on both sides
-    (see ``_output_terms``) and are equal, the pair is equivalent and
-    nothing is compiled or simulated.  Then ``trials``, ``seed`` and
-    ``cycles`` have no effect, cells that no output reads are not checked,
-    and outputs that read their inputs but are constant functions of them
+    timed terms of its data outputs (``terms.output_terms``).  Where those
+    decide on both sides and are equal, the pair is equivalent and nothing
+    is compiled or simulated.  Then ``trials``, ``seed`` and ``cycles``
+    have no effect, cells that no output reads are not checked, and
+    outputs that read their inputs but are constant functions of them
     (``x xor x``) are equivalent where the impulse of the latency
     measurement raised ``NoResponseError``.  Every other pair is
     simulated.  ``trials`` below 1 raises ``SimulationError``, as it would
@@ -855,12 +567,12 @@ def equivalence_to(a: Netlist, seed: int) -> Callable[
     ``seed``.  ``a``'s terms are found once, here, and ``a`` is compiled
     and measured once, when the first ``b`` the terms do not decide needs it."""
     cores: dict = {}
-    terms = _output_terms(a, cores)
+    terms = output_terms(a, cores)
     base = None  # a compiled, and its stream latency
 
     def check(b: Netlist, trials: int, seed_b: int, cycles: int) -> Verdict:
         nonlocal base
-        if terms is not None and terms == _output_terms(b, cores):
+        if terms is not None and terms == output_terms(b, cores):
             return Verdict(True)
         if base is None:
             sim = _Compiled(a)

@@ -1,0 +1,205 @@
+"""Timed terms: a netlist's outputs read off its cells, without simulating.
+
+A timed term ``(shift, core)`` is ``core`` applied to the input ports of
+``shift`` enabled cycles before, as latency is in retiming (Leiserson and
+Saxe, "Retiming Synchronous Circuitry", Algorithmica 1991).  Cores are
+hash-consed in a table shared by one comparison, so terms compare with ``==``.
+
+- An input port or a constant is a leaf at shift 0; a handshake port of a
+  ready/valid netlist is a leaf of its own kind.  A wire is its source's term.
+- A combinational cell is interned node by node, each node keeping the op,
+  width and parameters its compiled statement computes with.  A node sits
+  at the earliest shift among its arguments that read an input, or the
+  latest if none does; an argument at a later shift gets a delay node.
+- A delay line adds its depth to its input's shift, its kth stage net k.
+- A FIFO adds its capacity, and only if every FIFO has the enables
+  ``lower`` gives it: under raw ``netlist.fifo_started``; under ready/valid
+  ``netlist.fifo_taps``, with ``tap_w`` ``in_valid`` at some shift w,
+  ``tap_r`` at w + capacity - 1, through wires and delay lines only, and the
+  FIFO's input, aligned, at w (at most w if it reads no input).  Such a FIFO
+  holds the valid transactions between its taps, so it never blocks,
+  overflows or runs empty.
+- Anything else is not handled: a FIFO off its pattern, a read of a FIFO's
+  or counter's flags, a net with no driver that is not an input, a net that
+  feeds back into itself, and a width error.
+
+The data outputs' terms decide equivalence (``output_terms``) where all are
+handled and aligned (no delay node, no handshake port), those that read an
+input (at least one) share one shift and the others settle by then.  Under
+ready/valid, ``enable`` and ``in_ready`` must also be wires from
+``out_ready``, and ``out_valid`` ``in_valid`` at that shift through wires and
+delay lines.  One enable then freezes every sequential cell, so the kth
+accepted output is the cores applied to the kth accepted input.  Two
+netlists whose terms decide and are equal compute the same outputs from the
+same inputs once their pipelines have filled, raw, ready/valid or one of each.
+"""
+
+from __future__ import annotations
+
+from typing import Sequence
+
+from .errors import SimulationError, WidthMismatchError
+from .expr import BinOp, Concat, Const, Expr, Mux, Not, Ref, Shift, Slice
+from .netlist import (CombCell, DelayCell, FifoCell, Netlist, feed,
+                      fifo_started, fifo_taps, postorder)
+from .protocol import Protocol
+
+# A core is ``(id, reads_input, aligned)``: ``id`` numbers it in the table
+# of one comparison, so equal cores are equal functions; ``reads_input`` is
+# set where a data input port is among its leaves, and ``aligned`` where
+# neither a delay node nor a handshake port is, so the core is a function
+# of the data inputs at its one shift alone.
+Core = tuple[int, bool, bool]
+
+
+def _core(cores: dict, op: str, width: int | None, params,
+          args: tuple[Core, ...]) -> Core:
+    """The core ``op`` of ``width`` bits with ``params`` over ``args``,
+    interned in ``cores``."""
+    key = (op, width, params, args)
+    core = cores.get(key)
+    if core is None:
+        core = cores[key] = (len(cores),
+                             op == "in" or any(a[1] for a in args),
+                             op not in ("delay", "handshake")
+                             and all(a[2] for a in args))
+    return core
+
+
+def _handshake(cores: dict, port: str) -> Core:
+    """The leaf of the 1-bit handshake input ``port``."""
+    return _core(cores, "handshake", 1, port, ())
+
+
+def _aligned(cores: dict, op: str, width: int, params,
+             args: list[tuple[int, Core]]) -> tuple[int, Core]:
+    """The term of ``op`` over the terms ``args``, aligned.  An argument
+    that reads no input and settles by the shift is a constant there and
+    needs no delay node."""
+    reading = [shift for shift, core in args if core[1]]
+    at = min(reading) if reading else max(shift for shift, _ in args)
+    return at, _core(cores, op, width, params, tuple(
+        core if shift <= at else _core(cores, "delay", None, shift - at, (core,))
+        for shift, core in args))
+
+
+def _expr_term(e: Expr, terms: dict, widths: dict[str, int],
+               cores: dict) -> tuple[int, Core]:
+    """The term of ``e`` over the terms of the nets it reads."""
+    if isinstance(e, Ref):
+        return terms[e.name]
+    w = e.width(widths)
+    if isinstance(e, Const):
+        return 0, _core(cores, "const", w, e.value, ())
+    if isinstance(e, Shift) and e.amount >= w:
+        return 0, _core(cores, "const", w, 0, ())  # every bit shifts out
+    if isinstance(e, BinOp):
+        op, params, parts = e.op, None, (e.lhs, e.rhs)
+    elif isinstance(e, Not):
+        op, params, parts = "not", None, (e.arg,)
+    elif isinstance(e, Shift):
+        op, params, parts = e.op, e.amount, (e.arg,)
+    elif isinstance(e, Mux):
+        op, params, parts = "mux", None, (e.sel, e.then, e.other)
+    elif isinstance(e, Slice):
+        op, params, parts = "slice", (e.hi, e.lo), (e.arg,)
+    elif isinstance(e, Concat):
+        op, params = "cat", tuple(p.width(widths) for p in e.parts)
+        parts = e.parts
+    else:
+        raise TypeError(f"unknown expression node {e!r}")
+    return _aligned(cores, op, w, params,
+                    [_expr_term(p, terms, widths, cores) for p in parts])
+
+
+def _timed_terms(netlist: Netlist, nets: Sequence[str],
+                 cores: dict) -> dict[str, tuple[int, Core]] | None:
+    """Each of ``nets`` as a timed term, by the rules above, interned in
+    ``cores``; None where any net they read is not handled.  One
+    ``postorder`` pass over the driver index, from ``nets`` and every
+    FIFO's taps."""
+    drivers = netlist.drivers()
+    fifos = [c for c in netlist.cells if isinstance(c, FifoCell)]
+    taps: dict[str, tuple[str, str]] = {}  # by FIFO output, ready/valid only
+    if netlist.protocol is Protocol.RAW:
+        if not all(fifo_started(c, drivers) for c in fifos):
+            return None
+    else:
+        for c in fifos:
+            found = fifo_taps(c, drivers)
+            if found is None:
+                return None
+            taps[c.out] = found
+
+    def sources(net: str) -> Sequence[str]:
+        cell = drivers.get(net)
+        if isinstance(cell, FifoCell):  # a flag is not handled below
+            return (cell.inp, *taps.get(net, ())) if net == cell.out else ()
+        return feed(drivers, net)[0]
+
+    try:
+        order = postorder([*nets, *(t for pair in taps.values() for t in pair)],
+                          sources, SimulationError)
+    except SimulationError:  # a net feeds back into itself
+        return None
+    inputs = dict(netlist.inputs)
+    data = dict(netlist.data_ports()[0])
+    terms: dict[str, tuple[int, Core]] = {}
+    for net in order:
+        cell = drivers.get(net)
+        if isinstance(cell, CombCell):
+            try:
+                terms[net] = _expr_term(cell.expr, terms, netlist.nets, cores)
+            except WidthMismatchError:
+                return None
+        elif isinstance(cell, DelayCell):
+            shift, core = terms[cell.inp]
+            terms[net] = shift + feed(drivers, net)[1], core
+        elif isinstance(cell, FifoCell) and net == cell.out:
+            shift, core = terms[cell.inp]
+            if net in taps:
+                at = terms[taps[net][0]][0]
+                if not core[2] or (shift != at if core[1] else shift > at):
+                    return None
+                shift = at
+            terms[net] = shift + cell.capacity, core
+        elif cell is None and net in inputs:
+            op = "in" if net in data else "handshake"
+            terms[net] = 0, _core(cores, op, inputs[net], net, ())
+        else:
+            return None
+    if taps:
+        valid = _handshake(cores, "in_valid")
+        for c in fifos:
+            write, read = (terms[t] for t in taps[c.out])
+            if write[1] != valid or read != (write[0] + c.capacity - 1, valid):
+                return None
+    return {n: terms[n] for n in nets}
+
+
+def output_terms(netlist: Netlist,
+                 cores: dict) -> list[tuple[int, Core]] | None:
+    """The data output ports' timed terms, interned in ``cores``, where they
+    decide equivalence by the rules above; None elsewhere."""
+    outs = [n for n, _ in netlist.data_ports()[1]]
+    rv = netlist.protocol is Protocol.READY_VALID
+    if (netlist.enable is not None) != rv:
+        return None
+    handshake = ["out_valid", "in_ready", netlist.enable] if rv else []
+    found = _timed_terms(netlist, outs + handshake, cores)
+    if found is None:
+        return None
+    terms = [found[n] for n in outs]
+    shifts = {shift for shift, core in terms if core[1]}
+    if len(shifts) != 1:
+        return None
+    latency, = shifts
+    if not all(core[2] and shift <= latency for shift, core in terms):
+        return None
+    if rv:
+        ready = 0, _handshake(cores, "out_ready")
+        if not (found[netlist.enable] == found["in_ready"] == ready
+                and found["out_valid"] == (latency,
+                                           _handshake(cores, "in_valid"))):
+            return None
+    return terms

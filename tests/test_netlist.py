@@ -136,3 +136,21 @@ def test_comb_order_respects_dependencies():
         for ref in c.expr.refs():
             if ref in pos:
                 assert pos[ref] < pos[c.out]
+
+
+def test_a_deep_combinational_chain_listed_output_first():
+    # 3,000 adders in a row, the output's cell first: ordering them is one
+    # walk kept on a stack, not a call per cell
+    n = 3000
+    cells = [CombCell("o", E.Ref(f"n{n}"))]
+    cells += [CombCell(f"n{i}", E.BinOp("add", E.Ref(f"n{i - 1}"), E.Const(1, 8)))
+              for i in range(n, 0, -1)]
+    nl = pf.Netlist("chain", inputs=[("n0", 8)], outputs=[("o", 8)],
+                    nets={"o": 8, **{f"n{i}": 8 for i in range(n + 1)}},
+                    cells=cells)
+    nl.check()
+    order = [c.out for c in pf.comb_order(nl)]
+    assert order == [f"n{i}" for i in range(1, n + 1)] + ["o"]
+    trace = pf.simulate(nl, pf.Stimulus(3, [{}, {"n0": 7}, {"n0": 250}]))
+    assert [s["o"] for s in trace.samples] == [(x + n) % 256 for x in (0, 7, 250)]
+    assert pf.measured_latency(nl) == 0

@@ -468,7 +468,8 @@ def test_cone_walks_every_edge_kind():
     assert pf.measured_latency(nl) == 4
     # the settle-time walk reads the same index: a stage net k cycles after
     # the line's input, a FIFO capacity + 1 after its latest source
-    from pipeforge.sim import _Compiled, _settle_time, _timed_terms
+    from pipeforge.sim import _Compiled, _settle_time
+    from pipeforge.terms import _timed_terms
     sim = _Compiled(nl)
     assert [_settle_time(sim, [n]) for n in ("s", "d1", "d2", "d", "m", "re",
                                              "o")] == [0, 1, 2, 3, 1, 2, 6]
@@ -533,8 +534,8 @@ def test_terms_agree_with_the_simulator(random_corpus):
     # the grid above: every raw output term sits at the measured latency,
     # every ready/valid design decides with its outputs at the depth of
     # its valid chain, and a pair the terms call equal simulates alike
-    from pipeforge.sim import (_Compiled, _equivalence, _latency,
-                               _output_terms, _settle_time, _timed_terms)
+    from pipeforge.sim import _Compiled, _equivalence, _latency, _settle_time
+    from pipeforge.terms import _timed_terms, output_terms as _output_terms
     rng = random.Random(13)
     policies = [pf.direct_auto(), pf.direct_fifo(2, 1), pf.direct_force_srl()]
     for g in rng.sample(random_corpus, 10):
@@ -619,7 +620,7 @@ def _simulated(a, b):
 @pytest.mark.parametrize("mutate", [_swap_sub, _deepen_x,
                                     _read_from_the_start])
 def test_mutations_change_terms_and_still_diverge(mutate):
-    from pipeforge.sim import _timed_terms
+    from pipeforge.terms import _timed_terms
     good, bad = _mutable(), _mutable()
     mutate(bad)
     cores = {}
@@ -661,7 +662,7 @@ def _always_ready(nl):
     # an in_ready that ignores out_ready changes no accepted output
     (_always_ready, False), (_swap_sub, True)])
 def test_ready_valid_mutations_get_the_simulated_verdict(mutate, diverges):
-    from pipeforge.sim import _output_terms
+    from pipeforge.terms import output_terms as _output_terms
     rv = pf.Protocol.READY_VALID
     good, bad = _mutable(rv), _mutable(rv)
     mutate(bad)
@@ -720,7 +721,7 @@ def test_ready_valid_fifos_carry_data_at_their_taps_only():
     # a FIFO shows its last read value between reads, so neither the valid
     # chain nor a value read before the FIFO's output tap may pass one;
     # those netlists are simulated, and diverge
-    from pipeforge.sim import _output_terms
+    from pipeforge.terms import output_terms as _output_terms
     plain = _handshaked()
     assert _output_terms(plain, {}) is not None
     assert pf.check_equivalence(plain, plain).ok
@@ -749,6 +750,7 @@ def test_every_call_rejects_a_net_with_two_drivers():
     double = _expr_netlist(pf.Ref("x"), {"x": 4})
     double.cells.append(CombCell("o", pf.Not(pf.Ref("x"))))
     calls = [lambda: double.check(),
+             lambda: pf.comb_order(double),
              lambda: pf.emit_verilog(double),
              lambda: pf.simulate(double, pf.Stimulus(cycles=2)),
              lambda: pf.measured_latency(double),
@@ -803,7 +805,7 @@ def test_terms_keep_what_each_node_computes_with():
     # compute different functions, and their terms differ; a rebuilt copy
     # has the same term
     from pipeforge.netlist import CombCell
-    from pipeforge.sim import _timed_terms
+    from pipeforge.terms import _timed_terms
     x, y, s = pf.Ref("x"), pf.Ref("y"), pf.Slice(0, 0, pf.Ref("y"))
     widths = {"x": 8, "y": 8}
     pairs = [(pf.BinOp("add", x, y), pf.BinOp("sub", x, y)),
