@@ -171,14 +171,16 @@ def cmd_sweep(args) -> int:
                  PrimitivePolicy(shiftreg_mode=ShiftregMode.FORCE_SRL)]
 
     # direct resolution does not depend on the policy, so every variant
-    # lowers the same resolved graph and shares its DOT
+    # lowers the same resolved graph and shares its DOT; the variant with
+    # the baseline's own policy is the baseline
     resolved, plan, baseline = _generate_netlist(
         balanced, "direct", PrimitivePolicy(), args.protocol)
     check = equivalence_to(baseline, args.seed)
 
     results = []
     for i, policy in enumerate(policies):
-        netlist = lower(resolved, plan, policy)
+        netlist = (baseline if policy == PrimitivePolicy()
+                   else lower(resolved, plan, policy))
         verdict = check(netlist, 2, args.seed + i, 200)
         depth, width = _fmt_thr(policy.depth_threshold), _fmt_thr(policy.width_threshold)
         name = f"D{depth}_W{width}_{policy.shiftreg_mode.value}"

@@ -499,14 +499,15 @@ def _stream_latency(sim: _Compiled, seed: int) -> int:
 
 
 def _stream_outputs(sim: _Compiled, data: list[dict], rng: random.Random,
-                    cycles: int, latency: int) -> list[dict]:
-    """Feed a transaction stream and return the output transaction stream.
+                    cycles: int, latency: int) -> tuple[list[dict], list[dict]]:
+    """Feed a transaction stream and return the input transactions the
+    netlist took and the output transaction stream.
 
-    Raw netlists consume one transaction per cycle and outputs are aligned
-    by ``latency``; ready/valid netlists get a randomly stalling sink (the
-    kth value is presented until the kth enabled cycle accepts it), ready
-    long enough for every transaction to come out ``latency`` enabled
-    cycles after it went in.
+    Raw netlists take one transaction per cycle and outputs are aligned by
+    ``latency``; ready/valid netlists get a randomly stalling sink (the kth
+    value is presented until the kth enabled cycle accepts it), ready long
+    enough for every transaction to come out ``latency`` enabled cycles
+    after it went in, and take what ``in_valid & in_ready`` accepts.
     """
     netlist = sim.netlist
     out_ports = [n for n, _ in netlist.data_ports()[1]]
@@ -514,8 +515,8 @@ def _stream_outputs(sim: _Compiled, data: list[dict], rng: random.Random,
     if netlist.protocol is Protocol.RAW:
         trace = sim.run(Stimulus(reset + len(data) + latency,
                                  [{}] * reset + data))
-        return [{p: trace.samples[reset + k + latency][p] for p in out_ports}
-                for k in range(len(data))]
+        return data, [{p: trace.samples[reset + k + latency][p]
+                       for p in out_ports} for k in range(len(data))]
     duty = 0.1 + 0.8 * rng.random()
     ready = [0] * reset + _ready_schedule(rng, cycles, duty,
                                           len(data) + latency)
@@ -529,7 +530,7 @@ def _stream_outputs(sim: _Compiled, data: list[dict], rng: random.Random,
     trace = sim.run(Stimulus(
         cycles=len(ready), inputs=per_cycle, sink_ready=ready,
         reset_cycles=reset))
-    return trace.accepted_outputs
+    return trace.accepted_inputs, trace.accepted_outputs
 
 
 def check_equivalence(a: Netlist, b: Netlist, trials: int = 4,
@@ -537,7 +538,8 @@ def check_equivalence(a: Netlist, b: Netlist, trials: int = 4,
     """Compare two lowerings of the same pipeline on matched random streams.
 
     Port interfaces must agree up to the handshake ports; transaction
-    streams (aligned per netlist) must be identical, and neither may hold
+    streams (aligned per netlist) must be identical, a ready/valid netlist
+    must take exactly the stream's inputs, in order, and neither may hold
     more outputs than the stream had inputs.  Each netlist is compiled
     once, for its latency and every trial.
 
@@ -592,10 +594,14 @@ def _equivalence(sim_a: _Compiled, lat_a: int, sim_b: _Compiled,
     for trial in range(trials):
         n = max(16, cycles // 4)
         data = [{p: rng.randrange(0, 1 << w) for p, w in ins} for _ in range(n)]
-        out_a = _stream_outputs(sim_a, data, random.Random(rng.randrange(1 << 30)),
-                                cycles, lat_a)
-        out_b = _stream_outputs(sim_b, data, random.Random(rng.randrange(1 << 30)),
-                                cycles, lat_b)
+        in_a, out_a = _stream_outputs(
+            sim_a, data, random.Random(rng.randrange(1 << 30)), cycles, lat_a)
+        in_b, out_b = _stream_outputs(
+            sim_b, data, random.Random(rng.randrange(1 << 30)), cycles, lat_b)
+        for taken in (in_a, in_b):
+            if taken != data:  # in_ready took inputs out of turn
+                return Verdict(False, f"trial {trial}: {len(taken)} inputs "
+                                      f"taken, not the {n} sent in order")
         m = min(len(out_a), len(out_b))
         if m < 4:
             return Verdict(False, f"trial {trial}: too few outputs ({m})")

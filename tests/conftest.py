@@ -1,18 +1,22 @@
-"""Shared fixtures: reference pipelines, a random pipeline generator and
-independent oracles (brute-force path enumeration, software evaluation of
-step bodies)."""
+"""Shared fixtures: reference pipelines, a random corpus drawn from the
+benchmark's spec generator (``perfbench/specgen.py``, whose ``oracle``
+evaluates the documents without pipeforge) and an independent path oracle
+(brute-force path enumeration)."""
 
 from __future__ import annotations
 
 import os
 import random
+import sys
 
 import pytest
 
 import pipeforge as pf
-from pipeforge.expr import BinOp, Not, Ref
+from pipeforge.expr import BinOp, Ref
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
+import specgen  # noqa: E402
 
 
 def data_path(name: str) -> str:
@@ -72,24 +76,6 @@ def brute_force_path_sums(graph: pf.SyncGraph, src: str, dst: str) -> list[int]:
     return sums
 
 
-def golden_eval(graph: pf.SyncGraph, inputs: dict[str, int]) -> dict[str, int]:
-    """Evaluate all step bodies in forward order, ignoring latencies; returns
-    output-port values."""
-    widths = {name: d.width for name, d in graph.decls.items()}
-    env = dict(inputs)
-    for z in graph.forward_order():
-        step = graph.steps.get(z)
-        if step is None:
-            continue
-        for sig, _, expr in step.defines:
-            env[sig] = expr.eval(env, widths)
-    out = {}
-    for spec in graph.outputs:
-        for port, src in spec.mapping:
-            out[port] = env[src]
-    return out
-
-
 def implemented_latency(graph: pf.SyncGraph, zone: str, signal: str) -> int:
     """Latency from the declaration to the given slot along the implemented
     feed chain."""
@@ -100,84 +86,28 @@ def implemented_latency(graph: pf.SyncGraph, zone: str, signal: str) -> int:
     return lat + implemented_latency(graph, src, signal)
 
 
-# -- random pipelines -------------------------------------------------------
-
-
-def random_pipeline(rng: random.Random, name: str) -> pf.SyncGraph:
-    """Random pipeline with at most 12 zones and at most 3 branches,
-    exercising non-local reads, splits, merges and multi-cycle steps."""
-    n_inputs = rng.randint(1, 3)
-    inputs = [(f"in{i}", rng.randint(1, 12)) for i in range(n_inputs)]
-    b = pf.pipe_new(inputs, name)
-    widths = dict(inputs)
-    exprs = {}
-    order_of_definition = []
-    visible = {"main": [n for n, _ in inputs]}
-    handles = {"main": b.main}
-    n_extra = rng.randint(0, 2)
-    n_steps = rng.randint(1, 11 - n_extra - (1 if n_extra else 0))
-    to_split = n_extra
-    sid = 0
-    done = 0
-    while done < n_steps:
-        if to_split and rng.random() < 0.3:
-            bn = f"br{to_split}"
-            handles[bn] = b.split(bn, from_branch=b.main)
-            visible[bn] = list(visible["main"])
-            to_split -= 1
-            continue
-        br = rng.choice(list(handles))
-        roll = rng.random()
-        latency = 0 if roll < 0.3 else 1 if roll < 0.8 else rng.randint(2, 4)
-        defines = []
-        for _ in range(1 if rng.random() < 0.7 else 2):
-            sig = f"s{sid}_{name}"
-            sid += 1
-            a = rng.choice(visible[br])
-            c = rng.choice(visible[br])
-            op = rng.choice(["add", "xor", "and", "or", "mul", "not"])
-            if op == "mul" and widths[a] + widths[c] > 48:
-                op = "xor"
-            if op == "xor" and a == c:
-                op = "add"  # xor(a, a) is constant; keep outputs responsive
-            expr = Not(Ref(a)) if op == "not" else BinOp(op, Ref(a), Ref(c))
-            w = expr.width(widths)
-            widths[sig] = w
-            exprs[sig] = expr
-            order_of_definition.append(sig)
-            defines.append((sig, w, expr))
-        step = pf.StepBody(f"st{done}_{name}", latency, tuple(defines))
-        b.add_step(handles[br], step)
-        visible[br].extend(sig for sig, _, _ in defines)
-        done += 1
-    extras = [h for n, h in handles.items() if n != "main"]
-    if extras:
-        b.merge(*extras, into=b.main)
-        for n in handles:
-            if n != "main":
-                for sig in visible[n]:
-                    if sig not in visible["main"]:
-                        visible["main"].append(sig)
-    # outputs must react to the inputs or latency cannot be observed; probe
-    # each candidate with a few random draws and drop the constant ones
-    sensitive = []
-    probes = []
-    for _ in range(8):
-        env = {n: rng.randrange(0, 1 << w) for n, w in inputs}
-        for sig in order_of_definition:
-            env[sig] = exprs[sig].eval(env, widths)
-        probes.append(env)
-    for s in visible["main"]:
-        if len({p[s] for p in probes}) > 1:
-            sensitive.append(s)
-    pool = sensitive or [n for n, _ in inputs]
-    k = rng.randint(1, min(2, len(pool)))
-    srcs = rng.sample(pool, k)
-    b.drive_output([(f"o{i}", s) for i, s in enumerate(srcs)])
-    return b.build()
+# -- random corpus ----------------------------------------------------------
 
 
 @pytest.fixture(scope="session")
-def random_corpus() -> list[pf.SyncGraph]:
+def random_specs() -> list[dict]:
+    """The random corpus's JSON documents, for ``oracle``: 200 pipelines of
+    up to 11 steps, up to three branches split off main at once, look-backs
+    of up to 10 signals, wire, register and 2-4 cycle delay steps, and
+    three widths of 1-12 bits.  Pipeline ``p{i}`` has the ith shape drawn
+    from one seeded RNG and content seed ``i``."""
     rng = random.Random(20260826)
-    return [random_pipeline(rng, f"p{i}") for i in range(200)]
+    docs = []
+    for i in range(200):
+        shape = specgen.Shape(
+            steps=rng.randint(1, 11), max_branches=3,
+            lookback=rng.randint(1, 10),
+            latency_mix=((0, 30), (1, 45), (None, 25)), delay_range=(2, 4),
+            widths=tuple(rng.sample(range(1, 13), 3)), segment=3)
+        docs.append(specgen.generate(f"p{i}", shape, i))
+    return docs
+
+
+@pytest.fixture(scope="session")
+def random_corpus(random_specs) -> list[pf.SyncGraph]:
+    return [pf.graph_from_spec(doc) for doc in random_specs]

@@ -1,9 +1,11 @@
 import json
 import os
+import random
 import sys
 
 import pytest
 
+import pipeforge as pf
 from pipeforge.cli import main
 from pipeforge.expr import MAX_DEPTH
 
@@ -43,6 +45,73 @@ def test_generate_verilog_and_summary(capsys, tmp_path):
     assert "module run" in v.read_text()
 
 
+RESOLVERS = {"direct": pf.resolve_direct_backward, "p2p": pf.resolve_p2p_backward,
+             "exhaustive": pf.resolve_exhaustive_forward}
+
+
+def _library(spec, strategy="direct", protocol="raw"):
+    """The resolved graph, handshake plan and netlist the library gives
+    for ``spec`` under the default policy."""
+    graph = pf.balance_merges(pf.graph_from_spec(pf.load_spec(spec)))
+    resolved = RESOLVERS[strategy](graph)
+    plan = pf.apply_protocol(resolved, pf.Protocol(protocol))
+    return resolved, plan, pf.lower(resolved, plan)
+
+
+def _random_stimulus(netlist, seed=0, cycles=100, reset=1):
+    """The stimulus ``pipeforge simulate`` draws without a stimulus file."""
+    rng = random.Random(seed)
+    inputs = [{n: rng.randrange(0, 1 << w) for n, w in netlist.data_ports()[0]}
+              for _ in range(cycles)]
+    ready = None
+    if netlist.protocol is pf.Protocol.READY_VALID:
+        ready = [1 if rng.random() < 0.5 else 0 for _ in range(cycles)]
+    return pf.Stimulus(cycles, inputs, ready, reset)
+
+
+@pytest.mark.parametrize("strategy", ["p2p", "exhaustive"])
+def test_generate_writes_what_the_library_returns(capsys, tmp_path, strategy):
+    spec = data_path("running_delay2.json")
+    v, dot = tmp_path / "design.v", tmp_path / "graph.dot"
+    code, out, err = run_cli(capsys, "generate", spec, "--strategy", strategy,
+                             "--verilog", str(v), "--dot", str(dot))
+    assert code == 0, err
+    resolved, plan, netlist = _library(spec, strategy)
+    assert v.read_text() == pf.emit_verilog(
+        netlist, pf.EmitOptions(header="pipeline: run_delay2"))
+    assert dot.read_text() == pf.emit_dot(resolved)
+    assert out == (f"run_delay2: latency {plan.total_latency}, "
+                   f"cells {netlist.cell_counts()}\n")
+
+
+@pytest.mark.parametrize("strategy", ["p2p", "exhaustive"])
+def test_simulate_writes_what_the_library_returns(capsys, tmp_path, strategy):
+    spec = data_path("running_delay2.json")
+    csv = tmp_path / "trace.csv"
+    code, out, err = run_cli(capsys, "simulate", spec, "--strategy", strategy,
+                             "--seed", "3", "--csv", str(csv))
+    assert code == 0, err
+    _, _, netlist = _library(spec, strategy)
+    trace = pf.simulate(netlist, _random_stimulus(netlist, seed=3))
+    assert csv.read_text() == trace.to_csv()
+    assert out == f"latency: {pf.measured_latency(netlist, seed=3)}\n"
+
+
+def test_ready_valid_simulate_writes_a_vcd_of_its_random_stimulus(
+        capsys, tmp_path):
+    spec = data_path("running_delay2.json")
+    vcd = tmp_path / "trace.vcd"
+    code, out, err = run_cli(capsys, "simulate", spec, "--protocol",
+                             "ready_valid", "--cycles", "60", "--vcd", str(vcd))
+    assert code == 0, err
+    _, plan, netlist = _library(spec, protocol="ready_valid")
+    trace = pf.simulate(netlist, _random_stimulus(netlist, cycles=60))
+    assert vcd.read_text() == trace.to_vcd()
+    assert trace.accepted_outputs
+    assert out == (f"latency: {plan.total_latency}\n"
+                   f"accepted: {len(trace.accepted_outputs)} transactions\n")
+
+
 def test_policy_flags_require_direct_strategy(capsys):
     code, _, err = run_cli(
         capsys, "generate", data_path("running.json"),
@@ -79,6 +148,16 @@ def test_report_alias_and_json(capsys):
     assert code == 0
     doc = json.loads(out)
     assert {r["total"] for r in doc["rows"]} == {2}
+
+
+def test_report_out_writes_what_the_library_returns(capsys, tmp_path):
+    spec = data_path("running_delay2.json")
+    tsv = tmp_path / "report.tsv"
+    code, out, err = run_cli(capsys, "report", spec, "--out", str(tsv))
+    assert code == 0 and out == "", err
+    graph = pf.balance_merges(pf.graph_from_spec(pf.load_spec(spec)))
+    assert tsv.read_text() == pf.report_distribution(
+        [("run_delay2", graph)], min_depth=0).to_tsv()
 
 
 def test_simulate_prints_latency(capsys):
@@ -536,6 +615,29 @@ def test_sweep_compiles_the_baseline_once(capsys, tmp_path, monkeypatch):
         assert code == 0, err
         variants = json.loads((out_dir / "index.json").read_text())["variants"]
         assert len(built) == len(variants) + 1
+
+
+def test_sweep_lowers_each_variant_once(capsys, tmp_path, monkeypatch):
+    # the Dinf_Winf_auto variant has the baseline's policy, so the
+    # baseline's lowering serves it: one lower per variant
+    from pipeforge import cli
+    lowered = []
+    lower = cli.lower
+
+    def counting(graph, plan, policy):
+        lowered.append(policy)
+        return lower(graph, plan, policy)
+
+    monkeypatch.setattr(cli, "lower", counting)
+    for protocol in ("raw", "ready_valid"):
+        lowered.clear()
+        out_dir = tmp_path / protocol
+        code, _, err = run_cli(capsys, "sweep", data_path("running_delay2.json"),
+                               "--protocol", protocol, "--out-dir", str(out_dir))
+        assert code == 0, err
+        variants = json.loads((out_dir / "index.json").read_text())["variants"]
+        assert "Dinf_Winf_auto" in [v["name"] for v in variants]
+        assert len(lowered) == len(variants) == len(set(lowered))
 
 
 def test_raw_sweep_decides_every_variant_from_terms(capsys, tmp_path,

@@ -1,4 +1,3 @@
-import random
 import sys
 
 import pytest
@@ -6,7 +5,7 @@ import pytest
 import pipeforge as pf
 from pipeforge.expr import BinOp, Ref
 
-from conftest import brute_force_path_sums, build_running, random_pipeline
+from conftest import brute_force_path_sums, build_running
 
 
 def test_pipe_new_creates_input_zone():
@@ -186,10 +185,8 @@ def test_build_is_deterministic():
         assert list(a.zones[z].slots) == list(b.zones[z].slots)
 
 
-def test_forward_order_is_topological_on_random_graphs():
-    rng = random.Random(7)
-    for i in range(30):
-        g = random_pipeline(rng, f"t{i}")
+def test_forward_order_is_topological_on_random_graphs(random_corpus):
+    for g in random_corpus:
         order = g.forward_order()
         pos = {z: k for k, z in enumerate(order)}
         assert sorted(order) == sorted(g.zones)

@@ -2,18 +2,15 @@
 and more times the size of the random corpus, generated by the benchmark's
 spec generator and checked against its depth oracle."""
 
-import os
-import sys
 from dataclasses import replace
+
+import oracle
+import specgen
+import workloads
 
 import pipeforge as pf
 
 from conftest import implemented_latency
-
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
-import oracle  # noqa: E402
-import specgen  # noqa: E402
-import workloads  # noqa: E402
 
 STRUCTURAL = (pf.RelationKind.STEP, pf.RelationKind.MERGE)
 

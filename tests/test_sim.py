@@ -658,9 +658,9 @@ def _always_ready(nl):
 
 @pytest.mark.parametrize("mutate, diverges", [
     (_write_one_stage_later, True), (_out_valid_one_tap_early, True),
-    # the simulated stream presents each input until out_ready takes it, so
-    # an in_ready that ignores out_ready changes no accepted output
-    (_always_ready, False), (_swap_sub, True)])
+    # an in_ready that ignores out_ready takes inputs the frozen pipeline
+    # drops, so the inputs taken are not the stream sent
+    (_always_ready, True), (_swap_sub, True)])
 def test_ready_valid_mutations_get_the_simulated_verdict(mutate, diverges):
     from pipeforge.terms import output_terms as _output_terms
     rv = pf.Protocol.READY_VALID
@@ -673,6 +673,109 @@ def test_ready_valid_mutations_get_the_simulated_verdict(mutate, diverges):
         got = _outcome(pf.check_equivalence, base, bad)
         assert got == _outcome(_simulated, base, bad)
         assert (isinstance(got, tuple) or not got.ok) == diverges
+
+
+def _fifo_off_its_taps(nl):
+    nl.drivers()["m__e__we"].expr = pf.Ref("valid_0")  # no ~full
+
+
+def _taps_one_stage_too_far(nl):
+    _valid_tap(nl, "m__e__re", 1)
+
+
+def _loop_through_a_delay(nl):
+    from dataclasses import replace
+    i = next(i for i, c in enumerate(nl.cells) if c.out == "d__x")
+    nl.cells[i] = replace(nl.cells[i], inp="m__q__c")  # which reads d__x
+
+
+def _width_error(nl):
+    d, x = pf.Ref("d__diff"), pf.Ref("d__x")
+    nl.drivers()["m__q__c"].expr = pf.Mux(x, d, x)  # an 8-bit selector
+
+
+def _e_out_reads(net):
+    """``e_out`` xor ``net``, which an undriven net is added as."""
+    def mutate(nl):
+        width = nl.nets.setdefault(net, 1)
+        read = pf.Ref(net)
+        if width < 4:
+            read = pf.Concat((pf.Const(0, 4 - width), read))
+        nl.drivers()["e_out"].expr = pf.BinOp("xor", pf.Ref("m__e"), read)
+    return mutate
+
+
+def _raw_with_an_enable(nl):
+    from pipeforge.netlist import CombCell
+    nl.nets["en"] = 1
+    nl.cells.append(CombCell("en", pf.Const(1, 1)))
+    nl.enable = "en"
+
+
+@pytest.mark.parametrize("protocol, mutate", [
+    pytest.param(pf.Protocol.READY_VALID, _fifo_off_its_taps,
+                 id="fifo_off_its_taps"),
+    pytest.param(pf.Protocol.READY_VALID, _taps_one_stage_too_far,
+                 id="taps_one_stage_too_far"),
+    pytest.param(pf.Protocol.RAW, _loop_through_a_delay,
+                 id="loop_through_a_delay"),
+    pytest.param(pf.Protocol.RAW, _width_error, id="width_error"),
+    pytest.param(pf.Protocol.RAW, _e_out_reads("m__e__full"),
+                 id="reads_a_fifo_flag"),
+    pytest.param(pf.Protocol.RAW, _e_out_reads("m__e__read_start"),
+                 id="reads_a_counter"),
+    pytest.param(pf.Protocol.RAW, _e_out_reads("floating"),
+                 id="reads_an_undriven_net"),
+    pytest.param(pf.Protocol.RAW, _raw_with_an_enable,
+                 id="raw_with_an_enable")])
+def test_netlists_the_terms_do_not_handle_are_simulated(protocol, mutate):
+    from pipeforge.terms import output_terms as _output_terms
+    good, bad = _mutable(protocol), _mutable(protocol)
+    mutate(bad)
+    assert _output_terms(good, {}) is not None
+    assert _output_terms(bad, {}) is None
+    assert _outcome(pf.check_equivalence, good, bad) == _outcome(
+        _simulated, good, bad)
+
+
+def test_a_raw_fifo_off_its_start_form_is_not_started():
+    from pipeforge.netlist import fifo_started
+    nl = _mutable()
+    fifo = nl.drivers()["m__e"]
+    assert fifo_started(fifo, nl.drivers())
+    nl.drivers()["m__e__we"].expr = pf.Not(pf.Ref("m__e__full"))
+    assert not fifo_started(fifo, nl.drivers())
+    # the FIFO never fills, so it still writes on every cycle
+    got = pf.check_equivalence(_mutable(), nl)
+    assert got.ok and _simulated(_mutable(), nl) == got
+
+
+def test_a_shift_past_every_bit_is_the_zero_constant():
+    from pipeforge.terms import _timed_terms
+    widths = {"x": 8}
+    cores = {}
+
+    def term(e):
+        return _timed_terms(_expr_netlist(e, widths), ["o"], cores)["o"]
+
+    for op in ("shl", "shr"):
+        assert term(pf.Shift(op, 8, pf.Ref("x"))) == term(pf.Const(0, 8))
+        assert term(pf.Shift(op, 7, pf.Ref("x"))) != term(pf.Const(0, 8))
+
+
+def test_a_stream_that_never_comes_out_has_too_few_outputs():
+    from pipeforge.sim import Verdict
+    good, bad = _mutable(pf.Protocol.READY_VALID), _mutable(
+        pf.Protocol.READY_VALID)
+    bad.drivers()["out_valid"].expr = pf.Const(0, 1)
+    got = pf.check_equivalence(good, bad)
+    assert got == Verdict(False, "trial 0: too few outputs (0)")
+    assert _simulated(good, bad) == got
+
+
+def test_latency_is_measured_on_raw_netlists_only():
+    with pytest.raises(pf.SimulationError, match="applies to raw netlists"):
+        pf.measured_latency(_mutable(pf.Protocol.READY_VALID))
 
 
 def _handshaked(valid_through_fifo=False, late_constant=False):
