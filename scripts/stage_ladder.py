@@ -11,9 +11,10 @@ temporary file; ``copy`` is one ``SyncGraph.copy()`` of the built graph),
 plus the zone, slot and cell counts and the storage bits
 (``perfbench/oracle.storage_bits`` of the Verilog) of the direct-resolved
 raw netlist under ``direct_auto()``, the policy of the ROADMAP baseline.
-``lower_exhaustive`` and ``emit_verilog_exhaustive`` time the same two
-stages on the exhaustive-resolved raw netlist under that policy, the
-largest netlist of the rung.  ``measured_latency`` times the direct
+``lower_p2p`` and ``emit_verilog_p2p``, and ``lower_exhaustive`` and
+``emit_verilog_exhaustive``, time the same two stages on the p2p- and the
+exhaustive-resolved raw netlist under that policy, the latter the largest
+netlist of the rung.  ``measured_latency`` times the direct
 netlist, ``check_equivalence`` compares it with the p2p-resolved raw
 netlist under the same policy,
 ``check_equivalence_exhaustive`` with the exhaustive-resolved one, and
@@ -71,12 +72,14 @@ def rung(pf, specgen, oracle, shape, n: int) -> dict:
     plan, secs["apply_protocol"] = best_of(pf.apply_protocol, d, pf.Protocol.RAW)
     nl, secs["lower"] = best_of(pf.lower, d, plan, policy)
     verilog, secs["emit_verilog"] = best_of(pf.emit_verilog, nl)
+    p2p, secs["lower_p2p"] = best_of(
+        pf.lower, p, pf.apply_protocol(p, pf.Protocol.RAW), policy)
+    _, secs["emit_verilog_p2p"] = best_of(pf.emit_verilog, p2p)
     exhaustive, secs["lower_exhaustive"] = best_of(
         pf.lower, x, pf.apply_protocol(x, pf.Protocol.RAW), policy)
     _, secs["emit_verilog_exhaustive"] = best_of(pf.emit_verilog, exhaustive)
     _, secs["emit_dot"] = best_of(pf.emit_dot, b)
     _, secs["measured_latency"] = best_of(pf.measured_latency, nl)
-    p2p = pf.lower(p, pf.apply_protocol(p, pf.Protocol.RAW), policy)
     verdict, secs["check_equivalence"] = best_of(pf.check_equivalence, nl, p2p)
     if not verdict.ok:
         raise SystemExit(f"N={n}: direct and p2p differ: {verdict.detail}")

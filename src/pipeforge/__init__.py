@@ -38,7 +38,7 @@ from .model import (
     ZoneKind,
     pipe_new,
 )
-from .netlist import Netlist, comb_order, lower, select_primitive
+from .netlist import Netlist, lower, select_primitive
 from .protocol import HandshakePlan, Protocol, apply_protocol
 from .resolve import (
     INFINITE,

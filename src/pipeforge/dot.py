@@ -45,7 +45,8 @@ def emit_dot(graph: SyncGraph) -> str:
             color = STATUS_COLORS[slot.status] if use_color else "black"
             rows.append(
                 f'<TR><TD ALIGN="LEFT"><FONT COLOR="{color}">'
-                f"{html.escape(slot.signal)} [{slot.width}]</FONT></TD></TR>")
+                f"{html.escape(slot.signal)} [{graph.decls[slot.signal].width}]"
+                "</FONT></TD></TR>")
         table = ('<TABLE BORDER="0" CELLBORDER="1" CELLSPACING="0">'
                  + "".join(rows) + "</TABLE>")
         out.append(f'  "{zone.id}" [label=<{table}>];')

@@ -64,8 +64,8 @@ class SignalDecl:
 
 @dataclass
 class Slot:
+    """A signal's place in a zone; its width is ``SyncGraph.decls``'s."""
     signal: str
-    width: int
     status: SignalStatus
     # (source zone, latency) for propagated/carried slots; latency is None for
     # merge-carried slots until balancing fixes the merge edge.
@@ -176,7 +176,7 @@ class SyncGraph:
         for z, zone in self.zones.items():
             zones[z] = TimeZone(
                 zone.id, zone.kind,
-                {k: Slot(s.signal, s.width, s.status, s.fed_from)
+                {k: Slot(s.signal, s.status, s.fed_from)
                  for k, s in zone.slots.items()},
                 [rel(r) for r in zone.inbound], zone.upstream)
         return SyncGraph(
@@ -267,7 +267,7 @@ class SyncGraph:
                     available_zone=best,
                     needing_zone=z,
                     depth=depths[z] - depths[best],
-                    width=slot.width,
+                    width=self.decls[slot.signal].width,
                 ))
         return out
 
@@ -394,7 +394,7 @@ class PipeBuilder:
         g = SyncGraph(name=self.name)
         init = _add_zone(g, TimeZone(INIT_ZONE, ZoneKind.INPUT))
         for sig, width in self._inputs:
-            init.slots[sig] = Slot(sig, width, SignalStatus.CONNECTED_EXTERNAL)
+            init.slots[sig] = Slot(sig, SignalStatus.CONNECTED_EXTERNAL)
             g.decls[sig] = SignalDecl(sig, width, INIT_ZONE)
         self._walk(g, self.main, INIT_ZONE)
         if not g.outputs:
@@ -437,7 +437,7 @@ class PipeBuilder:
                 # chained combinational defines within one wire step may read
                 # each other in definition order
                 local.add(sig)
-            zone.slots[sig] = Slot(sig, width, SignalStatus.DECLARED_UNUSED)
+            zone.slots[sig] = Slot(sig, SignalStatus.DECLARED_UNUSED)
             g.decls[sig] = SignalDecl(sig, width, body.name)
         return body.name
 
@@ -465,8 +465,8 @@ class PipeBuilder:
             zone.inbound.append(Relation(t, zid, None, RelationKind.MERGE,
                                          signals=carried))
             for sig in carried:
-                zone.slots[sig] = Slot(sig, g.zones[t].slots[sig].width,
-                                       SignalStatus.PROPAGATED, fed_from=(t, None))
+                zone.slots[sig] = Slot(sig, SignalStatus.PROPAGATED,
+                                       fed_from=(t, None))
         _add_zone(g, zone)
         return zid
 
@@ -485,8 +485,8 @@ class PipeBuilder:
             zone = _add_zone(g, TimeZone(zid, ZoneKind.OUTPUT, inbound=[
                 Relation(tip, zid, 0, RelationKind.STEP, signals=srcs)]))
             for src in srcs:
-                zone.slots[src] = Slot(src, g.zones[tip].slots[src].width,
-                                       SignalStatus.PROPAGATED, fed_from=(tip, 0))
+                zone.slots[src] = Slot(src, SignalStatus.PROPAGATED,
+                                       fed_from=(tip, 0))
             g.outputs.append(OutputSpec(zid, list(mapping)))
         else:
             for _, src in mapping:
@@ -504,7 +504,7 @@ class PipeBuilder:
         decl = g.decls.get(name)
         if decl is None or not g.reaches(decl.declaring_zone, source_zone):
             raise UnknownSignalError(name, requiring_zone)
-        zone.slots[name] = Slot(name, decl.width, SignalStatus.PENDING_LOCAL)
+        zone.slots[name] = Slot(name, SignalStatus.PENDING_LOCAL)
         g.relations.append(Relation(
             decl.declaring_zone, source_zone, None, RelationKind.EQUIVALENT,
             signals=[name]))

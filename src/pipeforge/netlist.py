@@ -50,11 +50,11 @@ class DelayCell:
 
     Register-style lines (register, no_extract) name their depth - 1
     intermediate nets in ``stages``, the kth being ``inp`` delayed k cycles;
-    an srl line is one shift-register instance and has none.
+    an srl line is one shift-register instance and has none.  Its width,
+    like every cell's, is that of its nets in ``Netlist.nets``.
     """
     out: str
     inp: str
-    width: int
     depth: int
     style: str = "register"
     stages: tuple[str, ...] = ()
@@ -72,7 +72,6 @@ class DelayCell:
 class FifoCell:
     out: str
     inp: str
-    width: int
     capacity: int
     write_en: str
     read_en: str
@@ -179,9 +178,13 @@ class Netlist:
                     seen.add(n)
         return out
 
-    def check(self) -> None:
-        """Structural invariants: single driver, no dangling nets, no
-        combinational cycles, port/net width agreement."""
+    def check(self) -> tuple[dict[str, Cell], list[CombCell]]:
+        """The one rule of a netlist: every net but an input port has one
+        driver and an input port none, each port is as wide as its net, and
+        the combinational cells form no cycle.  Widths live in ``nets`` only.
+        Returns the driver index and the combinational cells in evaluation
+        order (sequential outputs count as cycle-start constants), which
+        the simulator compiles."""
         drivers = self.drivers()
         inputs = {n for n, _ in self.inputs}
         for net in self.nets:
@@ -193,7 +196,16 @@ class Netlist:
         for name, w in self.inputs + self.outputs:
             if self.nets.get(name) != w:
                 raise WidthMismatchError(f"port {name!r} width mismatch")
-        ordered_combs(self.cells, drivers)  # raises on combinational cycles
+        combs = [c for c in self.cells if isinstance(c, CombCell)]
+        # each cell's combinational sources, sorted; cells and sources go in
+        # reversed, as ``postorder`` takes the last first, so the order is
+        # the one a depth-first visit in cell and name order gives
+        reads = {c.out: [r for r in sorted(c.expr.refs(), reverse=True)
+                         if isinstance(drivers.get(r), CombCell)] for c in combs}
+        order = postorder([c.out for c in reversed(combs)], reads.__getitem__,
+                          lambda net: PipeforgeError(
+                              f"combinational cycle through net {net!r}"))
+        return drivers, [drivers[net] for net in order]
 
 
 def _driven(c: Cell) -> tuple[str, ...]:
@@ -203,27 +215,6 @@ def _driven(c: Cell) -> tuple[str, ...]:
     if isinstance(c, FifoCell):
         return c.out, c.full, c.empty
     return (c.count, c.zero) if isinstance(c, CounterCell) else (c.out,)
-
-
-def comb_order(netlist: Netlist) -> list[CombCell]:
-    """Topological evaluation order of the combinational cells; sequential
-    outputs count as cycle-start constants.  A combinational cycle and a
-    net with two drivers raise."""
-    return ordered_combs(netlist.cells, netlist.drivers())
-
-
-def ordered_combs(cells: list[Cell], drivers: dict[str, Cell]) -> list[CombCell]:
-    """``comb_order`` over a driver index already built from ``cells``."""
-    combs = [c for c in cells if isinstance(c, CombCell)]
-    # each cell's combinational sources, sorted; cells and sources go in
-    # reversed, as ``postorder`` takes the last first, so the order is the
-    # one a depth-first visit in cell and name order gives
-    reads = {c.out: [r for r in sorted(c.expr.refs(), reverse=True)
-                     if isinstance(drivers.get(r), CombCell)] for c in combs}
-    order = postorder([c.out for c in reversed(combs)], reads.__getitem__,
-                      lambda net: PipeforgeError(
-                          f"combinational cycle through net {net!r}"))
-    return [drivers[net] for net in order]
 
 
 def postorder(nets: Sequence[str], sources: Callable[[str], Sequence[str]],
@@ -311,16 +302,16 @@ def lower(graph: SyncGraph, plan: HandshakePlan,
     depths = plan.depths
     rv = plan.protocol is Protocol.READY_VALID
 
-    init_zone = graph.zones[graph.input_zone]
+    decls = graph.decls
     net_of: dict[tuple[str, str], str] = {}
-    for slot in init_zone.slots.values():
-        alloc(slot.signal, slot.width)
-        net_of[(graph.input_zone, slot.signal)] = slot.signal
-        nl.inputs.append((slot.signal, slot.width))
+    for sig in graph.zones[graph.input_zone].slots:
+        alloc(sig, decls[sig].width)
+        net_of[(graph.input_zone, sig)] = sig
+        nl.inputs.append((sig, decls[sig].width))
     for spec in graph.outputs:
         for port, src in spec.mapping:
-            alloc(port, graph.signal_width(src))
-            nl.outputs.append((port, graph.signal_width(src)))
+            alloc(port, decls[src].width)
+            nl.outputs.append((port, decls[src].width))
 
     if graph.name in VERILOG_KEYWORDS:
         raise PipeforgeError(
@@ -345,15 +336,14 @@ def lower(graph: SyncGraph, plan: HandshakePlan,
                 for d in range(plan.total_latency + 1)]
         nl.cells.append(CombCell(taps[0], E.Ref("in_valid")))
         if plan.total_latency:
-            nl.cells.append(DelayCell(taps[-1], taps[0], 1, plan.total_latency,
+            nl.cells.append(DelayCell(taps[-1], taps[0], plan.total_latency,
                                       stages=tuple(taps[1:-1])))
 
     for z, zone in graph.zones.items():
         if z == graph.input_zone:
             continue
-        for slot in zone.slots.values():
-            net_of[(z, slot.signal)] = alloc(
-                f"{z}__{slot.signal}", slot.width)
+        for sig in zone.slots:
+            net_of[(z, sig)] = alloc(f"{z}__{sig}", decls[sig].width)
 
     def transport(out: str, inp: str, latency: int, width: int,
                   sink_depth: int) -> None:
@@ -361,14 +351,13 @@ def lower(graph: SyncGraph, plan: HandshakePlan,
         if style == "wire":
             nl.cells.append(CombCell(out, E.Ref(inp)))
         elif style == "fifo":
-            _lower_fifo(out, inp, latency, width, sink_depth)
+            _lower_fifo(out, inp, latency, sink_depth)
         else:
             stages = () if style == "srl" else tuple(
                 alloc(f"{out}__d{i}", width) for i in range(1, latency))
-            nl.cells.append(DelayCell(out, inp, width, latency, style, stages))
+            nl.cells.append(DelayCell(out, inp, latency, style, stages))
 
-    def _lower_fifo(out: str, inp: str, depth: int, width: int,
-                   sink_depth: int) -> None:
+    def _lower_fifo(out: str, inp: str, depth: int, sink_depth: int) -> None:
         full = alloc(f"{out}__full", 1)
         empty = alloc(f"{out}__empty", 1)
         we = alloc(f"{out}__we", 1)
@@ -388,7 +377,7 @@ def lower(graph: SyncGraph, plan: HandshakePlan,
             nl.cells.append(CombCell(
                 re, E.BinOp("and", E.Ref(taps[sink_depth - 1]),
                             E.Not(E.Ref(empty)))))
-        nl.cells.append(FifoCell(out, inp, width, depth, we, re, full, empty))
+        nl.cells.append(FifoCell(out, inp, depth, we, re, full, empty))
 
     for z, zone in graph.zones.items():
         if zone.kind is ZoneKind.INPUT:
@@ -397,9 +386,7 @@ def lower(graph: SyncGraph, plan: HandshakePlan,
         if step is not None:
             src = zone.inbound[0].source
             lat = step.latency
-            mapping = {}
-            for sig, slot in graph.zones[src].slots.items():
-                mapping[sig] = net_of[(src, sig)]
+            mapping = {sig: net_of[(src, sig)] for sig in graph.zones[src].slots}
             for sig, width, body in step.defines:
                 netexpr = E.map_refs(body, mapping)
                 got = netexpr.width(nets)
@@ -423,7 +410,7 @@ def lower(graph: SyncGraph, plan: HandshakePlan,
                     f"slot {z}:{slot.signal} resolved without a feed")
             src_zone, lat = slot.fed_from
             transport(net_of[(z, slot.signal)], net_of[(src_zone, slot.signal)],
-                      lat, slot.width, depths[z])
+                      lat, decls[slot.signal].width, depths[z])
 
     for spec in graph.outputs:
         for port, src in spec.mapping:

@@ -127,13 +127,12 @@ def resolve_exhaustive_forward(graph: SyncGraph) -> SyncGraph:
         # every inbound copy of a signal carries the same value
         inbound = sorted(zone.inbound, key=lambda r: pos[r.source])
         for rel in inbound:
-            for sig, src_slot in g.zones[rel.source].slots.items():
+            for sig in g.zones[rel.source].slots:
                 have = zone.slots.get(sig)
                 if have is not None and have.status is not SignalStatus.PENDING_LOCAL:
                     continue
                 if have is None:
-                    zone.slots[sig] = have = Slot(
-                        sig, src_slot.width, SignalStatus.PROPAGATED)
+                    zone.slots[sig] = have = Slot(sig, SignalStatus.PROPAGATED)
                 have.status = SignalStatus.PROPAGATED
                 have.fed_from = (rel.source, rel.latency)
                 _feed_relation(g, cache, rel.source, z, rel.latency,
@@ -176,8 +175,7 @@ def resolve_p2p_backward(graph: SyncGraph) -> SyncGraph:
                     # the hop-by-hop request loses the original use site;
                     # only the last zone where the signal went missing is known
                     raise UnknownSignalError(sig, rel.source)
-                src.slots[sig] = Slot(
-                    sig, g.signal_width(sig), SignalStatus.PROPAGATED)
+                src.slots[sig] = Slot(sig, SignalStatus.PROPAGATED)
                 needs.setdefault(rel.source, []).append(sig)
             slot = g.zones[z].slots[sig]
             slot.status = SignalStatus.PROPAGATED

@@ -12,16 +12,16 @@ statement with its widths and masks resolved to literals, and a cycle is a
 call of a few generated functions.  Nothing is cached across calls, so a
 netlist may be changed between them.
 
+Each compilation first applies ``Netlist.check()``, the rule ``lower``
+applies, and reads the driver index and combinational order it returns.
 Only the output cone is compiled.  The observed nets are the ports, the
 watched nets, the global enable and every FIFO's enables; one walk back
-from them over ``Netlist.drivers()``, each net's driving cell, picks the
-cells to compile, and a cell no observed net reads costs nothing per cycle.
-Every FIFO is still simulated and counted, so its "read while empty" and
-"write while full" errors fire on the same cycles as if everything were
-compiled (one whose output nothing reads stores zeros), and every
-combinational cell is still ordered and width-checked, so a combinational
-cycle or a width error anywhere raises, and so does a net that two cells
-drive, as in ``Netlist.check`` and ``emit_verilog``.
+from them over the driver index picks the cells to compile, and a cell no
+observed net reads costs nothing per cycle.  Every FIFO is still simulated
+and counted, so its "read while empty" and "write while full" errors fire
+on the same cycles as if everything were compiled (one whose output
+nothing reads stores zeros).  A width error in any combinational cell
+raises, in the cone or not.
 
 ``measured_latency`` warms a netlist up for as long as its own longest
 sequential path into the outputs, found in one walk over the same index; a
@@ -46,7 +46,7 @@ from typing import Callable
 from .errors import NoResponseError, PortMismatchError, SimulationError
 from .expr import BinOp, Concat, Const, Expr, Mux, Not, Ref, Shift, Slice
 from .netlist import (CombCell, CounterCell, DelayCell, FifoCell, Netlist, feed,
-                      ordered_combs, postorder)
+                      postorder)
 from .protocol import Protocol
 from .terms import output_terms
 
@@ -159,8 +159,9 @@ class _Compiled:
     ``S[j]`` and its contents the deque ``Q[j]``, and a startup counter
     reads ``max(init - t, 0)``.
 
-    The walk back from the observed nets over ``drivers`` by ``feed``
-    reaches the nets that get slots and the cells that get statements.
+    The walk back from the observed nets by ``feed``, over the driver index
+    ``Netlist.check()`` returns, reaches the nets that get slots and the
+    cells that get statements.
     Every FIFO keeps its update, since its enables are observed; one whose
     output is not reached queues zeros.  Stage nets, FIFO flags and counter
     nets are only computed where the walk reaches them.
@@ -169,7 +170,8 @@ class _Compiled:
     def __init__(self, netlist: Netlist, watch: tuple[str, ...] = ()):
         self.netlist = netlist
         nets = netlist.nets
-        drivers = self.drivers = netlist.drivers()
+        self.drivers, combs = netlist.check()
+        drivers = self.drivers
         fifos = [c for c in netlist.cells if isinstance(c, FifoCell)]
         counters = [c for c in netlist.cells if isinstance(c, CounterCell)]
         # the observed nets and every net they read, walked backwards
@@ -198,9 +200,9 @@ class _Compiled:
         self.slot = {net: i for i, net in enumerate(dict.fromkeys(order))}
         self.nslots = len(self.slot)
         cells: list[CombCell] = []
-        for c in ordered_combs(netlist.cells, drivers):  # raises on any cycle
+        for c in combs:
             if c.out not in reached:
-                c.expr.width(nets)  # so a width error anywhere still raises
+                c.expr.width(nets)  # a width error raises in the cone or not
             elif isinstance(c.expr, Ref):
                 # in topological order, so a chain of wires ends at its
                 # first source

@@ -12,6 +12,7 @@ import enum
 from dataclasses import dataclass
 
 from . import expr as E
+from .errors import PipeforgeError
 from .netlist import CombCell, CounterCell, DelayCell, FifoCell, Netlist
 
 NO_EXTRACT_ATTR = '(* shreg_extract = "no" *)'
@@ -162,14 +163,15 @@ def emit_verilog(netlist: Netlist, options: EmitOptions = EmitOptions()) -> str:
             out.append(f"// {line}".rstrip())
         out.append("")
 
+    nets = netlist.nets
     shapes_sr = []
     shapes_fifo = []
     for c in netlist.cells:
         if (isinstance(c, DelayCell) and c.style == "srl"
-                and (c.width, c.depth) not in shapes_sr):
-            shapes_sr.append((c.width, c.depth))
-        if isinstance(c, FifoCell) and (c.width, c.capacity) not in shapes_fifo:
-            shapes_fifo.append((c.width, c.capacity))
+                and (nets[c.out], c.depth) not in shapes_sr):
+            shapes_sr.append((nets[c.out], c.depth))
+        if isinstance(c, FifoCell) and (nets[c.out], c.capacity) not in shapes_fifo:
+            shapes_fifo.append((nets[c.out], c.capacity))
     for width, depth in shapes_sr:
         out.append(_shiftreg_module(width, depth))
     for width, cap in shapes_fifo:
@@ -187,10 +189,12 @@ def emit_verilog(netlist: Netlist, options: EmitOptions = EmitOptions()) -> str:
 
     drivers = netlist.drivers()
     port_set = set(ports)
-    for net, width in netlist.nets.items():
+    for net, width in nets.items():
+        drv = drivers.get(net)
+        if drv is None and net not in in_ports:
+            raise PipeforgeError(f"net {net!r} has no driver")
         if net in port_set:
             continue
-        drv = drivers.get(net)
         if isinstance(drv, DelayCell) and drv.style != "srl":
             attr = ""
             if (drv.style == "no_extract"
@@ -202,7 +206,7 @@ def emit_verilog(netlist: Netlist, options: EmitOptions = EmitOptions()) -> str:
         else:
             out.append(f"  wire {_decl(width)}{net};")
 
-    emitter = _ExprEmitter(netlist.nets)
+    emitter = _ExprEmitter(nets)
     body: list[str] = []
     en = netlist.enable
     en_port = en or "1'b1"  # helper modules always take an enable
@@ -215,14 +219,15 @@ def emit_verilog(netlist: Netlist, options: EmitOptions = EmitOptions()) -> str:
             body.append(f"  {tgt}")
         elif isinstance(c, DelayCell) and c.style == "srl":
             body.append(
-                f"  pf_shiftreg_w{c.width}_d{c.depth} u_{c.out}("
+                f"  pf_shiftreg_w{nets[c.out]}_d{c.depth} u_{c.out}("
                 f".clk(clk), .rst(rst), .en({en_port}), .d({c.inp}), "
                 f".q({c.out}));")
         elif isinstance(c, DelayCell):
-            nets = [c.inp, *c.stages, c.out]
-            for prev, nxt in zip(nets, nets[1:]):
+            chain = [c.inp, *c.stages, c.out]
+            zero = f"{nets[c.out]}'d0"
+            for prev, nxt in zip(chain, chain[1:]):
                 body.append("  always @(posedge clk) begin")
-                body.append(f"    if (rst) {nxt} <= {c.width}'d0;")
+                body.append(f"    if (rst) {nxt} <= {zero};")
                 if en:
                     body.append(f"    else if ({en}) {nxt} <= {prev};")
                 else:
@@ -230,12 +235,12 @@ def emit_verilog(netlist: Netlist, options: EmitOptions = EmitOptions()) -> str:
                 body.append("  end")
         elif isinstance(c, FifoCell):
             body.append(
-                f"  pf_fifo_w{c.width}_d{c.capacity} u_{c.out}("
+                f"  pf_fifo_w{nets[c.out]}_d{c.capacity} u_{c.out}("
                 f".clk(clk), .rst(rst), .en({en_port}), .wr({c.write_en}), "
                 f".rd({c.read_en}), .din({c.inp}), .dout({c.out}), "
                 f".full({c.full}), .empty({c.empty}));")
         else:  # CounterCell
-            cw = netlist.nets[c.count]
+            cw = nets[c.count]
             body.append(f"  assign {c.zero} = ({c.count} == {cw}'d0);")
             body.append("  always @(posedge clk) begin")
             body.append(f"    if (rst) {c.count} <= {cw}'d{c.init};")

@@ -278,7 +278,7 @@ def _graph_digest(g: pf.SyncGraph) -> str:
         return (r.source, r.sink, r.latency, r.kind, list(r.signals))
     return repr((
         [(z.id, z.kind, z.upstream,
-          [(s.signal, s.width, s.status, s.fed_from) for s in z.slots.values()],
+          [(s.signal, s.status, s.fed_from) for s in z.slots.values()],
           [rel(r) for r in z.inbound]) for z in g.zones.values()],
         [rel(r) for r in g.relations],
         [(o.zone, list(o.mapping)) for o in g.outputs],
@@ -301,7 +301,7 @@ def test_copy_is_independent_of_the_original(random_corpus):
                     slot.status = pf.SignalStatus.PENDING_LOCAL
                     slot.fed_from = ("elsewhere", -1)
                 zone.slots["extra"] = pf.Slot(
-                    "extra", 1, pf.SignalStatus.PROPAGATED)
+                    "extra", pf.SignalStatus.PROPAGATED)
                 zone.inbound.append(pf.Relation(
                     "elsewhere", zone.id, 0, pf.RelationKind.STEP))
             for r in c.relations:

@@ -49,7 +49,7 @@ def test_fifo_lowering_raw():
     counts = nl.cell_counts()
     assert counts["fifo"] == 1 and counts["counter"] == 1
     (fifo,) = [c for c in nl.cells if isinstance(c, FifoCell)]
-    assert fifo.capacity == 4 and fifo.width == 4
+    assert fifo.capacity == 4 and nl.nets[fifo.out] == 4
     (cnt,) = [c for c in nl.cells if isinstance(c, CounterCell)]
     assert cnt.init == 3
     # write enable tied high, read enable follows the startup counter
@@ -100,8 +100,8 @@ def test_check_rejects_multiple_drivers():
     (("f_empty", "f_full"), "f_full"),  # a FIFO drives out, full, empty
 ])
 def test_drivers_names_the_first_net_met_twice(names, named):
-    delay = DelayCell("d", "x", 1, 3, stages=("s1", "s2"))
-    fifo = FifoCell("f", "x", 1, 2, "x", "x", "f_full", "f_empty")
+    delay = DelayCell("d", "x", 3, stages=("s1", "s2"))
+    fifo = FifoCell("f", "x", 2, "x", "x", "f_full", "f_empty")
     nl = pf.Netlist("dup", inputs=[("x", 1)],
                     cells=[CombCell(n, E.Ref("x")) for n in names])
     nl.cells += [delay, fifo]
@@ -126,13 +126,14 @@ def test_comb_cycle_detected():
     nl.cells.append(CombCell("p", E.BinOp("and", E.Ref("a"), E.Ref("q"))))
     nl.cells.append(CombCell("q", E.Ref("p")))
     with pytest.raises(pf.PipeforgeError):
-        pf.comb_order(nl)
+        nl.check()[1]
 
 
 def test_comb_order_respects_dependencies():
     nl = lowered(with_e=True)
-    pos = {c.out: i for i, c in enumerate(pf.comb_order(nl))}
-    for c in pf.comb_order(nl):
+    order = nl.check()[1]
+    pos = {c.out: i for i, c in enumerate(order)}
+    for c in order:
         for ref in c.expr.refs():
             if ref in pos:
                 assert pos[ref] < pos[c.out]
@@ -149,7 +150,7 @@ def test_a_deep_combinational_chain_listed_output_first():
                     nets={"o": 8, **{f"n{i}": 8 for i in range(n + 1)}},
                     cells=cells)
     nl.check()
-    order = [c.out for c in pf.comb_order(nl)]
+    order = [c.out for c in nl.check()[1]]
     assert order == [f"n{i}" for i in range(1, n + 1)] + ["o"]
     trace = pf.simulate(nl, pf.Stimulus(3, [{}, {"n0": 7}, {"n0": 250}]))
     assert [s["o"] for s in trace.samples] == [(x + n) % 256 for x in (0, 7, 250)]

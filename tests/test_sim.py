@@ -182,7 +182,7 @@ def test_register_feedback_has_no_latency():
     nl = pf.Netlist("toggle", inputs=[("x", 1)], outputs=[("q", 1)],
                     nets={"x": 1, "d": 1, "q": 1})
     nl.cells = [CombCell("d", pf.BinOp("xor", pf.Ref("q"), pf.Not(pf.Ref("x")))),
-                DelayCell("q", "d", 1, 1)]
+                DelayCell("q", "d", 1)]
     nl.check()
     with pytest.raises(pf.SimulationError, match="feeds back"):
         pf.measured_latency(nl)
@@ -334,11 +334,11 @@ def _hostile_netlist(name, read_en):
     n = {k: name(k) for k in ("x", "s", "d", "d1", "f", "we", "re", "full",
                               "empty", "cnt", "zero", "o", "o2")}
     cells = [CombCell(n["s"], pf.BinOp("add", pf.Ref(n["x"]), pf.Const(3, 8))),
-             DelayCell(n["d"], n["s"], 8, 2, stages=(n["d1"],)),
+             DelayCell(n["d"], n["s"], 2, stages=(n["d1"],)),
              CounterCell(n["cnt"], n["zero"], 2),
              CombCell(n["we"], pf.Const(1, 1)),
              CombCell(n["re"], read_en(n)),
-             FifoCell(n["f"], n["d"], 8, 3, n["we"], n["re"], n["full"],
+             FifoCell(n["f"], n["d"], 3, n["we"], n["re"], n["full"],
                       n["empty"]),
              CombCell(n["o"], pf.Ref(n["f"])),
              CombCell(n["o2"], pf.Not(pf.Ref(n["d1"])))]
@@ -436,12 +436,12 @@ def _through_every_edge():
               "o": 8, "we": 1, "re": 1, "full": 1, "empty": 1, "cnt": 2,
               "zero": 1}
     cells = [CombCell("s", pf.BinOp("add", pf.Ref("x"), pf.Const(3, 8))),
-             DelayCell("d", "s", 8, 3, stages=("d1", "d2")),
+             DelayCell("d", "s", 3, stages=("d1", "d2")),
              CombCell("m", pf.Not(pf.Ref("d1"))),
              CounterCell("cnt", "zero", 2),
              CombCell("we", pf.Const(1, 1)),
              CombCell("re", pf.Ref("zero")),
-             FifoCell("f", "m", 8, 3, "we", "re", "full", "empty"),
+             FifoCell("f", "m", 3, "we", "re", "full", "empty"),
              CombCell("o", pf.Ref("f"))]
     return pf.Netlist("edges", inputs=[("x", 8)], outputs=[("o", 8)],
                       nets=widths, cells=cells)
@@ -488,7 +488,7 @@ def _unread_fifo(read_en):
                       cells=[CombCell("o", pf.Not(pf.Ref("x"))),
                              CombCell("we", pf.Const(1, 1)),
                              CombCell("re", pf.Const(read_en, 1)),
-                             FifoCell("f", "x", 4, 3, "we", "re", "full",
+                             FifoCell("f", "x", 3, "we", "re", "full",
                                       "empty")])
 
 
@@ -505,11 +505,10 @@ def test_unread_fifo_still_checks_its_occupancy():
 
 def test_dead_cells_still_raise():
     from pipeforge.netlist import CombCell
-    widths = {"x": 4, "o": 4, "a": 4, "b": 4}
 
     def netlist(*dead):
         return pf.Netlist("dead", inputs=[("x", 4)], outputs=[("o", 4)],
-                          nets=widths,
+                          nets={"x": 4, "o": 4, **{c.out: 4 for c in dead}},
                           cells=[CombCell("o", pf.Ref("x")), *dead])
 
     ok = netlist(CombCell("a", pf.Not(pf.Ref("x"))))
@@ -784,25 +783,24 @@ def _handshaked(valid_through_fifo=False, late_constant=False):
     with the enables ``lower`` gives one."""
     from pipeforge.netlist import CombCell, DelayCell, FifoCell
     nets = {"x": 4, "in_valid": 1, "out_ready": 1, "o": 4, "out_valid": 1,
-            "in_ready": 1, "enable": 1, "n": 4, "d": 4, "k": 4, "f": 4,
-            "we": 1, "re": 1, "full": 1, "empty": 1}
+            "in_ready": 1, "enable": 1, "n": 4, "d": 4, "k": 4, "f": 4}
     nets |= {f"valid_{i}": 1 for i in range(5)}
     cells = [CombCell("enable", pf.Ref("out_ready")),
              CombCell("in_ready", pf.Ref("out_ready")),
              CombCell("valid_0", pf.Ref("in_valid")),
-             DelayCell("valid_4", "valid_0", 1, 4,
+             DelayCell("valid_4", "valid_0", 4,
                        stages=("valid_1", "valid_2", "valid_3")),
              CombCell("n", pf.Not(pf.Ref("x"))),
-             DelayCell("d", "n", 4, 2, "srl"),
+             DelayCell("d", "n", 2, "srl"),
              CombCell("k", pf.Const(5, 4))]
 
     def fifo(out, inp, width, w):
-        nets[out] = width
+        nets.update({out: width, "we": 1, "re": 1, "full": 1, "empty": 1})
         return [CombCell("we", pf.BinOp("and", pf.Ref(f"valid_{w}"),
                                         pf.Not(pf.Ref("full")))),
                 CombCell("re", pf.BinOp("and", pf.Ref(f"valid_{w + 1}"),
                                         pf.Not(pf.Ref("empty")))),
-                FifoCell(out, inp, width, 2, "we", "re", "full", "empty")]
+                FifoCell(out, inp, 2, "we", "re", "full", "empty")]
 
     if valid_through_fifo:
         cells += fifo("vf", "valid_0", 1, 0) + [CombCell("out_valid",
@@ -847,22 +845,26 @@ def test_a_flag_read_by_its_own_enables_is_simulated():
     assert _simulated(good, bad) == got
 
 
-def test_every_call_rejects_a_net_with_two_drivers():
+def test_every_call_rejects_two_drivers_and_an_undriven_net():
+    # each call applies the rule of ``Netlist.check()``
     from pipeforge.netlist import CombCell
     single = _expr_netlist(pf.Ref("x"), {"x": 4})
     double = _expr_netlist(pf.Ref("x"), {"x": 4})
     double.cells.append(CombCell("o", pf.Not(pf.Ref("x"))))
-    calls = [lambda: double.check(),
-             lambda: pf.comb_order(double),
-             lambda: pf.emit_verilog(double),
-             lambda: pf.simulate(double, pf.Stimulus(cycles=2)),
-             lambda: pf.measured_latency(double),
-             lambda: pf.check_equivalence(double, single),
-             lambda: pf.check_equivalence(single, double)]
-    for call in calls:
-        with pytest.raises(pf.PipeforgeError,
-                           match="^net 'o' has multiple drivers$"):
-            call()
+    floating = _mutable()
+    _e_out_reads("floating")(floating)
+    for good, bad, error in (
+            (single, double, "net 'o' has multiple drivers"),
+            (_mutable(), floating, "net 'floating' has no driver")):
+        calls = [bad.check,
+                 lambda: pf.emit_verilog(bad),
+                 lambda: pf.simulate(bad, pf.Stimulus(cycles=2)),
+                 lambda: pf.measured_latency(bad),
+                 lambda: pf.check_equivalence(bad, good),
+                 lambda: pf.check_equivalence(good, bad)]
+        for call in calls:
+            with pytest.raises(pf.PipeforgeError, match=f"^{error}$"):
+                call()
 
 
 def test_terms_decide_only_a_settled_window():
@@ -870,15 +872,15 @@ def test_terms_decide_only_a_settled_window():
     # show zeros or ones before; that shows wherever the terms do not put
     # every output at one shift, so those pairs are simulated
     from pipeforge.netlist import CombCell, DelayCell
-    widths = {"x": 4, "n": 4, "d": 4, "o": 4, "p": 4}
     not_first = [CombCell("n", pf.Not(pf.Ref("x"))),
-                 DelayCell("d", "n", 4, 2, "srl"), CombCell("o", pf.Ref("d"))]
-    delay_first = [DelayCell("d", "x", 4, 2, "srl"),
+                 DelayCell("d", "n", 2, "srl"), CombCell("o", pf.Ref("d"))]
+    delay_first = [DelayCell("d", "x", 2, "srl"),
                    CombCell("o", pf.Not(pf.Ref("d")))]
 
     def netlist(cells, p):
         return pf.Netlist("t", inputs=[("x", 4)], outputs=[("o", 4), ("p", 4)],
-                          nets=widths, cells=cells + [CombCell("p", p)])
+                          nets={"x": 4, "p": 4, **{c.out: 4 for c in cells}},
+                          cells=cells + [CombCell("p", p)])
 
     for p in (pf.Ref("x"), pf.BinOp("add", pf.Ref("x"), pf.Ref("o"))):
         verdict = pf.check_equivalence(netlist(not_first, p),
