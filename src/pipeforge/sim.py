@@ -23,16 +23,20 @@ on the same cycles as if everything were compiled (one whose output
 nothing reads stores zeros).  A width error in any combinational cell
 raises, in the cone or not.
 
-``measured_latency`` warms a netlist up for as long as its own longest
-sequential path into the outputs, found in one walk over the same index; a
-net that feeds back into itself through sequential cells never settles,
-and is reported as an error rather than measured.
+``measured_latency`` applies the same rule and width check, then reads
+the latency off the timed terms where they decide (``terms.py`` states
+when), without compiling.  Elsewhere it simulates an impulse, after warming
+the netlist up for as long as its own longest sequential path into the
+outputs, found in one walk over the same index; a net that feeds back into
+itself through sequential cells never settles, and is reported as an error
+rather than measured.
 
 Equivalence is first asked of ``terms.output_terms``: two netlists
 whose data outputs' terms decide and are equal are equivalent without a
-simulated cycle, and every other pair is simulated.  ``simulate`` and
-``measured_latency`` always simulate.  ``equivalence_to`` checks one
-netlist against many, and ``check_equivalence`` is it applied once.
+simulated cycle, and every other pair is simulated, each side's latency
+read off its own terms where they decide.  ``simulate`` always simulates.
+``equivalence_to`` checks one netlist against many, and
+``check_equivalence`` is it applied once.
 """
 
 from __future__ import annotations
@@ -45,10 +49,10 @@ from typing import Callable
 
 from .errors import NoResponseError, PortMismatchError, SimulationError
 from .expr import BinOp, Concat, Const, Expr, Mux, Not, Ref, Shift, Slice
-from .netlist import (CombCell, CounterCell, DelayCell, FifoCell, Netlist, feed,
-                      postorder)
+from .netlist import (Cell, CombCell, CounterCell, DelayCell, FifoCell, Netlist,
+                      feed, postorder)
 from .protocol import Protocol
-from .terms import output_terms
+from .terms import evaluate, output_terms
 
 
 @dataclass
@@ -160,17 +164,19 @@ class _Compiled:
     reads ``max(init - t, 0)``.
 
     The walk back from the observed nets by ``feed``, over the driver index
-    ``Netlist.check()`` returns, reaches the nets that get slots and the
-    cells that get statements.
+    ``Netlist.check()`` returns (or ``checked``, its result if already
+    found), reaches the nets that get slots and the cells that get
+    statements.
     Every FIFO keeps its update, since its enables are observed; one whose
     output is not reached queues zeros.  Stage nets, FIFO flags and counter
     nets are only computed where the walk reaches them.
     """
 
-    def __init__(self, netlist: Netlist, watch: tuple[str, ...] = ()):
+    def __init__(self, netlist: Netlist, watch: tuple[str, ...] = (),
+                 checked: tuple[dict[str, Cell], list[CombCell]] | None = None):
         self.netlist = netlist
         nets = netlist.nets
-        self.drivers, combs = netlist.check()
+        self.drivers, combs = checked or netlist.check()
         drivers = self.drivers
         fifos = [c for c in netlist.cells if isinstance(c, FifoCell)]
         counters = [c for c in netlist.cells if isinstance(c, CounterCell)]
@@ -445,33 +451,81 @@ def _settle_time(sim: _Compiled, nets: list[str]) -> int:
 
 
 def measured_latency(netlist: Netlist, seed: int = 0) -> int:
-    """Input-to-output delay of a raw netlist, measured with an impulse.
+    """Input-to-output delay of a raw netlist, as an impulse finds it.
 
-    Warms the pipeline with zeros, applies a one-cycle random stimulus and
-    returns the delay until any output first deviates from its settled
-    value; retries with fresh values if the function happens to be
-    insensitive to the draw.  The warm-up is the netlist's own longest
-    sequential path into the outputs, so it needs no planned latency.  The
-    netlist is compiled once for every impulse.
+    The pipeline is warmed with zeros and given a one-cycle random
+    stimulus; the delay is the cycles until any output first deviates from
+    its settled value.  A draw the function is insensitive to is retried
+    with fresh values, and ``NoResponseError`` raised after 20.  The
+    netlist is first checked as compiling it would check it.  Where its
+    timed terms decide (``terms.py``), the delay is their one shift and the
+    draws are evaluated on the output cores only.  Elsewhere the netlist is
+    compiled once and the impulses simulated, after a warm-up as long as
+    its own longest sequential path into the outputs, so it needs no
+    planned latency.
     """
     if netlist.protocol is not Protocol.RAW:
         raise SimulationError("latency measurement applies to raw netlists")
-    return _latency(_Compiled(netlist), seed)
+    checked = netlist.check()
+    latency = _term_latency(netlist, *checked, seed)
+    if latency is None:
+        return _latency(_Compiled(netlist, checked=checked), seed)
+    return latency
+
+
+def _first_response(netlist: Netlist, seed: int,
+                    response: Callable[[dict], int | None]) -> int:
+    """``response`` of the first of 20 random one-cycle impulses, drawn
+    from ``seed``, that it is not None for; ``NoResponseError`` if none."""
+    rng = random.Random(seed)
+    for _ in range(20):
+        impulse = {n: rng.randrange(1, 1 << w) for n, w in netlist.inputs}
+        latency = response(impulse)
+        if latency is not None:
+            return latency
+    raise NoResponseError("output never responded to any impulse")
 
 
 def _latency(sim: _Compiled, seed: int) -> int:
-    netlist = sim.netlist
-    rng = random.Random(seed)
-    out_ports = [n for n, _ in netlist.outputs]
+    """``measured_latency`` of a compiled raw netlist, simulated."""
+    out_ports = [n for n, _ in sim.netlist.outputs]
     warm = _settle_time(sim, out_ports) + 8
-    for _ in range(20):
-        impulse = {n: rng.randrange(1, 1 << w) for n, w in netlist.inputs}
+
+    def response(impulse: dict) -> int | None:
         trace = sim.run(Stimulus(2 * warm + 2, [{}] * warm + [impulse]))
         settled = trace.samples[warm - 1]
         for c in range(warm, len(trace.samples)):
             if any(trace.samples[c][p] != settled[p] for p in out_ports):
                 return c - warm
-    raise NoResponseError("output never responded to any impulse")
+        return None
+
+    return _first_response(sim.netlist, seed, response)
+
+
+def _term_latency(netlist: Netlist, drivers: dict[str, Cell],
+                  combs: list[CombCell], seed: int) -> int | None:
+    """``measured_latency`` of a checked raw netlist read off its timed
+    terms, after ``combs`` are width-checked as a compilation checks them;
+    None where the terms do not decide or read a net missing from
+    ``nets``, whose width a compilation may never ask for."""
+    cores: dict = {}
+    try:
+        terms = output_terms(netlist, cores, drivers)
+        if terms is None:
+            return None
+        for c in combs:
+            c.expr.width(netlist.nets)
+    except KeyError:
+        return None
+    latency = next(shift for shift, core in terms if core[1])
+    outs = [core[0] for _, core in terms]
+    settled = evaluate(cores, {n: 0 for n, _ in netlist.inputs})
+
+    def response(impulse: dict) -> int | None:
+        values = evaluate(cores, impulse)
+        return latency if any(values[i] != settled[i] for i in outs) else None
+
+    return _first_response(netlist, seed, response)
 
 
 @dataclass
@@ -494,9 +548,12 @@ def _ready_schedule(rng: random.Random, cycles: int, duty: float,
 
 def _stream_latency(sim: _Compiled, seed: int) -> int:
     """Enabled cycles from a transaction in to its result out: measured on
-    a raw netlist, the depth of the valid chain under ready/valid."""
+    a raw netlist, the depth of the valid chain under ready/valid.  The
+    compiled netlist is checked, so its combinational cells need no
+    width check on the way to its terms."""
     if sim.netlist.protocol is Protocol.RAW:
-        return _latency(sim, seed)
+        latency = _term_latency(sim.netlist, sim.drivers, [], seed)
+        return _latency(sim, seed) if latency is None else latency
     return _settle_time(sim, ["out_valid"])
 
 

@@ -32,6 +32,14 @@ delay lines.  One enable then freezes every sequential cell, so the kth
 accepted output is the cores applied to the kth accepted input.  Two
 netlists whose terms decide and are equal compute the same outputs from the
 same inputs once their pipelines have filled, raw, ready/valid or one of each.
+
+Where a raw netlist's terms decide, they also give its latency: the one
+shift of its input-reading outputs is the delay ``measured_latency``'s
+impulse finds, provided some output core responds to one of the impulse's
+own draws (``evaluate`` against the all-zero input); if none does, the
+impulse would find none either.  Every other raw netlist is measured by
+simulating the impulse, and so is one whose terms read a net missing from
+``nets``.
 """
 
 from __future__ import annotations
@@ -40,7 +48,7 @@ from typing import Sequence
 
 from .errors import SimulationError, WidthMismatchError
 from .expr import BinOp, Concat, Const, Expr, Mux, Not, Ref, Shift, Slice
-from .netlist import (CombCell, DelayCell, FifoCell, Netlist, feed,
+from .netlist import (Cell, CombCell, DelayCell, FifoCell, Netlist, feed,
                       fifo_started, fifo_taps, postorder)
 from .protocol import Protocol
 
@@ -112,13 +120,16 @@ def _expr_term(e: Expr, terms: dict, widths: dict[str, int],
                     [_expr_term(p, terms, widths, cores) for p in parts])
 
 
-def _timed_terms(netlist: Netlist, nets: Sequence[str],
-                 cores: dict) -> dict[str, tuple[int, Core]] | None:
+def _timed_terms(netlist: Netlist, nets: Sequence[str], cores: dict,
+                 drivers: dict[str, Cell] | None = None,
+                 ) -> dict[str, tuple[int, Core]] | None:
     """Each of ``nets`` as a timed term, by the rules above, interned in
     ``cores``; None where any net they read is not handled.  One
     ``postorder`` pass over the driver index, from ``nets`` and every
-    FIFO's taps."""
-    drivers = netlist.drivers()
+    FIFO's taps; ``drivers`` is ``netlist.drivers()``, built here if not
+    given."""
+    if drivers is None:
+        drivers = netlist.drivers()
     fifos = [c for c in netlist.cells if isinstance(c, FifoCell)]
     taps: dict[str, tuple[str, str]] = {}  # by FIFO output, ready/valid only
     if netlist.protocol is Protocol.RAW:
@@ -177,16 +188,18 @@ def _timed_terms(netlist: Netlist, nets: Sequence[str],
     return {n: terms[n] for n in nets}
 
 
-def output_terms(netlist: Netlist,
-                 cores: dict) -> list[tuple[int, Core]] | None:
+def output_terms(netlist: Netlist, cores: dict,
+                 drivers: dict[str, Cell] | None = None,
+                 ) -> list[tuple[int, Core]] | None:
     """The data output ports' timed terms, interned in ``cores``, where they
-    decide equivalence by the rules above; None elsewhere."""
+    decide equivalence by the rules above; None elsewhere.  ``drivers`` is
+    ``netlist.drivers()``, built here if not given."""
     outs = [n for n, _ in netlist.data_ports()[1]]
     rv = netlist.protocol is Protocol.READY_VALID
     if (netlist.enable is not None) != rv:
         return None
     handshake = ["out_valid", "in_ready", netlist.enable] if rv else []
-    found = _timed_terms(netlist, outs + handshake, cores)
+    found = _timed_terms(netlist, outs + handshake, cores, drivers)
     if found is None:
         return None
     terms = [found[n] for n in outs]
@@ -203,3 +216,52 @@ def output_terms(netlist: Netlist,
                                            _handshake(cores, "in_valid"))):
             return None
     return terms
+
+
+def _mask(width: int) -> int:
+    return (1 << width) - 1
+
+
+def _cat(width: int, widths: tuple[int, ...], *parts: int) -> int:
+    acc = parts[0]
+    for w, b in zip(widths[1:], parts[1:]):
+        acc = (acc << w) | b
+    return acc
+
+
+# each op's value from its width, parameters and argument values, as the
+# statement ``sim._Compiled`` emits for it computes it: masked after add,
+# sub, mul, not, shl and slice, unmasked after xor, and, or, shr, mux and
+# cat, and a constant is its raw value
+_EVAL = {
+    "const": lambda w, p: p,
+    "add": lambda w, p, a, b: (a + b) & _mask(w),
+    "sub": lambda w, p, a, b: (a - b) & _mask(w),
+    "mul": lambda w, p, a, b: (a * b) & _mask(w),
+    "xor": lambda w, p, a, b: a ^ b,
+    "and": lambda w, p, a, b: a & b,
+    "or": lambda w, p, a, b: a | b,
+    "not": lambda w, p, a: ~a & _mask(w),
+    "shl": lambda w, p, a: (a << p) & _mask(w),
+    "shr": lambda w, p, a: a >> p,
+    "mux": lambda w, p, s, a, b: a if s else b,
+    "slice": lambda w, p, a: (a >> p[1]) & _mask(w),
+    "cat": _cat,
+}
+
+
+def evaluate(cores: dict, inputs: dict[str, int]) -> list[int | None]:
+    """Every core's value, indexed by its id, with each data input port at
+    its value in ``inputs``; None for a core that is not aligned.  One pass
+    over ``cores`` in interning order, as each core is interned after its
+    arguments."""
+    values: list[int | None] = []
+    for (op, width, params, args), (_, _, aligned) in cores.items():
+        if not aligned:
+            values.append(None)
+        elif op == "in":
+            values.append(inputs[params])
+        else:
+            values.append(_EVAL[op](width, params,
+                                    *(values[a[0]] for a in args)))
+    return values

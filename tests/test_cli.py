@@ -605,7 +605,8 @@ def test_sweep_compiles_the_baseline_once(capsys, tmp_path, monkeypatch):
     # where the terms cannot decide, every variant is simulated against the
     # one compiled baseline
     from pipeforge import sim
-    monkeypatch.setattr(sim, "output_terms", lambda netlist, cores: None)
+    monkeypatch.setattr(sim, "output_terms",
+                        lambda netlist, cores, drivers=None: None)
     built = _count_compiles(monkeypatch)
     for protocol in ("raw", "ready_valid"):
         built.clear()

@@ -520,6 +520,12 @@ def test_dead_cells_still_raise():
                    CombCell("b", pf.Not(pf.Ref("a"))))
     with pytest.raises(pf.PipeforgeError, match="combinational cycle"):
         pf.simulate(loop, pf.Stimulus(cycles=2))
+    # the latency is read off the terms of ``o`` alone, and still rejects
+    assert pf.measured_latency(ok) == 0
+    with pytest.raises(pf.WidthMismatchError):
+        pf.measured_latency(netlist(CombCell("a", mux)))
+    with pytest.raises(pf.PipeforgeError, match="combinational cycle"):
+        pf.measured_latency(loop)
 
 
 # -- timed terms ----------------------------------------------------------------
@@ -590,6 +596,78 @@ def _outcome(fn, *args):
         return fn(*args)
     except pf.PipeforgeError as exc:
         return type(exc), str(exc)
+
+
+def test_measured_latency_from_terms_matches_the_simulated_one(
+        random_corpus, monkeypatch):
+    # where the terms decide, the latency is read off them without
+    # compiling, and is what the impulse simulation finds: the same value,
+    # or an error of the same type and text
+    from pipeforge import sim
+    from pipeforge.netlist import CombCell, DelayCell
+    rng = random.Random(13)
+    policies = [pf.direct_auto(), pf.direct_fifo(2, 1), pf.direct_force_srl()]
+    netlists = []
+    for g in rng.sample(random_corpus, 10):  # the grid above, raw
+        b = pf.balance_merges(g)
+        for resolver in (pf.resolve_direct_backward, pf.resolve_p2p_backward,
+                         pf.resolve_exhaustive_forward):
+            r = resolver(b)
+            plan = pf.apply_protocol(r, pf.Protocol.RAW)
+            netlists += [pf.lower(r, plan, policy) for policy in policies]
+    constant = _expr_netlist(pf.BinOp("xor", pf.Ref("x"), pf.Ref("x")),
+                             {"x": 4})
+    static = _expr_netlist(pf.Const(5, 4), {"x": 4})
+    toggle = pf.Netlist("toggle", inputs=[("x", 1)], outputs=[("q", 1)],
+                        nets={"x": 1, "d": 1, "q": 1},
+                        cells=[CombCell("d", pf.BinOp("xor", pf.Ref("q"),
+                                                      pf.Not(pf.Ref("x")))),
+                               DelayCell("q", "d", 1)])
+    # a draw of 2 leaves bit 0 clear, so seed 0's first two draws miss
+    low_bit = _expr_netlist(pf.Slice(0, 0, pf.Ref("x")), {"x": 2})
+    # each of these responds to no draw only because its op is masked
+    x = pf.Ref("x")
+    masked = [_expr_netlist(e, {"x": 4}) for e in (
+        pf.BinOp("add", x, pf.BinOp("sub", pf.Const(0, 4), x)),
+        pf.BinOp("sub", x, pf.BinOp("add", x, pf.Const(1, 4))),
+        pf.BinOp("and", pf.Shift("shl", 2, x), pf.Const(48, 6)),
+        pf.BinOp("and", pf.Slice(1, 0, x), pf.Const(12, 4)))]
+    # and a 4-bit wire holds its 8-bit source's value, a multiple of 16
+    masked.append(pf.Netlist(
+        "mul", inputs=[("x", 8)], outputs=[("o", 8)],
+        nets={"x": 8, "a": 8, "b": 4, "o": 8},
+        cells=[CombCell("a", pf.Shift("shl", 4, x)), CombCell("b", pf.Ref("a")),
+               CombCell("o", pf.BinOp("mul", pf.Ref("b"), pf.Ref("b")))]))
+    # a 1-bit not turns a draw of 1 into a 0 selector
+    flip = _expr_netlist(pf.Mux(pf.Not(x), pf.Const(1, 2), pf.Const(2, 2)),
+                         {"x": 1})
+    netlists += [constant, static, toggle, low_bit, *masked, flip]
+    decided = 0
+    for nl in netlists:
+        simulated = [_outcome(lambda: sim._latency(sim._Compiled(nl), seed))
+                     for seed in range(4)]
+        with monkeypatch.context() as m:
+            if sim.output_terms(nl, {}) is not None:
+                decided += 1
+                m.setattr(sim, "_Compiled", None)  # nothing may compile
+            assert [_outcome(pf.measured_latency, nl, seed)
+                    for seed in range(4)] == simulated, nl.name
+    assert decided == len(netlists) - 2  # all but static and toggle
+    no_response = (pf.NoResponseError, "output never responded to any impulse")
+    assert _outcome(pf.measured_latency, constant) == no_response
+    assert _outcome(pf.measured_latency, static) == no_response
+    assert "feeds back" in _outcome(pf.measured_latency, toggle)[1]
+    assert [pf.measured_latency(low_bit, seed) for seed in range(4)] == [0] * 4
+    for nl in masked:
+        assert _outcome(pf.measured_latency, nl) == no_response
+    assert pf.measured_latency(flip) == 0
+    # a wire to a net missing from ``nets`` has no width for the terms, while
+    # the compiled statement needs none
+    undeclared = pf.Netlist(
+        "u", inputs=[("x", 4)], outputs=[("o", 4)], nets={"x": 4, "o": 4},
+        cells=[CombCell("w", x), CombCell("o", pf.BinOp("or", pf.Ref("w"), x))])
+    assert pf.measured_latency(undeclared) == 0
+    assert sim._latency(sim._Compiled(undeclared), 0) == 0
 
 
 def _swap_sub(nl):
