@@ -14,7 +14,11 @@ raw netlist under ``direct_auto()``, the policy of the ROADMAP baseline.
 ``lower_p2p`` and ``emit_verilog_p2p``, and ``lower_exhaustive`` and
 ``emit_verilog_exhaustive``, time the same two stages on the p2p- and the
 exhaustive-resolved raw netlist under that policy, the latter the largest
-netlist of the rung.  ``measured_latency`` times the direct
+netlist of the rung.  ``netlist_rule`` and ``netlist_rule_exhaustive`` time
+re-constructing the direct and the exhaustive netlist from their fields
+(``dataclasses.replace``), which applies the netlist's rule once; on a
+checkout whose netlist is checked by a ``check()`` call instead, they time
+a plain copy.  ``measured_latency`` times the direct
 netlist, ``check_equivalence`` compares it with the p2p-resolved raw
 netlist under the same policy,
 ``check_equivalence_exhaustive`` with the exhaustive-resolved one, and
@@ -78,6 +82,8 @@ def rung(pf, specgen, oracle, shape, n: int) -> dict:
     exhaustive, secs["lower_exhaustive"] = best_of(
         pf.lower, x, pf.apply_protocol(x, pf.Protocol.RAW), policy)
     _, secs["emit_verilog_exhaustive"] = best_of(pf.emit_verilog, exhaustive)
+    _, secs["netlist_rule"] = best_of(replace, nl)
+    _, secs["netlist_rule_exhaustive"] = best_of(replace, exhaustive)
     _, secs["emit_dot"] = best_of(pf.emit_dot, b)
     _, secs["measured_latency"] = best_of(pf.measured_latency, nl)
     verdict, secs["check_equivalence"] = best_of(pf.check_equivalence, nl, p2p)

@@ -23,6 +23,7 @@ from .errors import (
     SelfMergeError,
     UnbalancedPathsError,
     UnknownSignalError,
+    WidthMismatchError,
     ZeroWidthError,
 )
 from .expr import Expr
@@ -184,9 +185,6 @@ class SyncGraph:
             [OutputSpec(o.zone, list(o.mapping)) for o in self.outputs],
             self.steps, self.decls)
 
-    def signal_width(self, name: str) -> int:
-        return self.decls[name].width
-
     # -- ordering ----------------------------------------------------------
 
     def forward_order(self) -> list[str]:
@@ -224,9 +222,6 @@ class SyncGraph:
             raise MissingLatencyError(
                 f"relation {rel.source} -> {rel.sink} has no latency yet")
         return sums
-
-    def equivalent_latency(self, src: str, dst: str) -> int:
-        return 0 if src == dst else single_latency(self.path_sums(src), src, dst)
 
     def depths(self) -> dict[str, int]:
         """Latency from the input zone to every zone (requires balanced merges)."""
@@ -270,10 +265,6 @@ class SyncGraph:
                     width=self.decls[slot.signal].width,
                 ))
         return out
-
-    def pending_count(self) -> int:
-        return sum(1 for z in self.zones.values() for s in z.slots.values()
-                   if s.status is SignalStatus.PENDING_LOCAL)
 
 
 def single_latency(sums: dict[str, set[int]], src: str, dst: str) -> int:
@@ -433,6 +424,11 @@ class PipeBuilder:
         for sig, width, expr in body.defines:
             for r in sorted(expr.refs() - local):
                 self._resolve_read(g, tip, r, body.name)
+            got = expr.width(self._declared)
+            if got != width:
+                raise WidthMismatchError(
+                    f"{body.name}:{sig} declared {width} bits but its "
+                    f"expression has {got}")
             if body.latency == 0:
                 # chained combinational defines within one wire step may read
                 # each other in definition order

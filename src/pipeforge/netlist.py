@@ -12,7 +12,8 @@ backpressure (enable low freezes every sequential cell at once).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from types import MappingProxyType
+from typing import Callable, Mapping, Sequence
 
 from . import expr as E
 from .errors import PipeforgeError, WidthMismatchError
@@ -21,7 +22,7 @@ from .protocol import HANDSHAKE_INPUTS, HANDSHAKE_OUTPUTS, HandshakePlan, Protoc
 from .resolve import PrimitivePolicy, ShiftregMode
 
 
-@dataclass
+@dataclass(frozen=True)
 class CombCell:
     out: str
     expr: E.Expr
@@ -44,14 +45,13 @@ def select_primitive(latency: int, width: int, policy: PrimitivePolicy) -> str:
     return "wire" if latency == 0 else "register"
 
 
-@dataclass
+@dataclass(frozen=True)
 class DelayCell:
     """``out`` is ``inp`` delayed by ``depth`` enabled cycles.
 
     Register-style lines (register, no_extract) name their depth - 1
     intermediate nets in ``stages``, the kth being ``inp`` delayed k cycles;
-    an srl line is one shift-register instance and has none.  Its width,
-    like every cell's, is that of its nets in ``Netlist.nets``.
+    an srl line is one shift-register instance and has none.
     """
     out: str
     inp: str
@@ -59,16 +59,8 @@ class DelayCell:
     style: str = "register"
     stages: tuple[str, ...] = ()
 
-    def __post_init__(self):
-        if self.style not in DELAY_STYLES:
-            raise PipeforgeError(f"unknown delay style {self.style!r}")
-        if self.depth < (2 if self.style == "srl" else 1):
-            raise PipeforgeError(f"{self.style} delay lines are too short")
-        if len(self.stages) != (0 if self.style == "srl" else self.depth - 1):
-            raise PipeforgeError("delay line stage nets do not match its depth")
 
-
-@dataclass
+@dataclass(frozen=True)
 class FifoCell:
     out: str
     inp: str
@@ -78,20 +70,12 @@ class FifoCell:
     full: str
     empty: str
 
-    def __post_init__(self):
-        if self.capacity < 2:
-            raise PipeforgeError("FIFO cells have capacity >= 2")
 
-
-@dataclass
+@dataclass(frozen=True)
 class CounterCell:
     count: str  # current value, observable in traces
     zero: str   # 1-bit (count == 0)
     init: int
-
-    def __post_init__(self):
-        if self.init < 1:
-            raise PipeforgeError("startup counters have init >= 1")
 
 
 Cell = CombCell | DelayCell | FifoCell | CounterCell
@@ -113,15 +97,145 @@ VERILOG_KEYWORDS = frozenset("""
     vectored wait wand weak0 weak1 while wire wor xnor xor""".split())
 
 
-@dataclass
+@dataclass(frozen=True)
 class Netlist:
+    """A netlist, checked once when it is built and immutable after.
+
+    The constructor, and so ``dataclasses.replace``, applies the one rule of
+    a netlist, so that the Verilog ``emit_verilog`` writes means what
+    ``simulate`` runs:
+
+    - every net but an input port has one driver, an input port none;
+    - every port is named once, and every port and every net a cell reads
+      or drives is declared in ``nets``, a port as wide as its net;
+    - a combinational cell's expression is width-correct and as wide as its
+      net, so a wire joins two nets of one width;
+    - a delay line's nets and a FIFO's output are as wide as their input;
+      FIFO enables and flags, counter zero flags and the global enable are
+      1 bit, and a counter's net holds its init;
+    - a delay line has a known style, a depth of at least 1 (2 for srl) and
+      a stage net per cycle but the last (none for srl); a FIFO holds at
+      least 2 values, and a startup counter starts at 1 or more;
+    - the combinational cells form no cycle.
+
+    Widths live in ``nets`` only.  What the rule finds is kept, and every
+    consumer reads it and checks nothing: ``drivers``, every net's driving
+    cell, stage nets and flags included; ``comb_order``, the combinational
+    cells in evaluation order (sequential outputs count as cycle-start
+    constants); ``fifos`` and ``counters``, in cell order.
+    """
     name: str
-    inputs: list[tuple[str, int]] = field(default_factory=list)
-    outputs: list[tuple[str, int]] = field(default_factory=list)
-    nets: dict[str, int] = field(default_factory=dict)
-    cells: list[Cell] = field(default_factory=list)
+    inputs: tuple[tuple[str, int], ...] = ()
+    outputs: tuple[tuple[str, int], ...] = ()
+    nets: Mapping[str, int] = field(default_factory=dict)
+    cells: tuple[Cell, ...] = ()
     protocol: Protocol = Protocol.RAW
     enable: str | None = None  # global clock-enable net (ready/valid only)
+    drivers: Mapping[str, Cell] = field(init=False, repr=False, compare=False)
+    comb_order: tuple[CombCell, ...] = field(init=False, repr=False, compare=False)
+    fifos: tuple[FifoCell, ...] = field(init=False, repr=False, compare=False)
+    counters: tuple[CounterCell, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        nets = dict(self.nets)  # checked as a plain dict, then wrapped
+        inputs, outputs = tuple(self.inputs), tuple(self.outputs)
+        cells = tuple(self.cells)
+
+        def need(net: str, width: int | None = None) -> int:
+            got = nets.get(net)
+            if got is None:
+                raise PipeforgeError(f"net {net!r} is not declared")
+            if width not in (None, got):
+                raise WidthMismatchError(
+                    f"net {net!r} is {got} bits where {width} are needed")
+            return got
+
+        named: set[str] = set()
+        for name, w in inputs + outputs:
+            if name in named:
+                raise PipeforgeError(f"port {name!r} is listed twice")
+            named.add(name)
+            if nets.get(name) != w:
+                raise WidthMismatchError(f"port {name!r} width mismatch")
+        # one pass over the cells, as a large netlist is slow to walk
+        drivers: dict[str, Cell] = {}
+        combs, fifos, counters = [], [], []
+        for c in cells:
+            if isinstance(c, CombCell):
+                driven: tuple[str, ...] = (c.out,)
+                combs.append(c)
+            elif isinstance(c, DelayCell):
+                if c.style not in DELAY_STYLES:
+                    raise PipeforgeError(f"unknown delay style {c.style!r}")
+                if c.depth < (2 if c.style == "srl" else 1):
+                    raise PipeforgeError(f"{c.style} delay lines are too short")
+                if len(c.stages) != (0 if c.style == "srl" else c.depth - 1):
+                    raise PipeforgeError("delay line stage nets do not match its depth")
+                driven = (*c.stages, c.out)
+                w = nets.get(c.inp)
+                for n in driven:
+                    if w is None or nets.get(n) != w:
+                        need(n, need(c.inp))
+            elif isinstance(c, FifoCell):
+                if c.capacity < 2:
+                    raise PipeforgeError("FIFO cells have capacity >= 2")
+                driven = (c.out, c.full, c.empty)
+                need(c.out, need(c.inp))
+                for n in (c.write_en, c.read_en, c.full, c.empty):
+                    need(n, 1)
+                fifos.append(c)
+            else:
+                if c.init < 1:
+                    raise PipeforgeError("startup counters have init >= 1")
+                driven = (c.count, c.zero)
+                if c.init >> need(c.count):
+                    raise WidthMismatchError(
+                        f"counter {c.count!r} cannot hold its init {c.init}")
+                need(c.zero, 1)
+                counters.append(c)
+            for n in driven:
+                if n in drivers:
+                    raise PipeforgeError(f"net {n!r} has multiple drivers")
+                drivers[n] = c
+        ports = {n for n, _ in inputs}
+        for net in nets:
+            if net in ports:
+                if net in drivers:
+                    raise PipeforgeError(f"input port {net!r} is driven internally")
+            elif net not in drivers:
+                raise PipeforgeError(f"net {net!r} has no driver")
+        if len(drivers) != len(nets) - len(ports):
+            need(next(n for n in drivers if n not in nets))
+        if self.enable is not None:
+            need(self.enable, 1)
+        # each cell's combinational sources, sorted; cells and sources go in
+        # reversed, as ``postorder`` takes the last first, so the order is
+        # the one a depth-first visit in cell and name order gives
+        sources: dict[str, list[str]] = {}
+        for c in combs:
+            refs = c.expr.refs()
+            if not nets.keys() >= refs:
+                need(min(refs - nets.keys()))
+            try:
+                got = c.expr.width(nets)
+            except WidthMismatchError as exc:
+                raise WidthMismatchError(f"net {c.out!r}: {exc}") from None
+            if got != nets[c.out]:
+                raise WidthMismatchError(
+                    f"net {c.out!r} is {nets[c.out]} bits but its expression "
+                    f"has {got}")
+            sources[c.out] = [r for r in sorted(refs, reverse=True)
+                              if isinstance(drivers.get(r), CombCell)]
+        order = postorder([c.out for c in reversed(combs)],
+                          sources.__getitem__, lambda net: PipeforgeError(
+                              f"combinational cycle through net {net!r}"))
+        for key, value in (
+                ("inputs", inputs), ("outputs", outputs),
+                ("nets", MappingProxyType(nets)), ("cells", cells),
+                ("drivers", MappingProxyType(drivers)),
+                ("comb_order", tuple(drivers[net] for net in order)),
+                ("fifos", tuple(fifos)), ("counters", tuple(counters))):
+            object.__setattr__(self, key, value)  # frozen: set once, here
 
     def data_ports(self) -> tuple[list[tuple[str, int]], list[tuple[str, int]]]:
         """The input and output ports that carry data: every port under raw,
@@ -132,89 +246,15 @@ class Netlist:
                 [p for p in self.outputs if p[0] not in HANDSHAKE_OUTPUTS])
 
     def cell_counts(self) -> dict[str, int]:
-        counts = {"comb": 0, "reg": 0, "shiftreg": 0, "fifo": 0, "counter": 0}
+        counts = {"comb": len(self.comb_order), "reg": 0, "shiftreg": 0,
+                  "fifo": len(self.fifos), "counter": len(self.counters)}
         for c in self.cells:
-            if isinstance(c, CombCell):
-                counts["comb"] += 1
-            elif isinstance(c, DelayCell):
+            if isinstance(c, DelayCell):
                 if c.style == "srl":
                     counts["shiftreg"] += 1
                 else:
                     counts["reg"] += c.depth
-            elif isinstance(c, FifoCell):
-                counts["fifo"] += 1
-            else:
-                counts["counter"] += 1
         return counts
-
-    def drivers(self) -> dict[str, Cell]:
-        """Every net's driving cell, stage nets and FIFO and counter flags
-        included, built afresh per call.  A net that two cells drive
-        raises, named as a scan in cell order first meets it twice."""
-        # counted, not looked up per net; a miscount rescans for the name
-        out: dict[str, Cell] = {}
-        entries = 0
-        for c in self.cells:
-            if isinstance(c, DelayCell):
-                out[c.out] = c
-                for n in c.stages:
-                    out[n] = c
-                entries += 1 + len(c.stages)
-            elif isinstance(c, CombCell):
-                out[c.out] = c
-                entries += 1
-            elif isinstance(c, FifoCell):
-                out[c.out] = out[c.full] = out[c.empty] = c
-                entries += 3
-            else:
-                out[c.count] = out[c.zero] = c
-                entries += 2
-        if len(out) != entries:
-            seen: set[str] = set()
-            for c in self.cells:
-                for n in _driven(c):
-                    if n in seen:
-                        raise PipeforgeError(f"net {n!r} has multiple drivers")
-                    seen.add(n)
-        return out
-
-    def check(self) -> tuple[dict[str, Cell], list[CombCell]]:
-        """The one rule of a netlist: every net but an input port has one
-        driver and an input port none, each port is as wide as its net, and
-        the combinational cells form no cycle.  Widths live in ``nets`` only.
-        Returns the driver index and the combinational cells in evaluation
-        order (sequential outputs count as cycle-start constants), which
-        the simulator compiles."""
-        drivers = self.drivers()
-        inputs = {n for n, _ in self.inputs}
-        for net in self.nets:
-            if net in inputs:
-                if net in drivers:
-                    raise PipeforgeError(f"input port {net!r} is driven internally")
-            elif net not in drivers:
-                raise PipeforgeError(f"net {net!r} has no driver")
-        for name, w in self.inputs + self.outputs:
-            if self.nets.get(name) != w:
-                raise WidthMismatchError(f"port {name!r} width mismatch")
-        combs = [c for c in self.cells if isinstance(c, CombCell)]
-        # each cell's combinational sources, sorted; cells and sources go in
-        # reversed, as ``postorder`` takes the last first, so the order is
-        # the one a depth-first visit in cell and name order gives
-        reads = {c.out: [r for r in sorted(c.expr.refs(), reverse=True)
-                         if isinstance(drivers.get(r), CombCell)] for c in combs}
-        order = postorder([c.out for c in reversed(combs)], reads.__getitem__,
-                          lambda net: PipeforgeError(
-                              f"combinational cycle through net {net!r}"))
-        return drivers, [drivers[net] for net in order]
-
-
-def _driven(c: Cell) -> tuple[str, ...]:
-    """The nets ``c`` drives, in the order ``Netlist.drivers`` meets them."""
-    if isinstance(c, DelayCell):
-        return *c.stages, c.out
-    if isinstance(c, FifoCell):
-        return c.out, c.full, c.empty
-    return (c.count, c.zero) if isinstance(c, CounterCell) else (c.out,)
 
 
 def postorder(nets: Sequence[str], sources: Callable[[str], Sequence[str]],
@@ -245,7 +285,7 @@ def postorder(nets: Sequence[str], sources: Callable[[str], Sequence[str]],
     return list(done)
 
 
-def feed(drivers: dict[str, Cell], net: str) -> tuple[Sequence[str], int]:
+def feed(drivers: Mapping[str, Cell], net: str) -> tuple[Sequence[str], int]:
     """The nets that ``net``'s driver reads to drive it, and the enabled
     cycles between them.  A FIFO's flag follows its occupancy: it reads
     what the enables read, less the flags.  References come sorted, so
@@ -287,8 +327,11 @@ def lower(graph: SyncGraph, plan: HandshakePlan,
     handshake terms under the global enable.
     """
     policy = policy or PrimitivePolicy()
-    nl = Netlist(graph.name, protocol=plan.protocol)
-    nets = nl.nets
+    inputs: list[tuple[str, int]] = []
+    outputs: list[tuple[str, int]] = []
+    nets: dict[str, int] = {}
+    cells: list[Cell] = []
+    enable = None
 
     def alloc(base: str, width: int) -> str:
         name = base
@@ -307,11 +350,11 @@ def lower(graph: SyncGraph, plan: HandshakePlan,
     for sig in graph.zones[graph.input_zone].slots:
         alloc(sig, decls[sig].width)
         net_of[(graph.input_zone, sig)] = sig
-        nl.inputs.append((sig, decls[sig].width))
+        inputs.append((sig, decls[sig].width))
     for spec in graph.outputs:
         for port, src in spec.mapping:
             alloc(port, decls[src].width)
-            nl.outputs.append((port, decls[src].width))
+            outputs.append((port, decls[src].width))
 
     if graph.name in VERILOG_KEYWORDS:
         raise PipeforgeError(
@@ -327,17 +370,17 @@ def lower(graph: SyncGraph, plan: HandshakePlan,
             raise PipeforgeError(f"port {p!r} is reserved {reserved[p]}")
     taps: list[str] = []
     if rv:
-        nl.inputs += [(alloc(p, 1), 1) for p in HANDSHAKE_INPUTS]
-        nl.outputs += [(alloc(p, 1), 1) for p in HANDSHAKE_OUTPUTS]
-        nl.enable = alloc("enable", 1)
-        nl.cells.append(CombCell(nl.enable, E.Ref("out_ready")))
-        nl.cells.append(CombCell("in_ready", E.Ref("out_ready")))
+        inputs += [(alloc(p, 1), 1) for p in HANDSHAKE_INPUTS]
+        outputs += [(alloc(p, 1), 1) for p in HANDSHAKE_OUTPUTS]
+        enable = alloc("enable", 1)
+        cells.append(CombCell(enable, E.Ref("out_ready")))
+        cells.append(CombCell("in_ready", E.Ref("out_ready")))
         taps = [alloc(f"valid_{d}", 1)
                 for d in range(plan.total_latency + 1)]
-        nl.cells.append(CombCell(taps[0], E.Ref("in_valid")))
+        cells.append(CombCell(taps[0], E.Ref("in_valid")))
         if plan.total_latency:
-            nl.cells.append(DelayCell(taps[-1], taps[0], plan.total_latency,
-                                      stages=tuple(taps[1:-1])))
+            cells.append(DelayCell(taps[-1], taps[0], plan.total_latency,
+                                   stages=tuple(taps[1:-1])))
 
     for z, zone in graph.zones.items():
         if z == graph.input_zone:
@@ -349,13 +392,13 @@ def lower(graph: SyncGraph, plan: HandshakePlan,
                   sink_depth: int) -> None:
         style = select_primitive(latency, width, policy)
         if style == "wire":
-            nl.cells.append(CombCell(out, E.Ref(inp)))
+            cells.append(CombCell(out, E.Ref(inp)))
         elif style == "fifo":
             _lower_fifo(out, inp, latency, sink_depth)
         else:
             stages = () if style == "srl" else tuple(
                 alloc(f"{out}__d{i}", width) for i in range(1, latency))
-            nl.cells.append(DelayCell(out, inp, latency, style, stages))
+            cells.append(DelayCell(out, inp, latency, style, stages))
 
     def _lower_fifo(out: str, inp: str, depth: int, sink_depth: int) -> None:
         full = alloc(f"{out}__full", 1)
@@ -367,17 +410,17 @@ def lower(graph: SyncGraph, plan: HandshakePlan,
             init = depth - 1
             cnt = alloc(f"{out}__read_start", max(1, init.bit_length()))
             zero = alloc(f"{out}__read_start_zero", 1)
-            nl.cells.append(CounterCell(cnt, zero, init))
-            nl.cells.append(CombCell(we, E.Const(1, 1)))
-            nl.cells.append(CombCell(re, E.Ref(zero)))
+            cells.append(CounterCell(cnt, zero, init))
+            cells.append(CombCell(we, E.Const(1, 1)))
+            cells.append(CombCell(re, E.Ref(zero)))
         else:
             src_depth = sink_depth - depth
-            nl.cells.append(CombCell(
+            cells.append(CombCell(
                 we, E.BinOp("and", E.Ref(taps[src_depth]), E.Not(E.Ref(full)))))
-            nl.cells.append(CombCell(
+            cells.append(CombCell(
                 re, E.BinOp("and", E.Ref(taps[sink_depth - 1]),
                             E.Not(E.Ref(empty)))))
-        nl.cells.append(FifoCell(out, inp, depth, we, re, full, empty))
+        cells.append(FifoCell(out, inp, depth, we, re, full, empty))
 
     for z, zone in graph.zones.items():
         if zone.kind is ZoneKind.INPUT:
@@ -389,18 +432,13 @@ def lower(graph: SyncGraph, plan: HandshakePlan,
             mapping = {sig: net_of[(src, sig)] for sig in graph.zones[src].slots}
             for sig, width, body in step.defines:
                 netexpr = E.map_refs(body, mapping)
-                got = netexpr.width(nets)
-                if got != width:
-                    raise WidthMismatchError(
-                        f"{z}:{sig} declared {width} bits but its expression "
-                        f"has {got}")
                 out = net_of[(z, sig)]
                 if lat == 0:
-                    nl.cells.append(CombCell(out, netexpr))
+                    cells.append(CombCell(out, netexpr))
                     mapping[sig] = out
                 else:
                     cnet = alloc(f"{z}__{sig}__c", width)
-                    nl.cells.append(CombCell(cnet, netexpr))
+                    cells.append(CombCell(cnet, netexpr))
                     transport(out, cnet, lat, width, depths[z])
         for slot in zone.slots.values():
             if slot.status is not SignalStatus.PROPAGATED:
@@ -414,16 +452,15 @@ def lower(graph: SyncGraph, plan: HandshakePlan,
 
     for spec in graph.outputs:
         for port, src in spec.mapping:
-            nl.cells.append(CombCell(port, E.Ref(net_of[(spec.zone, src)])))
+            cells.append(CombCell(port, E.Ref(net_of[(spec.zone, src)])))
     if rv:
         out_zone = graph.outputs[0].zone
-        nl.cells.append(CombCell("out_valid", E.Ref(taps[depths[out_zone]])))
+        cells.append(CombCell("out_valid", E.Ref(taps[depths[out_zone]])))
+    return Netlist(graph.name, inputs, outputs, nets, cells, plan.protocol,
+                   enable)
 
-    nl.check()
-    return nl
 
-
-def fifo_started(fifo: FifoCell, drivers: dict[str, Cell]) -> bool:
+def fifo_started(fifo: FifoCell, drivers: Mapping[str, Cell]) -> bool:
     """Whether ``fifo`` has the enables ``lower`` gives a raw FIFO: written
     on every cycle and read from the zero flag of a startup counter of
     ``capacity - 1``.  Such a FIFO delays its input by ``capacity`` cycles,
@@ -439,7 +476,7 @@ def fifo_started(fifo: FifoCell, drivers: dict[str, Cell]) -> bool:
 
 
 def fifo_taps(fifo: FifoCell,
-              drivers: dict[str, Cell]) -> tuple[str, str] | None:
+              drivers: Mapping[str, Cell]) -> tuple[str, str] | None:
     """The nets ``tap_w`` and ``tap_r`` of a ready/valid FIFO whose enables
     have the form ``lower`` gives them, ``write_en = tap_w & ~full`` and
     ``read_en = tap_r & ~empty``; None for any other form."""

@@ -9,27 +9,24 @@ their reset state.
 Each public call compiles its netlists once into straight-line Python
 (``_Compiled``): every net is a slot in one value list, every cell one
 statement with its widths and masks resolved to literals, and a cycle is a
-call of a few generated functions.  Nothing is cached across calls, so a
-netlist may be changed between them.
+call of a few generated functions.
 
-Each compilation first applies ``Netlist.check()``, the rule ``lower``
-applies, and reads the driver index and combinational order it returns.
-Only the output cone is compiled.  The observed nets are the ports, the
-watched nets, the global enable and every FIFO's enables; one walk back
-from them over the driver index picks the cells to compile, and a cell no
-observed net reads costs nothing per cycle.  Every FIFO is still simulated
-and counted, so its "read while empty" and "write while full" errors fire
-on the same cycles as if everything were compiled (one whose output
-nothing reads stores zeros).  A width error in any combinational cell
-raises, in the cone or not.
+A netlist is checked once, when it is built (``Netlist``), so nothing here
+checks it again: each compilation reads the driver index, combinational
+order and FIFO and counter lists the netlist keeps.  Only the output cone
+is compiled.  The observed nets are the ports, the watched nets, the global
+enable and every FIFO's enables; one walk back from them over the driver
+index picks the cells to compile, and a cell no observed net reads costs
+nothing per cycle.  Every FIFO is still simulated and counted, so its "read
+while empty" and "write while full" errors fire on the same cycles as if
+everything were compiled (one whose output nothing reads stores zeros).
 
-``measured_latency`` applies the same rule and width check, then reads
-the latency off the timed terms where they decide (``terms.py`` states
-when), without compiling.  Elsewhere it simulates an impulse, after warming
-the netlist up for as long as its own longest sequential path into the
-outputs, found in one walk over the same index; a net that feeds back into
-itself through sequential cells never settles, and is reported as an error
-rather than measured.
+``measured_latency`` reads the latency off the timed terms where they
+decide (``terms.py`` states when), without compiling.  Elsewhere it
+simulates an impulse, after warming the netlist up for as long as its own
+longest sequential path into the outputs, found in one walk over the same
+index; a net that feeds back into itself through sequential cells never
+settles, and is reported as an error rather than measured.
 
 Equivalence is first asked of ``terms.output_terms``: two netlists
 whose data outputs' terms decide and are equal are equivalent without a
@@ -49,8 +46,7 @@ from typing import Callable
 
 from .errors import NoResponseError, PortMismatchError, SimulationError
 from .expr import BinOp, Concat, Const, Expr, Mux, Not, Ref, Shift, Slice
-from .netlist import (Cell, CombCell, CounterCell, DelayCell, FifoCell, Netlist,
-                      feed, postorder)
+from .netlist import CombCell, DelayCell, Netlist, feed, postorder
 from .protocol import Protocol
 from .terms import evaluate, output_terms
 
@@ -163,23 +159,17 @@ class _Compiled:
     ``S[j]`` and its contents the deque ``Q[j]``, and a startup counter
     reads ``max(init - t, 0)``.
 
-    The walk back from the observed nets by ``feed``, over the driver index
-    ``Netlist.check()`` returns (or ``checked``, its result if already
-    found), reaches the nets that get slots and the cells that get
-    statements.
-    Every FIFO keeps its update, since its enables are observed; one whose
-    output is not reached queues zeros.  Stage nets, FIFO flags and counter
-    nets are only computed where the walk reaches them.
+    The walk back from the observed nets by ``feed``, over the netlist's
+    driver index, reaches the nets that get slots and the cells that get
+    statements.  Every FIFO keeps its update, since its enables are
+    observed; one whose output is not reached queues zeros.  Stage nets,
+    FIFO flags and counter nets are only computed where the walk reaches
+    them.
     """
 
-    def __init__(self, netlist: Netlist, watch: tuple[str, ...] = (),
-                 checked: tuple[dict[str, Cell], list[CombCell]] | None = None):
+    def __init__(self, netlist: Netlist, watch: tuple[str, ...] = ()):
         self.netlist = netlist
-        nets = netlist.nets
-        self.drivers, combs = checked or netlist.check()
-        drivers = self.drivers
-        fifos = [c for c in netlist.cells if isinstance(c, FifoCell)]
-        counters = [c for c in netlist.cells if isinstance(c, CounterCell)]
+        drivers, fifos = netlist.drivers, netlist.fifos
         # the observed nets and every net they read, walked backwards
         reached: dict[str, None] = {}
         lines: dict[int, DelayCell] = {}  # the delay lines met, by id
@@ -206,10 +196,10 @@ class _Compiled:
         self.slot = {net: i for i, net in enumerate(dict.fromkeys(order))}
         self.nslots = len(self.slot)
         cells: list[CombCell] = []
-        for c in combs:
+        for c in netlist.comb_order:
             if c.out not in reached:
-                c.expr.width(nets)  # a width error raises in the cone or not
-            elif isinstance(c.expr, Ref):
+                continue
+            if isinstance(c.expr, Ref):
                 # in topological order, so a chain of wires ends at its
                 # first source
                 self.slot[c.out] = self.slot[c.expr.name]
@@ -253,7 +243,7 @@ class _Compiled:
                        f"    if len(Q[{j}]) >= {c.capacity}:\n"
                        f"        raise SimulationError({full})\n"
                        f"    Q[{j}].append({data})"]
-        for c in counters:
+        for c in netlist.counters:
             if c.count in reached:
                 settle.append(
                     f"{ref(c.count)} = {c.init} - t if t < {c.init} else 0")
@@ -305,7 +295,6 @@ class _Compiled:
                 src = f"({a} >> {e.amount})"
             return self._spill(src, d + 1, out)
         if isinstance(e, Mux):
-            e.width(widths)
             (s, ds), (a, da), (b, db) = (self._expr(x, out)
                                          for x in (e.sel, e.then, e.other))
             return self._spill(f"({a} if {s} else {b})",
@@ -439,7 +428,7 @@ def _settle_time(sim: _Compiled, nets: list[str]) -> int:
     too.  Walks only the nets that ``nets`` depend on, in one depth-first
     pass over the compiled netlist's driver index.
     """
-    drivers = sim.drivers
+    drivers = sim.netlist.drivers
     settle: dict[str, int] = {}
     for net in postorder(nets, lambda n: feed(drivers, n)[0],
                          lambda n: SimulationError(
@@ -456,8 +445,7 @@ def measured_latency(netlist: Netlist, seed: int = 0) -> int:
     The pipeline is warmed with zeros and given a one-cycle random
     stimulus; the delay is the cycles until any output first deviates from
     its settled value.  A draw the function is insensitive to is retried
-    with fresh values, and ``NoResponseError`` raised after 20.  The
-    netlist is first checked as compiling it would check it.  Where its
+    with fresh values, and ``NoResponseError`` raised after 20.  Where its
     timed terms decide (``terms.py``), the delay is their one shift and the
     draws are evaluated on the output cores only.  Elsewhere the netlist is
     compiled once and the impulses simulated, after a warm-up as long as
@@ -466,11 +454,8 @@ def measured_latency(netlist: Netlist, seed: int = 0) -> int:
     """
     if netlist.protocol is not Protocol.RAW:
         raise SimulationError("latency measurement applies to raw netlists")
-    checked = netlist.check()
-    latency = _term_latency(netlist, *checked, seed)
-    if latency is None:
-        return _latency(_Compiled(netlist, checked=checked), seed)
-    return latency
+    latency = _term_latency(netlist, seed)
+    return _latency(_Compiled(netlist), seed) if latency is None else latency
 
 
 def _first_response(netlist: Netlist, seed: int,
@@ -502,20 +487,12 @@ def _latency(sim: _Compiled, seed: int) -> int:
     return _first_response(sim.netlist, seed, response)
 
 
-def _term_latency(netlist: Netlist, drivers: dict[str, Cell],
-                  combs: list[CombCell], seed: int) -> int | None:
-    """``measured_latency`` of a checked raw netlist read off its timed
-    terms, after ``combs`` are width-checked as a compilation checks them;
-    None where the terms do not decide or read a net missing from
-    ``nets``, whose width a compilation may never ask for."""
+def _term_latency(netlist: Netlist, seed: int) -> int | None:
+    """``measured_latency`` of a raw netlist read off its timed terms; None
+    where they do not decide."""
     cores: dict = {}
-    try:
-        terms = output_terms(netlist, cores, drivers)
-        if terms is None:
-            return None
-        for c in combs:
-            c.expr.width(netlist.nets)
-    except KeyError:
+    terms = output_terms(netlist, cores)
+    if terms is None:
         return None
     latency = next(shift for shift, core in terms if core[1])
     outs = [core[0] for _, core in terms]
@@ -548,11 +525,9 @@ def _ready_schedule(rng: random.Random, cycles: int, duty: float,
 
 def _stream_latency(sim: _Compiled, seed: int) -> int:
     """Enabled cycles from a transaction in to its result out: measured on
-    a raw netlist, the depth of the valid chain under ready/valid.  The
-    compiled netlist is checked, so its combinational cells need no
-    width check on the way to its terms."""
+    a raw netlist, the depth of the valid chain under ready/valid."""
     if sim.netlist.protocol is Protocol.RAW:
-        latency = _term_latency(sim.netlist, sim.drivers, [], seed)
+        latency = _term_latency(sim.netlist, seed)
         return _latency(sim, seed) if latency is None else latency
     return _settle_time(sim, ["out_valid"])
 
@@ -606,10 +581,9 @@ def check_equivalence(a: Netlist, b: Netlist, trials: int = 4,
     timed terms of its data outputs (``terms.output_terms``).  Where those
     decide on both sides and are equal, the pair is equivalent and nothing
     is compiled or simulated.  Then ``trials``, ``seed`` and ``cycles``
-    have no effect, cells that no output reads are not checked, and
-    outputs that read their inputs but are constant functions of them
-    (``x xor x``) are equivalent where the impulse of the latency
-    measurement raised ``NoResponseError``.  Every other pair is
+    have no effect, and outputs that read their inputs but are constant
+    functions of them (``x xor x``) are equivalent where the impulse of the
+    latency measurement raised ``NoResponseError``.  Every other pair is
     simulated.  ``trials`` below 1 raises ``SimulationError``, as it would
     compare nothing.
     """

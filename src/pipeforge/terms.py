@@ -6,7 +6,8 @@ Saxe, "Retiming Synchronous Circuitry", Algorithmica 1991).  Cores are
 hash-consed in a table shared by one comparison, so terms compare with ``==``.
 
 - An input port or a constant is a leaf at shift 0; a handshake port of a
-  ready/valid netlist is a leaf of its own kind.  A wire is its source's term.
+  ready/valid netlist is a leaf of its own kind.  A wire, as wide as its
+  source in a built ``Netlist``, is its source's term.
 - A combinational cell is interned node by node, each node keeping the op,
   width and parameters its compiled statement computes with.  A node sits
   at the earliest shift among its arguments that read an input, or the
@@ -20,8 +21,7 @@ hash-consed in a table shared by one comparison, so terms compare with ``==``.
   holds the valid transactions between its taps, so it never blocks,
   overflows or runs empty.
 - Anything else is not handled: a FIFO off its pattern, a read of a FIFO's
-  or counter's flags, a net with no driver that is not an input, a net that
-  feeds back into itself, and a width error.
+  or counter's flags, and a net that feeds back into itself.
 
 The data outputs' terms decide equivalence (``output_terms``) where all are
 handled and aligned (no delay node, no handshake port), those that read an
@@ -38,17 +38,16 @@ shift of its input-reading outputs is the delay ``measured_latency``'s
 impulse finds, provided some output core responds to one of the impulse's
 own draws (``evaluate`` against the all-zero input); if none does, the
 impulse would find none either.  Every other raw netlist is measured by
-simulating the impulse, and so is one whose terms read a net missing from
-``nets``.
+simulating the impulse.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from .errors import SimulationError, WidthMismatchError
+from .errors import SimulationError
 from .expr import BinOp, Concat, Const, Expr, Mux, Not, Ref, Shift, Slice
-from .netlist import (Cell, CombCell, DelayCell, FifoCell, Netlist, feed,
+from .netlist import (CombCell, DelayCell, FifoCell, Netlist, feed,
                       fifo_started, fifo_taps, postorder)
 from .protocol import Protocol
 
@@ -121,16 +120,12 @@ def _expr_term(e: Expr, terms: dict, widths: dict[str, int],
 
 
 def _timed_terms(netlist: Netlist, nets: Sequence[str], cores: dict,
-                 drivers: dict[str, Cell] | None = None,
                  ) -> dict[str, tuple[int, Core]] | None:
     """Each of ``nets`` as a timed term, by the rules above, interned in
     ``cores``; None where any net they read is not handled.  One
-    ``postorder`` pass over the driver index, from ``nets`` and every
-    FIFO's taps; ``drivers`` is ``netlist.drivers()``, built here if not
-    given."""
-    if drivers is None:
-        drivers = netlist.drivers()
-    fifos = [c for c in netlist.cells if isinstance(c, FifoCell)]
+    ``postorder`` pass over the netlist's driver index, from ``nets`` and
+    every FIFO's taps."""
+    drivers, fifos = netlist.drivers, netlist.fifos
     taps: dict[str, tuple[str, str]] = {}  # by FIFO output, ready/valid only
     if netlist.protocol is Protocol.RAW:
         if not all(fifo_started(c, drivers) for c in fifos):
@@ -159,10 +154,7 @@ def _timed_terms(netlist: Netlist, nets: Sequence[str], cores: dict,
     for net in order:
         cell = drivers.get(net)
         if isinstance(cell, CombCell):
-            try:
-                terms[net] = _expr_term(cell.expr, terms, netlist.nets, cores)
-            except WidthMismatchError:
-                return None
+            terms[net] = _expr_term(cell.expr, terms, netlist.nets, cores)
         elif isinstance(cell, DelayCell):
             shift, core = terms[cell.inp]
             terms[net] = shift + feed(drivers, net)[1], core
@@ -189,17 +181,15 @@ def _timed_terms(netlist: Netlist, nets: Sequence[str], cores: dict,
 
 
 def output_terms(netlist: Netlist, cores: dict,
-                 drivers: dict[str, Cell] | None = None,
                  ) -> list[tuple[int, Core]] | None:
     """The data output ports' timed terms, interned in ``cores``, where they
-    decide equivalence by the rules above; None elsewhere.  ``drivers`` is
-    ``netlist.drivers()``, built here if not given."""
+    decide equivalence by the rules above; None elsewhere."""
     outs = [n for n, _ in netlist.data_ports()[1]]
     rv = netlist.protocol is Protocol.READY_VALID
     if (netlist.enable is not None) != rv:
         return None
     handshake = ["out_valid", "in_ready", netlist.enable] if rv else []
-    found = _timed_terms(netlist, outs + handshake, cores, drivers)
+    found = _timed_terms(netlist, outs + handshake, cores)
     if found is None:
         return None
     terms = [found[n] for n in outs]

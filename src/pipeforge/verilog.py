@@ -12,7 +12,6 @@ import enum
 from dataclasses import dataclass
 
 from . import expr as E
-from .errors import PipeforgeError
 from .netlist import CombCell, CounterCell, DelayCell, FifoCell, Netlist
 
 NO_EXTRACT_ATTR = '(* shreg_extract = "no" *)'
@@ -164,17 +163,13 @@ def emit_verilog(netlist: Netlist, options: EmitOptions = EmitOptions()) -> str:
         out.append("")
 
     nets = netlist.nets
-    shapes_sr = []
-    shapes_fifo = []
-    for c in netlist.cells:
-        if (isinstance(c, DelayCell) and c.style == "srl"
-                and (nets[c.out], c.depth) not in shapes_sr):
-            shapes_sr.append((nets[c.out], c.depth))
-        if isinstance(c, FifoCell) and (nets[c.out], c.capacity) not in shapes_fifo:
-            shapes_fifo.append((nets[c.out], c.capacity))
-    for width, depth in shapes_sr:
+    # each helper shape once, in the order the cells first use it
+    for width, depth in dict.fromkeys(
+            (nets[c.out], c.depth) for c in netlist.cells
+            if isinstance(c, DelayCell) and c.style == "srl"):
         out.append(_shiftreg_module(width, depth))
-    for width, cap in shapes_fifo:
+    for width, cap in dict.fromkeys((nets[c.out], c.capacity)
+                                    for c in netlist.fifos):
         out.append(_fifo_module(width, cap))
 
     in_ports = [n for n, _ in netlist.inputs]
@@ -187,14 +182,12 @@ def emit_verilog(netlist: Netlist, options: EmitOptions = EmitOptions()) -> str:
     out.append(",\n".join(decls))
     out.append(");")
 
-    drivers = netlist.drivers()
+    drivers = netlist.drivers
     port_set = set(ports)
     for net, width in nets.items():
-        drv = drivers.get(net)
-        if drv is None and net not in in_ports:
-            raise PipeforgeError(f"net {net!r} has no driver")
         if net in port_set:
             continue
+        drv = drivers[net]
         if isinstance(drv, DelayCell) and drv.style != "srl":
             attr = ""
             if (drv.style == "no_extract"

@@ -86,6 +86,12 @@ def implemented_latency(graph: pf.SyncGraph, zone: str, signal: str) -> int:
     return lat + implemented_latency(graph, src, signal)
 
 
+def pending_count(graph: pf.SyncGraph) -> int:
+    """The slots still waiting for a resolution."""
+    return sum(s.status is pf.SignalStatus.PENDING_LOCAL
+               for z in graph.zones.values() for s in z.slots.values())
+
+
 # -- random corpus ----------------------------------------------------------
 
 

@@ -593,9 +593,9 @@ def _count_compiles(monkeypatch) -> list[str]:
     built = []
     compile_netlist = sim._Compiled.__init__
 
-    def counting(self, netlist, *args):
+    def counting(self, netlist, *args, **kwargs):
         built.append(netlist.name)
-        compile_netlist(self, netlist, *args)
+        compile_netlist(self, netlist, *args, **kwargs)
 
     monkeypatch.setattr(sim._Compiled, "__init__", counting)
     return built
@@ -605,8 +605,7 @@ def test_sweep_compiles_the_baseline_once(capsys, tmp_path, monkeypatch):
     # where the terms cannot decide, every variant is simulated against the
     # one compiled baseline
     from pipeforge import sim
-    monkeypatch.setattr(sim, "output_terms",
-                        lambda netlist, cores, drivers=None: None)
+    monkeypatch.setattr(sim, "output_terms", lambda netlist, cores: None)
     built = _count_compiles(monkeypatch)
     for protocol in ("raw", "ready_valid"):
         built.clear()
@@ -666,3 +665,62 @@ def test_ready_valid_sweep_decides_every_variant_from_terms(capsys, tmp_path,
     variants = json.loads((out_dir / "index.json").read_text())["variants"]
     assert len(variants) == 5 and built == []
     assert any(v["cell_counts"]["fifo"] for v in variants)
+
+
+def test_every_command_applies_the_description_width_rule(capsys, tmp_path):
+    # the builder checks each define's width, so no command takes a
+    # description that ``generate`` would reject
+    doc = json.loads(open(data_path("running.json")).read())
+    doc["steps"][1]["defines"][0]["width"] = 4  # addA's sumXY
+    spec = tmp_path / "narrow.json"
+    spec.write_text(json.dumps(doc))
+    for argv in (["build", str(spec)], ["report", str(spec)],
+                 ["generate", str(spec)]):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 3, argv
+        assert ("addA:sumXY declared 4 bits but its expression has 8"
+                in err), argv
+
+
+def test_the_netlist_rule_runs_once_per_lowering(capsys, tmp_path,
+                                                 monkeypatch):
+    # the rule runs when a netlist is built; emitting, simulating, measuring
+    # and comparing built netlists never run it again
+    from pipeforge import cli
+    from pipeforge.netlist import Netlist
+    runs, lowered = [], []
+    rule, lower = Netlist.__post_init__, cli.lower
+
+    def counting_rule(self):
+        runs.append(self.name)
+        rule(self)
+
+    def counting_lower(*args):
+        lowered.append(args)
+        return lower(*args)
+
+    monkeypatch.setattr(Netlist, "__post_init__", counting_rule)
+    monkeypatch.setattr(cli, "lower", counting_lower)
+    spec = data_path("running_delay2.json")
+    for argv in (["generate", spec, "--verilog", str(tmp_path / "d.v")],
+                 ["simulate", spec, "--cycles", "20"],
+                 ["simulate", spec, "--protocol", "ready_valid"],
+                 ["sweep", spec, "--out-dir", str(tmp_path / "sweep")],
+                 ["sweep", spec, "--protocol", "ready_valid", "--out-dir",
+                  str(tmp_path / "rv")]):
+        runs.clear()
+        lowered.clear()
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        assert len(runs) == len(lowered) > 0, argv
+    nl, other = (_library(spec, strategy)[2] for strategy in ("direct", "p2p"))
+    runs.clear()
+    pf.emit_verilog(nl)
+    pf.simulate(nl, pf.Stimulus(cycles=20))
+    pf.measured_latency(nl)
+    assert pf.check_equivalence(nl, other).ok
+    from pipeforge.sim import _Compiled, _equivalence, _stream_latency
+    sim = _Compiled(nl)
+    assert _equivalence(sim, _stream_latency(sim, 0), _Compiled(other),
+                        1, 0, 80).ok
+    assert runs == []

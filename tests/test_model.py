@@ -4,6 +4,7 @@ import pytest
 
 import pipeforge as pf
 from pipeforge.expr import BinOp, Ref
+from pipeforge.model import single_latency
 
 from conftest import brute_force_path_sums, build_running
 
@@ -111,25 +112,25 @@ def test_parallel_branch_signal_is_not_upstream():
 
 def test_equivalent_latency_running():
     g = pf.balance_merges(build_running())
-    assert g.equivalent_latency("_init_", "xor") == 2
-    assert g.equivalent_latency("xor", "xor") == 0
+    assert g.depths()["xor"] == 2
+    assert single_latency(g.path_sums("xor"), "xor", "xor") == 0
     g4 = pf.balance_merges(build_running(xor_delay=2))
-    assert g4.equivalent_latency("_init_", "xor") == 4
+    assert g4.depths()["xor"] == 4
 
 
 def test_equivalent_latency_errors():
     g = pf.balance_merges(build_running())
     with pytest.raises(pf.NoPathError):
-        g.equivalent_latency("xor", "_init_")
+        single_latency(g.path_sums("xor"), "xor", "_init_")
     with pytest.raises(pf.MissingLatencyError):
-        build_running().equivalent_latency("_init_", "merged_mul_mul")
+        build_running().depths()
 
 
 def test_equivalent_latency_additive():
     g = pf.balance_merges(build_running())
-    assert (g.equivalent_latency("_init_", "addB")
-            == g.equivalent_latency("_init_", "addA")
-            + g.equivalent_latency("addA", "addB"))
+    depths = g.depths()
+    assert depths["addB"] == depths["addA"] + single_latency(
+        g.path_sums("addA"), "addA", "addB")
 
 
 def test_missing_relations_running():

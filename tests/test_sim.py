@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -11,6 +12,13 @@ def lowered(xor_delay=0, with_e=False, resolver=pf.resolve_direct_backward,
             policy=None, protocol=pf.Protocol.RAW):
     g = resolver(pf.balance_merges(build_running(xor_delay, with_e)))
     return pf.lower(g, pf.apply_protocol(g, protocol), policy)
+
+
+def _replace_driver(nl, net, **changes):
+    """``nl`` rebuilt with ``net``'s driver changed by ``changes``."""
+    old = nl.drivers[net]
+    return replace(nl, cells=[replace(c, **changes) if c is old else c
+                              for c in nl.cells])
 
 
 def test_combinational_result_after_latency():
@@ -131,10 +139,7 @@ def test_equivalence_self_and_cross():
 
 def test_equivalence_detects_fault():
     a = lowered(with_e=True)
-    bad = lowered(with_e=True)
-    for cell in bad.cells:
-        if getattr(cell, "out", None) == "e_out":
-            cell.expr = pf.expr.Not(cell.expr)
+    bad = _replace_driver(a, "e_out", expr=pf.Not(a.drivers["e_out"].expr))
     verdict = pf.check_equivalence(a, bad, trials=1, cycles=80)
     assert not verdict.ok
     assert "differs" in verdict.detail
@@ -165,13 +170,10 @@ def test_trace_serialization():
 
 
 def test_fifo_overflow_raises():
-    from pipeforge.netlist import FifoCell
     nl = lowered(xor_delay=2, with_e=True, policy=pf.direct_fifo(3, 3))
-    for cell in nl.cells:
-        if isinstance(cell, FifoCell):
-            # force the read side off: writes every cycle must overflow
-            read_driver = nl.drivers()[cell.read_en]
-            read_driver.expr = pf.expr.Const(0, 1)
+    for fifo in nl.fifos:
+        # force the read side off: writes every cycle must overflow
+        nl = _replace_driver(nl, fifo.read_en, expr=pf.expr.Const(0, 1))
     with pytest.raises(pf.SimulationError):
         pf.simulate(nl, pf.Stimulus(cycles=20))
 
@@ -180,10 +182,10 @@ def test_register_feedback_has_no_latency():
     from pipeforge.netlist import CombCell, DelayCell
     # q <- delay(q xor not x): q toggles every cycle while x is 0
     nl = pf.Netlist("toggle", inputs=[("x", 1)], outputs=[("q", 1)],
-                    nets={"x": 1, "d": 1, "q": 1})
-    nl.cells = [CombCell("d", pf.BinOp("xor", pf.Ref("q"), pf.Not(pf.Ref("x")))),
-                DelayCell("q", "d", 1)]
-    nl.check()
+                    nets={"x": 1, "d": 1, "q": 1},
+                    cells=[CombCell("d", pf.BinOp("xor", pf.Ref("q"),
+                                                  pf.Not(pf.Ref("x")))),
+                           DelayCell("q", "d", 1)])
     with pytest.raises(pf.SimulationError, match="feeds back"):
         pf.measured_latency(nl)
 
@@ -210,6 +212,7 @@ def test_deep_ready_valid_stream_gets_every_output():
 
 
 def test_width_errors_raise_when_evaluated_or_simulated():
+    # a netlist holding one is rejected when it is built, before any call
     from pipeforge.netlist import CombCell
     widths = {"s": 1, "a": 8, "b": 4}
     values = {"s": 1, "a": 3, "b": 2}
@@ -218,11 +221,10 @@ def test_width_errors_raise_when_evaluated_or_simulated():
     for expr in bad:
         with pytest.raises(pf.WidthMismatchError):
             expr.eval(values, widths)
-        nl = pf.Netlist("bad", inputs=[("s", 1), ("a", 8), ("b", 4)],
-                        outputs=[("o", 8)], nets={**widths, "o": 8},
-                        cells=[CombCell("o", expr)])
         with pytest.raises(pf.WidthMismatchError):
-            pf.simulate(nl, pf.Stimulus(cycles=2))
+            pf.Netlist("bad", inputs=[("s", 1), ("a", 8), ("b", 4)],
+                       outputs=[("o", 8)], nets={**widths, "o": 8},
+                       cells=[CombCell("o", expr)])
 
 
 def test_fifo_underflow_raises():
@@ -230,7 +232,7 @@ def test_fifo_underflow_raises():
     nl = lowered(xor_delay=2, with_e=True, policy=pf.direct_fifo(3, 3))
     fifo = next(c for c in nl.cells if isinstance(c, FifoCell))
     # reading from the first enabled cycle on, before anything was written
-    nl.drivers()[fifo.read_en].expr = pf.expr.Const(1, 1)
+    nl = _replace_driver(nl, fifo.read_en, expr=pf.expr.Const(1, 1))
     with pytest.raises(pf.SimulationError, match="read while empty"):
         pf.simulate(nl, pf.Stimulus(cycles=4))
 
@@ -364,7 +366,6 @@ def test_hostile_net_names_simulate_like_plain_ones():
             16, [{n["x"]: x["x"]} for x in xs], watch=tuple(nl.nets)))
         assert [{k: s[n[k]] for k in n} for s in got.samples] == [
             {k: s[k] for k in n} for s in want.samples]
-        nl.check()
 
 
 @pytest.mark.parametrize("bad", HOSTILE)
@@ -449,7 +450,6 @@ def _through_every_edge():
 
 def test_cone_walks_every_edge_kind():
     nl = _through_every_edge()
-    nl.check()
     xs = [(29 * c + 5) % 256 for c in range(24)]
 
     # by hand, in enabled cycles t since the one reset cycle
@@ -501,31 +501,6 @@ def test_unread_fifo_still_checks_its_occupancy():
     trace = pf.simulate(_unread_fifo(0), pf.Stimulus(cycles=4,
                                                       inputs=[{"x": 5}] * 4))
     assert [sample["o"] for sample in trace.samples] == [10] * 4
-
-
-def test_dead_cells_still_raise():
-    from pipeforge.netlist import CombCell
-
-    def netlist(*dead):
-        return pf.Netlist("dead", inputs=[("x", 4)], outputs=[("o", 4)],
-                          nets={"x": 4, "o": 4, **{c.out: 4 for c in dead}},
-                          cells=[CombCell("o", pf.Ref("x")), *dead])
-
-    ok = netlist(CombCell("a", pf.Not(pf.Ref("x"))))
-    assert pf.simulate(ok, pf.Stimulus(cycles=2)).samples
-    mux = pf.Mux(pf.Ref("x"), pf.Ref("x"), pf.Ref("x"))  # a 4-bit selector
-    with pytest.raises(pf.WidthMismatchError):
-        pf.simulate(netlist(CombCell("a", mux)), pf.Stimulus(cycles=2))
-    loop = netlist(CombCell("a", pf.Not(pf.Ref("b"))),
-                   CombCell("b", pf.Not(pf.Ref("a"))))
-    with pytest.raises(pf.PipeforgeError, match="combinational cycle"):
-        pf.simulate(loop, pf.Stimulus(cycles=2))
-    # the latency is read off the terms of ``o`` alone, and still rejects
-    assert pf.measured_latency(ok) == 0
-    with pytest.raises(pf.WidthMismatchError):
-        pf.measured_latency(netlist(CombCell("a", mux)))
-    with pytest.raises(pf.PipeforgeError, match="combinational cycle"):
-        pf.measured_latency(loop)
 
 
 # -- timed terms ----------------------------------------------------------------
@@ -632,11 +607,12 @@ def test_measured_latency_from_terms_matches_the_simulated_one(
         pf.BinOp("sub", x, pf.BinOp("add", x, pf.Const(1, 4))),
         pf.BinOp("and", pf.Shift("shl", 2, x), pf.Const(48, 6)),
         pf.BinOp("and", pf.Slice(1, 0, x), pf.Const(12, 4)))]
-    # and a 4-bit wire holds its 8-bit source's value, a multiple of 16
+    # and the low 4 bits of a multiple of 16 are 0
     masked.append(pf.Netlist(
         "mul", inputs=[("x", 8)], outputs=[("o", 8)],
         nets={"x": 8, "a": 8, "b": 4, "o": 8},
-        cells=[CombCell("a", pf.Shift("shl", 4, x)), CombCell("b", pf.Ref("a")),
+        cells=[CombCell("a", pf.Shift("shl", 4, x)),
+               CombCell("b", pf.Slice(3, 0, pf.Ref("a"))),
                CombCell("o", pf.BinOp("mul", pf.Ref("b"), pf.Ref("b")))]))
     # a 1-bit not turns a draw of 1 into a 0 selector
     flip = _expr_netlist(pf.Mux(pf.Not(x), pf.Const(1, 2), pf.Const(2, 2)),
@@ -661,30 +637,20 @@ def test_measured_latency_from_terms_matches_the_simulated_one(
     for nl in masked:
         assert _outcome(pf.measured_latency, nl) == no_response
     assert pf.measured_latency(flip) == 0
-    # a wire to a net missing from ``nets`` has no width for the terms, while
-    # the compiled statement needs none
-    undeclared = pf.Netlist(
-        "u", inputs=[("x", 4)], outputs=[("o", 4)], nets={"x": 4, "o": 4},
-        cells=[CombCell("w", x), CombCell("o", pf.BinOp("or", pf.Ref("w"), x))])
-    assert pf.measured_latency(undeclared) == 0
-    assert sim._latency(sim._Compiled(undeclared), 0) == 0
 
 
 def _swap_sub(nl):
-    cell = nl.drivers()["d__diff__c"]
-    cell.expr = pf.BinOp("sub", cell.expr.rhs, cell.expr.lhs)
+    e = nl.drivers["d__diff__c"].expr
+    return _replace_driver(nl, "d__diff__c",
+                           expr=pf.BinOp("sub", e.rhs, e.lhs))
 
 
 def _deepen_x(nl):
-    from dataclasses import replace
-    from pipeforge.netlist import DelayCell
-    i = next(i for i, c in enumerate(nl.cells)
-             if isinstance(c, DelayCell) and c.out == "d__x")
-    nl.cells[i] = replace(nl.cells[i], depth=2, style="srl")
+    return _replace_driver(nl, "d__x", depth=2, style="srl")
 
 
 def _read_from_the_start(nl):
-    nl.drivers()["m__e__re"].expr = pf.Ref("m__e__we")
+    return _replace_driver(nl, "m__e__re", expr=pf.Ref("m__e__we"))
 
 
 def _simulated(a, b):
@@ -698,8 +664,7 @@ def _simulated(a, b):
                                     _read_from_the_start])
 def test_mutations_change_terms_and_still_diverge(mutate):
     from pipeforge.terms import _timed_terms
-    good, bad = _mutable(), _mutable()
-    mutate(bad)
+    good, bad = _mutable(), mutate(_mutable())
     cores = {}
     assert _timed_terms(good, _outputs(good), cores) != _timed_terms(
         bad, _outputs(bad), cores)
@@ -711,26 +676,23 @@ def test_mutations_change_terms_and_still_diverge(mutate):
 def _valid_tap(nl, net, step):
     """Rewire ``net`` to the valid-chain net ``step`` stages from the one
     it reads."""
-    from pipeforge.netlist import CombCell
-    cell = nl.drivers()[net]
-    assert isinstance(cell, CombCell)
-    e = cell.expr
+    e = nl.drivers[net].expr
     tap = (e.lhs if isinstance(e, pf.BinOp) else e).name
     moved = pf.Ref(f"valid_{int(tap.removeprefix('valid_')) + step}")
-    cell.expr = (pf.BinOp("and", moved, e.rhs) if isinstance(e, pf.BinOp)
-                 else moved)
+    return _replace_driver(nl, net, expr=pf.BinOp("and", moved, e.rhs)
+                           if isinstance(e, pf.BinOp) else moved)
 
 
 def _write_one_stage_later(nl):
-    _valid_tap(nl, "m__e__we", 1)
+    return _valid_tap(nl, "m__e__we", 1)
 
 
 def _out_valid_one_tap_early(nl):
-    _valid_tap(nl, "out_valid", -1)
+    return _valid_tap(nl, "out_valid", -1)
 
 
 def _always_ready(nl):
-    nl.drivers()["in_ready"].expr = pf.Const(1, 1)
+    return _replace_driver(nl, "in_ready", expr=pf.Const(1, 1))
 
 
 @pytest.mark.parametrize("mutate, diverges", [
@@ -741,8 +703,7 @@ def _always_ready(nl):
 def test_ready_valid_mutations_get_the_simulated_verdict(mutate, diverges):
     from pipeforge.terms import output_terms as _output_terms
     rv = pf.Protocol.READY_VALID
-    good, bad = _mutable(rv), _mutable(rv)
-    mutate(bad)
+    good, bad = _mutable(rv), mutate(_mutable(rv))
     cores = {}
     assert _output_terms(good, cores) is not None
     assert _output_terms(good, cores) != _output_terms(bad, cores)
@@ -753,40 +714,34 @@ def test_ready_valid_mutations_get_the_simulated_verdict(mutate, diverges):
 
 
 def _fifo_off_its_taps(nl):
-    nl.drivers()["m__e__we"].expr = pf.Ref("valid_0")  # no ~full
+    return _replace_driver(nl, "m__e__we", expr=pf.Ref("valid_0"))  # no ~full
 
 
 def _taps_one_stage_too_far(nl):
-    _valid_tap(nl, "m__e__re", 1)
+    return _valid_tap(nl, "m__e__re", 1)
 
 
 def _loop_through_a_delay(nl):
-    from dataclasses import replace
-    i = next(i for i, c in enumerate(nl.cells) if c.out == "d__x")
-    nl.cells[i] = replace(nl.cells[i], inp="m__q__c")  # which reads d__x
-
-
-def _width_error(nl):
-    d, x = pf.Ref("d__diff"), pf.Ref("d__x")
-    nl.drivers()["m__q__c"].expr = pf.Mux(x, d, x)  # an 8-bit selector
+    return _replace_driver(nl, "d__x", inp="m__q__c")  # which reads d__x
 
 
 def _e_out_reads(net):
-    """``e_out`` xor ``net``, which an undriven net is added as."""
+    """``e_out`` xor ``net``."""
     def mutate(nl):
-        width = nl.nets.setdefault(net, 1)
+        width = nl.nets[net]
         read = pf.Ref(net)
         if width < 4:
             read = pf.Concat((pf.Const(0, 4 - width), read))
-        nl.drivers()["e_out"].expr = pf.BinOp("xor", pf.Ref("m__e"), read)
+        return _replace_driver(nl, "e_out",
+                               expr=pf.BinOp("xor", pf.Ref("m__e"), read))
     return mutate
 
 
 def _raw_with_an_enable(nl):
     from pipeforge.netlist import CombCell
-    nl.nets["en"] = 1
-    nl.cells.append(CombCell("en", pf.Const(1, 1)))
-    nl.enable = "en"
+    return replace(nl, nets={**nl.nets, "en": 1},
+                   cells=nl.cells + (CombCell("en", pf.Const(1, 1)),),
+                   enable="en")
 
 
 @pytest.mark.parametrize("protocol, mutate", [
@@ -796,19 +751,15 @@ def _raw_with_an_enable(nl):
                  id="taps_one_stage_too_far"),
     pytest.param(pf.Protocol.RAW, _loop_through_a_delay,
                  id="loop_through_a_delay"),
-    pytest.param(pf.Protocol.RAW, _width_error, id="width_error"),
     pytest.param(pf.Protocol.RAW, _e_out_reads("m__e__full"),
                  id="reads_a_fifo_flag"),
     pytest.param(pf.Protocol.RAW, _e_out_reads("m__e__read_start"),
                  id="reads_a_counter"),
-    pytest.param(pf.Protocol.RAW, _e_out_reads("floating"),
-                 id="reads_an_undriven_net"),
     pytest.param(pf.Protocol.RAW, _raw_with_an_enable,
                  id="raw_with_an_enable")])
 def test_netlists_the_terms_do_not_handle_are_simulated(protocol, mutate):
     from pipeforge.terms import output_terms as _output_terms
-    good, bad = _mutable(protocol), _mutable(protocol)
-    mutate(bad)
+    good, bad = _mutable(protocol), mutate(_mutable(protocol))
     assert _output_terms(good, {}) is not None
     assert _output_terms(bad, {}) is None
     assert _outcome(pf.check_equivalence, good, bad) == _outcome(
@@ -818,10 +769,10 @@ def test_netlists_the_terms_do_not_handle_are_simulated(protocol, mutate):
 def test_a_raw_fifo_off_its_start_form_is_not_started():
     from pipeforge.netlist import fifo_started
     nl = _mutable()
-    fifo = nl.drivers()["m__e"]
-    assert fifo_started(fifo, nl.drivers())
-    nl.drivers()["m__e__we"].expr = pf.Not(pf.Ref("m__e__full"))
-    assert not fifo_started(fifo, nl.drivers())
+    fifo = nl.drivers["m__e"]
+    assert fifo_started(fifo, nl.drivers)
+    nl = _replace_driver(nl, "m__e__we", expr=pf.Not(pf.Ref("m__e__full")))
+    assert not fifo_started(fifo, nl.drivers)
     # the FIFO never fills, so it still writes on every cycle
     got = pf.check_equivalence(_mutable(), nl)
     assert got.ok and _simulated(_mutable(), nl) == got
@@ -842,9 +793,8 @@ def test_a_shift_past_every_bit_is_the_zero_constant():
 
 def test_a_stream_that_never_comes_out_has_too_few_outputs():
     from pipeforge.sim import Verdict
-    good, bad = _mutable(pf.Protocol.READY_VALID), _mutable(
-        pf.Protocol.READY_VALID)
-    bad.drivers()["out_valid"].expr = pf.Const(0, 1)
+    good = _mutable(pf.Protocol.READY_VALID)
+    bad = _replace_driver(good, "out_valid", expr=pf.Const(0, 1))
     got = pf.check_equivalence(good, bad)
     assert got == Verdict(False, "trial 0: too few outputs (0)")
     assert _simulated(good, bad) == got
@@ -906,7 +856,6 @@ def test_ready_valid_fifos_carry_data_at_their_taps_only():
     assert pf.check_equivalence(plain, plain).ok
     for bad in (_handshaked(valid_through_fifo=True),
                 _handshaked(late_constant=True)):
-        bad.check()
         assert _output_terms(bad, {}) is None
         got = _outcome(pf.check_equivalence, plain, bad)
         assert got == _outcome(_simulated, plain, bad)
@@ -921,28 +870,6 @@ def test_a_flag_read_by_its_own_enables_is_simulated():
     got = pf.check_equivalence(good, bad)
     assert not got.ok and "outputs from" in got.detail
     assert _simulated(good, bad) == got
-
-
-def test_every_call_rejects_two_drivers_and_an_undriven_net():
-    # each call applies the rule of ``Netlist.check()``
-    from pipeforge.netlist import CombCell
-    single = _expr_netlist(pf.Ref("x"), {"x": 4})
-    double = _expr_netlist(pf.Ref("x"), {"x": 4})
-    double.cells.append(CombCell("o", pf.Not(pf.Ref("x"))))
-    floating = _mutable()
-    _e_out_reads("floating")(floating)
-    for good, bad, error in (
-            (single, double, "net 'o' has multiple drivers"),
-            (_mutable(), floating, "net 'floating' has no driver")):
-        calls = [bad.check,
-                 lambda: pf.emit_verilog(bad),
-                 lambda: pf.simulate(bad, pf.Stimulus(cycles=2)),
-                 lambda: pf.measured_latency(bad),
-                 lambda: pf.check_equivalence(bad, good),
-                 lambda: pf.check_equivalence(good, bad)]
-        for call in calls:
-            with pytest.raises(pf.PipeforgeError, match=f"^{error}$"):
-                call()
 
 
 def test_terms_decide_only_a_settled_window():
@@ -987,7 +914,6 @@ def test_terms_keep_what_each_node_computes_with():
     # pairs that differ in one op, parameter, operand order or part width
     # compute different functions, and their terms differ; a rebuilt copy
     # has the same term
-    from pipeforge.netlist import CombCell
     from pipeforge.terms import _timed_terms
     x, y, s = pf.Ref("x"), pf.Ref("y"), pf.Slice(0, 0, pf.Ref("y"))
     widths = {"x": 8, "y": 8}
@@ -998,7 +924,10 @@ def test_terms_keep_what_each_node_computes_with():
              (pf.Slice(3, 0, x), pf.Slice(4, 1, x)),
              (pf.BinOp("add", x, pf.Const(1, 8)), pf.BinOp("add", x, pf.Const(2, 8))),
              (pf.Not(x), pf.Not(pf.Concat((pf.Const(0, 1), x)))),
-             (pf.Mux(s, x, y), pf.Mux(s, y, x))]
+             (pf.Mux(s, x, y), pf.Mux(s, y, x)),
+             # a concatenation shifts by its parts' widths
+             (pf.Concat((pf.Slice(3, 0, x), y)),
+              pf.Concat((x, pf.Slice(3, 0, y))))]
     cores = {}
 
     def term(nl):
@@ -1007,12 +936,3 @@ def test_terms_keep_what_each_node_computes_with():
     for a, b in pairs:
         assert term(_expr_netlist(a, widths)) == term(_expr_netlist(a, widths))
         assert term(_expr_netlist(a, widths)) != term(_expr_netlist(b, widths))
-    # a concatenation shifts by its parts' widths, which wires may declare
-    # apart from their sources'
-    def cat(wa, wb):
-        return pf.Netlist("c", inputs=[("x", 8), ("y", 8)], outputs=[("o", 16)],
-                          nets={"x": 8, "y": 8, "a": wa, "b": wb, "o": 16},
-                          cells=[CombCell("a", x), CombCell("b", y),
-                                 CombCell("o", pf.Concat((pf.Ref("a"),
-                                                          pf.Ref("b"))))])
-    assert term(cat(4, 12)) != term(cat(12, 4))
