@@ -503,6 +503,30 @@ def test_unread_fifo_still_checks_its_occupancy():
     assert [sample["o"] for sample in trace.samples] == [10] * 4
 
 
+def test_dead_cells_still_raise():
+    # a cell no output reads is held to the netlist rule all the same: a dead
+    # width error or combinational loop is refused when the netlist is built
+    from pipeforge.netlist import CombCell
+
+    def netlist(*dead):
+        return pf.Netlist("dead", inputs=[("x", 4)], outputs=[("o", 4)],
+                          nets={"x": 4, "o": 4, **{c.out: 4 for c in dead}},
+                          cells=[CombCell("o", pf.Ref("x")), *dead])
+
+    ok = netlist(CombCell("a", pf.Not(pf.Ref("x"))))
+    assert pf.simulate(ok, pf.Stimulus(cycles=2)).samples
+    assert pf.measured_latency(ok) == 0
+    mux = pf.Mux(pf.Ref("x"), pf.Ref("x"), pf.Ref("x"))  # a 4-bit selector
+    with pytest.raises(pf.WidthMismatchError,
+                       match="^net 'a': mux selector must be 1 bit wide$"):
+        netlist(CombCell("a", mux))
+    with pytest.raises(pf.WidthMismatchError):
+        _replace_driver(ok, "a", expr=mux)
+    with pytest.raises(pf.PipeforgeError, match="combinational cycle"):
+        netlist(CombCell("a", pf.Not(pf.Ref("b"))),
+                CombCell("b", pf.Not(pf.Ref("a"))))
+
+
 # -- timed terms ----------------------------------------------------------------
 
 
@@ -725,15 +749,23 @@ def _loop_through_a_delay(nl):
     return _replace_driver(nl, "d__x", inp="m__q__c")  # which reads d__x
 
 
+def _width_error(nl):
+    d, x = pf.Ref("d__diff"), pf.Ref("d__x")
+    return _replace_driver(nl, "m__q__c", expr=pf.Mux(x, d, x))  # an 8-bit selector
+
+
 def _e_out_reads(net):
-    """``e_out`` xor ``net``."""
+    """``e_out`` xor ``net``, which an undeclared net is added as, 1 bit
+    wide and undriven."""
     def mutate(nl):
-        width = nl.nets[net]
+        width = nl.nets.get(net, 1)
         read = pf.Ref(net)
         if width < 4:
             read = pf.Concat((pf.Const(0, 4 - width), read))
-        return _replace_driver(nl, "e_out",
-                               expr=pf.BinOp("xor", pf.Ref("m__e"), read))
+        e_out = nl.drivers["e_out"]
+        return replace(nl, nets={net: width, **nl.nets}, cells=[
+            replace(c, expr=pf.BinOp("xor", pf.Ref("m__e"), read))
+            if c is e_out else c for c in nl.cells])
     return mutate
 
 
@@ -744,21 +776,33 @@ def _raw_with_an_enable(nl):
                    enable="en")
 
 
-@pytest.mark.parametrize("protocol, mutate", [
-    pytest.param(pf.Protocol.READY_VALID, _fifo_off_its_taps,
+@pytest.mark.parametrize("protocol, mutate, refused", [
+    pytest.param(pf.Protocol.READY_VALID, _fifo_off_its_taps, None,
                  id="fifo_off_its_taps"),
-    pytest.param(pf.Protocol.READY_VALID, _taps_one_stage_too_far,
+    pytest.param(pf.Protocol.READY_VALID, _taps_one_stage_too_far, None,
                  id="taps_one_stage_too_far"),
-    pytest.param(pf.Protocol.RAW, _loop_through_a_delay,
+    pytest.param(pf.Protocol.RAW, _loop_through_a_delay, None,
                  id="loop_through_a_delay"),
-    pytest.param(pf.Protocol.RAW, _e_out_reads("m__e__full"),
+    pytest.param(pf.Protocol.RAW, _width_error,
+                 "net 'm__q__c': mux selector must be 1 bit wide",
+                 id="width_error"),
+    pytest.param(pf.Protocol.RAW, _e_out_reads("m__e__full"), None,
                  id="reads_a_fifo_flag"),
-    pytest.param(pf.Protocol.RAW, _e_out_reads("m__e__read_start"),
+    pytest.param(pf.Protocol.RAW, _e_out_reads("m__e__read_start"), None,
                  id="reads_a_counter"),
-    pytest.param(pf.Protocol.RAW, _raw_with_an_enable,
+    pytest.param(pf.Protocol.RAW, _e_out_reads("floating"),
+                 "net 'floating' has no driver", id="reads_an_undriven_net"),
+    pytest.param(pf.Protocol.RAW, _raw_with_an_enable, None,
                  id="raw_with_an_enable")])
-def test_netlists_the_terms_do_not_handle_are_simulated(protocol, mutate):
+def test_netlists_the_terms_do_not_handle_are_simulated(protocol, mutate,
+                                                         refused):
     from pipeforge.terms import output_terms as _output_terms
+    if refused:
+        # such a netlist cannot be built, so neither the terms nor the
+        # simulator ever see it
+        with pytest.raises(pf.PipeforgeError, match=f"^{refused}$"):
+            mutate(_mutable(protocol))
+        return
     good, bad = _mutable(protocol), mutate(_mutable(protocol))
     assert _output_terms(good, {}) is not None
     assert _output_terms(bad, {}) is None
@@ -870,6 +914,29 @@ def test_a_flag_read_by_its_own_enables_is_simulated():
     got = pf.check_equivalence(good, bad)
     assert not got.ok and "outputs from" in got.detail
     assert _simulated(good, bad) == got
+
+
+def test_every_call_rejects_two_drivers_and_an_undriven_net():
+    # every call takes a built netlist, and neither shape can be built,
+    # whether by the constructor or by ``dataclasses.replace``
+    from pipeforge.netlist import CombCell
+    single = _expr_netlist(pf.Ref("x"), {"x": 4})
+    double = single.cells + (CombCell("o", pf.Not(pf.Ref("x"))),)
+    with pytest.raises(pf.PipeforgeError,
+                       match="^net 'o' has multiple drivers$"):
+        pf.Netlist(single.name, single.inputs, single.outputs,
+                   dict(single.nets), double)
+    with pytest.raises(pf.PipeforgeError,
+                       match="^net 'o' has multiple drivers$"):
+        replace(single, cells=double)
+    with pytest.raises(pf.PipeforgeError,
+                       match="^net 'floating' has no driver$"):
+        _e_out_reads("floating")(_mutable())
+    good = _mutable()
+    pf.emit_verilog(good)
+    assert pf.simulate(good, pf.Stimulus(cycles=2)).samples
+    pf.measured_latency(good)
+    assert pf.check_equivalence(good, _mutable()).ok
 
 
 def test_terms_decide_only_a_settled_window():
