@@ -8,12 +8,14 @@ workload's spec documents (``perfbench/workloads.WORKLOADS``) at seeds 0, 1
 and 7.  Each spec is resolved direct, p2p and exhaustive and lowered raw and
 ready/valid under ``direct_auto``, ``direct_force_reg``,
 ``direct_force_srl``, ``direct_fifo(2, 1)`` and ``direct_fifo(4, 8)``: 30
-designs per spec.  Three SHA-256 digests are printed:
+designs per spec.  Four SHA-256 digests are printed:
 
 - ``simulate``: every design's ``simulate`` trace (samples, accepted inputs
   and outputs) over twice its planned latency plus 40 cycles of a stimulus
   seeded by the design's name, with the sink ready half the time under
   ready/valid;
+- ``watched``: the same trace with every FIFO's and startup counter's nets
+  watched (data, enables, flags and counts), so flag values are pinned too;
 - ``equivalence``: every design's ``check_equivalence`` verdict against its
   spec's direct raw ``direct_auto`` design, and ``measured_latency`` of
   every raw design;
@@ -60,8 +62,9 @@ def specs(pf, workloads):
                 yield f"{workload}/{seed}/{doc['name']}", doc
 
 
-def trace_of(pf, netlist, latency: int, name: str) -> str:
-    """The SHA-1 of ``netlist``'s trace over ``2 * latency + 40`` cycles."""
+def trace_of(pf, netlist, latency: int, name: str, watch=()) -> str:
+    """The SHA-1 of ``netlist``'s trace over ``2 * latency + 40`` cycles,
+    with ``watch`` watched."""
     rng = random.Random(name)
     ins, _ = netlist.data_ports()
     cycles = 2 * latency + 40
@@ -69,9 +72,18 @@ def trace_of(pf, netlist, latency: int, name: str) -> str:
     ready = None
     if netlist.protocol is pf.Protocol.READY_VALID:
         ready = [int(rng.random() < 0.5) for _ in range(cycles)]
-    trace = pf.simulate(netlist, pf.Stimulus(cycles, inputs, ready))
+    trace = pf.simulate(netlist, pf.Stimulus(cycles, inputs, ready,
+                                             watch=tuple(watch)))
     return hashlib.sha1(repr((trace.samples, trace.accepted_inputs,
                               trace.accepted_outputs)).encode()).hexdigest()
+
+
+def state_nets(netlist):
+    """Every net of every FIFO and startup counter, once each."""
+    nets = [n for c in netlist.fifos
+            for n in (c.inp, c.out, c.write_en, c.read_en, c.full, c.empty)]
+    nets += [n for c in netlist.counters for n in (c.count, c.zero)]
+    return dict.fromkeys(nets)
 
 
 def simulated(pf, base, netlist):
@@ -98,7 +110,8 @@ def main(argv=None) -> int:
                  "p2p": pf.resolve_p2p_backward,
                  "exhaustive": pf.resolve_exhaustive_forward}
     digests = {kind: hashlib.sha256()
-               for kind in ("simulate", "equivalence", "simulated")}
+               for kind in ("simulate", "watched", "equivalence",
+                            "simulated")}
     designs = 0
     for spec, doc in specs(pf, workloads):
         balanced = pf.balance_merges(pf.graph_from_spec(doc))
@@ -116,6 +129,9 @@ def main(argv=None) -> int:
                         oracle = sim, pf.sim._stream_latency(sim, 0)
                     records = {"simulate": outcome(
                         trace_of, pf, netlist, plan.total_latency, name)}
+                    records["watched"] = outcome(
+                        trace_of, pf, netlist, plan.total_latency, name,
+                        state_nets(netlist))
                     records["equivalence"] = outcome(
                         pf.check_equivalence, base, netlist)
                     if protocol is pf.Protocol.RAW:

@@ -23,7 +23,10 @@ netlist, ``check_equivalence`` compares it with the p2p-resolved raw
 netlist under the same policy,
 ``check_equivalence_exhaustive`` with the exhaustive-resolved one, and
 ``check_equivalence_ready_valid`` with the p2p-resolved one lowered
-ready/valid.
+ready/valid.  ``simulate_fifo`` and ``simulate_fifo_ready_valid`` time one
+``simulate`` of ``SIM_CYCLES`` cycles of the direct-resolved netlist
+lowered under ``direct_fifo(2, 1)``, raw and ready/valid, on inputs seeded
+by the rung (the sink ready half the time under ready/valid).
 Each run appends its rows to ``--out`` under ``--label``, so alternating
 runs of two checkouts all land in one file.  ``--src`` names the pipeforge
 source tree to import (default: this checkout's ``src``).
@@ -35,6 +38,7 @@ import argparse
 import json
 import os
 import platform
+import random
 import sys
 import tempfile
 import time
@@ -43,6 +47,7 @@ from dataclasses import replace
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 REPEATS = 3
 SIZES = (100, 200, 400, 800)
+SIM_CYCLES = 200
 
 
 def best_of(fn, *args):
@@ -54,6 +59,18 @@ def best_of(fn, *args):
         dt = time.perf_counter() - t0
         best = dt if best is None else min(best, dt)
     return out, best
+
+
+def stimulus(pf, netlist, n: int):
+    """``SIM_CYCLES`` cycles of inputs seeded by ``n``."""
+    rng = random.Random(n)
+    ins, _ = netlist.data_ports()
+    inputs = [{p: rng.randrange(1 << w) for p, w in ins}
+              for _ in range(SIM_CYCLES)]
+    ready = None
+    if netlist.protocol is pf.Protocol.READY_VALID:
+        ready = [int(rng.random() < 0.5) for _ in range(SIM_CYCLES)]
+    return pf.Stimulus(SIM_CYCLES, inputs, ready)
 
 
 def rung(pf, specgen, oracle, shape, n: int) -> dict:
@@ -99,6 +116,11 @@ def rung(pf, specgen, oracle, shape, n: int) -> dict:
     if not verdict.ok:
         raise SystemExit(f"N={n}: direct and ready/valid p2p differ: "
                          f"{verdict.detail}")
+    for protocol, stage in ((pf.Protocol.RAW, "simulate_fifo"),
+                            (pf.Protocol.READY_VALID,
+                             "simulate_fifo_ready_valid")):
+        fifo = pf.lower(d, pf.apply_protocol(d, protocol), pf.direct_fifo(2, 1))
+        _, secs[stage] = best_of(pf.simulate, fifo, stimulus(pf, fifo, n))
     counts = {
         "zones": len(d.zones),
         "slots": sum(len(z.slots) for z in d.zones.values()),

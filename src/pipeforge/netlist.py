@@ -137,7 +137,10 @@ class Netlist:
     counters: tuple[CounterCell, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        nets = dict(self.nets)  # checked as a plain dict, then wrapped
+        # checked as a plain dict, then wrapped; the proxy that
+        # ``dataclasses.replace`` passes copies fastest by its own copy()
+        nets = (self.nets.copy() if isinstance(self.nets, MappingProxyType)
+                else dict(self.nets))
         inputs, outputs = tuple(self.inputs), tuple(self.outputs)
         cells = tuple(self.cells)
 

@@ -15,9 +15,20 @@ A netlist is checked once, when it is built (``Netlist``), so nothing here
 checks it again: each compilation reads the driver index, combinational
 order and FIFO and counter lists the netlist keeps.  Only the output cone
 is compiled.  The observed nets are the ports, the watched nets, the global
-enable and every FIFO's enables; one walk back from them over the driver
-index picks the cells to compile, and a cell no observed net reads costs
-nothing per cycle.  Every FIFO is still simulated and counted, so its "read
+enable and the enables of every checked FIFO (below); one walk back from
+them over the driver index picks the cells to compile, and a cell no
+observed net reads costs nothing per cycle.
+
+A FIFO is compiled by the form of its enables, with the two recognizers
+the timed terms trust (``netlist.fifo_started`` and ``netlist.fifo_taps``).
+A started FIFO, written on every enabled cycle and read from a startup
+counter of ``capacity - 1``, holds at most ``capacity - 1`` values, so it
+never fills, and it is first read once it holds one, so it never runs
+empty: it is the delay line of its capacity.  A tapped FIFO's enables are
+``tap_w & ~full`` and ``tap_r & ~empty``, so it never writes while full or
+reads while empty: one update reads its taps, and its flags and enables are
+computed only where something else reads them.  Neither form can err.
+Every other FIFO is checked: it is simulated and counted, so its "read
 while empty" and "write while full" errors fire on the same cycles as if
 everything were compiled (one whose output nothing reads stores zeros).
 
@@ -46,7 +57,8 @@ from typing import Callable
 
 from .errors import NoResponseError, PortMismatchError, SimulationError
 from .expr import BinOp, Concat, Const, Expr, Mux, Not, Ref, Shift, Slice
-from .netlist import CombCell, DelayCell, Netlist, feed, postorder
+from .netlist import (CombCell, DelayCell, FifoCell, Netlist, feed,
+                      fifo_started, fifo_taps, postorder)
 from .protocol import Protocol
 from .terms import evaluate, output_terms
 
@@ -155,44 +167,75 @@ class _Compiled:
     keeps a ring ``R[j]`` of ``d`` frames, each the tuple of the group's
     inputs on one enabled cycle.  Frame ``t % d`` holds the inputs of ``d``
     cycles ago, so one slice assignment reads every output of the group and
-    one gather ``G[j]`` overwrites the frame.  A FIFO's output register is
-    ``S[j]`` and its contents the deque ``Q[j]``, and a startup counter
-    reads ``max(init - t, 0)``.
+    one gather ``G[j]`` overwrites the frame.  A started FIFO joins the
+    group of its capacity, and its flags read ``full = 0`` and ``empty = 1``
+    at ``t = 0`` only.  Any other FIFO's output register is ``S[j]`` and
+    its contents the deque ``Q[j]``; a tapped FIFO's update is one
+    statement, ``w = tap_w and len(Q[j]) < capacity`` before the pop, then
+    a pop if ``tap_r`` and ``Q[j]``, then an append if ``w``, and a checked
+    FIFO's raises where its enables err.  A startup counter reads
+    ``max(init - t, 0)``.
 
     The walk back from the observed nets by ``feed``, over the netlist's
     driver index, reaches the nets that get slots and the cells that get
-    statements.  Every FIFO keeps its update, since its enables are
-    observed; one whose output is not reached queues zeros.  Stage nets,
-    FIFO flags and counter nets are only computed where the walk reaches
-    them.
+    statements; a started FIFO's output reads its input only, and a tapped
+    FIFO's nets read its taps.  Every checked FIFO keeps its update, since
+    its enables are observed, and a tapped one keeps it where any of its
+    nets is reached; one whose output is not reached queues zeros.  Stage
+    nets, FIFO flags and enables and counter nets are only computed where
+    the walk reaches them.
     """
 
     def __init__(self, netlist: Netlist, watch: tuple[str, ...] = ()):
         self.netlist = netlist
         drivers, fifos = netlist.drivers, netlist.fifos
+        # each FIFO by the form of its enables (see the module docstring)
+        started: dict[str, DelayCell] = {}  # its delay line, by output
+        tapped: dict[str, tuple[str, str]] = {}  # tap_w and tap_r, by output
+        checked: list[FifoCell] = []
+        for c in fifos:
+            if fifo_started(c, drivers):
+                started[c.out] = DelayCell(c.out, c.inp, c.capacity, "srl")
+            elif (taps := fifo_taps(c, drivers)) is not None:
+                tapped[c.out] = taps
+            else:
+                checked.append(c)
         # the observed nets and every net they read, walked backwards
         reached: dict[str, None] = {}
         lines: dict[int, DelayCell] = {}  # the delay lines met, by id
         stack = [n for n, _ in netlist.inputs + netlist.outputs] + list(watch)
         if netlist.enable is not None:
             stack.append(netlist.enable)
-        for c in fifos:  # every FIFO counts, so its enables are observed
-            stack += (c.write_en, c.read_en)
+        for c in checked:  # a checked FIFO always counts, so its enables
+            stack += (c.write_en, c.read_en)  # are observed
         while stack:
             net = stack.pop()
             if net in reached:
                 continue
             reached[net] = None
-            c = drivers.get(net)
+            c = started.get(net) or drivers.get(net)
             if isinstance(c, DelayCell):
                 lines[id(c)] = c
-            stack += feed(drivers, net)[0]
+                stack.append(c.inp)
+            elif isinstance(c, FifoCell) and c.out in started:
+                continue  # a started FIFO's flags are constants
+            elif isinstance(c, FifoCell) and c.out in tapped:
+                stack += tapped[c.out]
+                if net == c.out:
+                    stack.append(c.inp)
+            else:
+                stack += feed(drivers, net)[0]
         groups: dict[int, list[DelayCell]] = {}
         for c in lines.values():
             groups.setdefault(c.depth, []).append(c)
+        # the FIFOs that keep a queue: every checked one, and a tapped one
+        # where any of its nets is reached
+        queued = [c for c in fifos if c.out not in started and (
+            c.out not in tapped
+            or any(n in reached for n in (c.out, c.full, c.empty)))]
         # sequential outputs first, in state order, so slices copy them
         order = [c.out for group in groups.values() for c in group]
-        order += [c.out for c in fifos] + list(reached)
+        order += [c.out for c in queued] + list(reached)
         self.slot = {net: i for i, net in enumerate(dict.fromkeys(order))}
         self.nslots = len(self.slot)
         cells: list[CombCell] = []
@@ -209,8 +252,8 @@ class _Compiled:
                       for depth, group in groups.items()]
         gathers = [_gather([self.slot[c.inp] for c in group])
                    for group in groups.values()]
-        self.queues = [deque() for _ in fifos]
-        self.fifo_out = [0] * len(fifos)
+        self.queues = [deque() for _ in queued]
+        self.fifo_out = [0] * len(queued)
         settle: list[str] = []
         update: list[str] = []
         ref = self._ref
@@ -222,19 +265,36 @@ class _Compiled:
                        for i, c in enumerate(group)
                        for k, net in enumerate(c.stages, 1) if net in reached]
             update.append(f"R[{j}][t % {depth}] = G[{j}](v)")
-        if fifos:
-            first = self.slot[fifos[0].out]
-            settle.append(f"v[{first}:{first + len(fifos)}] = S")
-        for j, c in enumerate(fifos):
+        for c in fifos:  # a started FIFO holds min(t, capacity - 1) values
+            if c.out in started:
+                if c.full in reached:
+                    settle.append(f"{ref(c.full)} = 0")
+                if c.empty in reached:
+                    settle.append(f"{ref(c.empty)} = 1 if t == 0 else 0")
+        if queued:
+            first = self.slot[queued[0].out]
+            settle.append(f"v[{first}:{first + len(queued)}] = S")
+        for j, c in enumerate(queued):
             if c.full in reached:
                 settle.append(f"{ref(c.full)} = "
                               f"1 if len(Q[{j}]) >= {c.capacity} else 0")
             if c.empty in reached:
                 settle.append(f"{ref(c.empty)} = 0 if Q[{j}] else 1")
+            # an unread FIFO still counts, storing zeros
+            data = ref(c.inp) if c.out in reached else "0"
+            if c.out in tapped:
+                # write_en is tap_w & ~full and read_en tap_r & ~empty, so
+                # neither can err; one statement, as the chunks split
+                # between statements and would unbind w
+                tap_w, tap_r = map(ref, tapped[c.out])
+                update.append(f"w = {tap_w} and len(Q[{j}]) < {c.capacity}\n"
+                              f"if {tap_r} and Q[{j}]:\n"
+                              f"    S[{j}] = Q[{j}].popleft()\n"
+                              f"if w:\n"
+                              f"    Q[{j}].append({data})")
+                continue
             empty = repr(f"FIFO {c.out!r} read while empty")
             full = repr(f"FIFO {c.out!r} write while full")
-            # an unread FIFO still counts, so its checks fire as before
-            data = ref(c.inp) if c.out in reached else "0"
             update += [f"if {ref(c.read_en)}:\n"
                        f"    if not Q[{j}]:\n"
                        f"        raise SimulationError({empty})\n"

@@ -428,6 +428,102 @@ def test_unwatched_traces_match_fully_watched_ones(random_corpus):
                     assert cone.accepted_outputs == full.accepted_outputs
 
 
+def _off_form(nl):
+    """``nl`` with every FIFO's write enable rewritten to an equal value
+    that neither form ``lower`` gives takes: ``1 | 0`` under raw,
+    ``~full & tap`` under ready/valid."""
+    from pipeforge.netlist import CombCell
+    cells = {id(nl.drivers[c.write_en]): c for c in nl.fifos}
+    rewritten = []
+    for cell in nl.cells:
+        fifo = cells.get(id(cell))
+        if fifo is None:
+            rewritten.append(cell)
+        elif nl.protocol is pf.Protocol.RAW:
+            rewritten.append(CombCell(cell.out, pf.BinOp(
+                "or", pf.Const(1, 1), pf.Const(0, 1))))
+        else:
+            rewritten.append(CombCell(cell.out, pf.BinOp(
+                "and", pf.Not(pf.Ref(fifo.full)), cell.expr.lhs)))
+    return replace(nl, cells=rewritten)
+
+
+def test_fifos_on_form_trace_like_checked_ones(random_corpus):
+    # a started or tapped FIFO is compiled without its checks; the same
+    # FIFO with an equal write enable off that form keeps them, and the two
+    # must trace alike, on the ports and on every net, flags included
+    from pipeforge.netlist import fifo_started, fifo_taps
+    rng = random.Random(22)
+    policies = [pf.direct_fifo(2, 1), pf.direct_fifo(4, 8)]
+    fifos = 0
+    for g in rng.sample(random_corpus, 10):
+        b = pf.balance_merges(g)
+        for resolver in (pf.resolve_direct_backward, pf.resolve_p2p_backward,
+                         pf.resolve_exhaustive_forward):
+            r = resolver(b)
+            for protocol in pf.Protocol:
+                plan = pf.apply_protocol(r, protocol)
+                form = (fifo_started if protocol is pf.Protocol.RAW
+                        else fifo_taps)
+                for policy in policies:
+                    nl = pf.lower(r, plan, policy)
+                    if not nl.fifos:
+                        continue
+                    off = _off_form(nl)
+                    assert all(form(c, nl.drivers) for c in nl.fifos)
+                    assert not any(form(c, off.drivers) for c in off.fifos)
+                    fifos += len(nl.fifos)
+                    ins, _ = nl.data_ports()
+                    cycles = 2 * plan.total_latency + 20
+                    stim = [{p: rng.randrange(1 << w) for p, w in ins}
+                            | {"in_valid": rng.randrange(2)}
+                            for _ in range(cycles)]
+                    ready = [rng.randrange(2) for _ in range(cycles)]
+                    for watch in ((), tuple(nl.nets)):
+                        want, got = (pf.simulate(x, pf.Stimulus(
+                            cycles, stim, ready, watch=watch))
+                            for x in (off, nl))
+                        assert got.samples == want.samples
+                        assert got.accepted_inputs == want.accepted_inputs
+                        assert got.accepted_outputs == want.accepted_outputs
+    assert fifos > 100
+
+
+def test_a_tapped_fifo_that_fills_traces_like_a_checked_one():
+    # taps from input ports fill and drain a 3-deep FIFO, which lowered
+    # designs never do: the tapped update must block and skip as the
+    # flags in its enables say
+    from pipeforge.netlist import CombCell, FifoCell, fifo_taps
+    widths = {"x": 4, "a": 1, "b": 1, "f": 4, "we": 1, "re": 1, "full": 1,
+              "empty": 1}
+
+    def netlist(we):
+        return pf.Netlist("taps", inputs=[("x", 4), ("a", 1), ("b", 1)],
+                          outputs=[("f", 4)], nets=widths,
+                          cells=[CombCell("we", we),
+                                 CombCell("re", pf.BinOp(
+                                     "and", pf.Ref("b"),
+                                     pf.Not(pf.Ref("empty")))),
+                                 FifoCell("f", "x", 3, "we", "re", "full",
+                                          "empty")])
+
+    on = netlist(pf.BinOp("and", pf.Ref("a"), pf.Not(pf.Ref("full"))))
+    off = netlist(pf.BinOp("and", pf.Not(pf.Ref("full")), pf.Ref("a")))
+    assert fifo_taps(on.fifos[0], on.drivers) == ("a", "b")
+    assert fifo_taps(off.fifos[0], off.drivers) is None
+    rng = random.Random(5)
+    # writes outrun reads, then reads outrun writes
+    stim = [{"x": rng.randrange(16), "a": int(rng.random() < p),
+             "b": int(rng.random() < 1 - p)}
+            for p in [0.8] * 30 + [0.2] * 30]
+    for watch in ((), ("full", "empty", "we", "re")):
+        want, got = (pf.simulate(x, pf.Stimulus(60, stim, watch=watch))
+                     for x in (off, on))
+        assert got.samples == want.samples
+    assert any(s["full"] for s in got.samples)
+    assert any(s["empty"] for s in got.samples[40:])
+
+
 def _through_every_edge():
     """``o`` reads a FIFO fed from the first stage net of a delay line,
     read from a startup counter: x -> s -> d1 -> m -> f -> o.  The line's
