@@ -27,6 +27,11 @@ ready/valid.  ``simulate_fifo`` and ``simulate_fifo_ready_valid`` time one
 ``simulate`` of ``SIM_CYCLES`` cycles of the direct-resolved netlist
 lowered under ``direct_fifo(2, 1)``, raw and ready/valid, on inputs seeded
 by the rung (the sink ready half the time under ready/valid).
+``simulate_corpus`` times one ``simulate`` of ``SIM_CYCLES`` cycles, on
+the same inputs, of the direct-resolved raw netlist under ``direct_auto()``
+of an N-step pipeline with ``sweep_corpus``'s shape
+(``perfbench/workloads.SMALL``, seed 0), whose steps widen their operands
+by ``cat`` of one part repeated.
 Each run appends its rows to ``--out`` under ``--label``, so alternating
 runs of two checkouts all land in one file.  ``--src`` names the pipeforge
 source tree to import (default: this checkout's ``src``).
@@ -73,7 +78,7 @@ def stimulus(pf, netlist, n: int):
     return pf.Stimulus(SIM_CYCLES, inputs, ready)
 
 
-def rung(pf, specgen, oracle, shape, n: int) -> dict:
+def rung(pf, specgen, oracle, shape, corpus, n: int) -> dict:
     doc = specgen.generate(f"deep{n}", replace(shape, steps=n), 0)
     policy = pf.direct_auto()
     secs = {}
@@ -121,6 +126,11 @@ def rung(pf, specgen, oracle, shape, n: int) -> dict:
                              "simulate_fifo_ready_valid")):
         fifo = pf.lower(d, pf.apply_protocol(d, protocol), pf.direct_fifo(2, 1))
         _, secs[stage] = best_of(pf.simulate, fifo, stimulus(pf, fifo, n))
+    small = pf.resolve_direct_backward(pf.balance_merges(pf.graph_from_spec(
+        specgen.generate(f"small{n}", replace(corpus, steps=n), 0))), policy)
+    small = pf.lower(small, pf.apply_protocol(small, pf.Protocol.RAW), policy)
+    _, secs["simulate_corpus"] = best_of(pf.simulate, small,
+                                         stimulus(pf, small, n))
     counts = {
         "zones": len(d.zones),
         "slots": sum(len(z.slots) for z in d.zones.values()),
@@ -154,11 +164,12 @@ def main(argv=None) -> int:
     import pipeforge as pf
     import oracle
     import specgen
-    from workloads import DEEP
+    from workloads import DEEP, SMALL
 
     rows = []
     for n in SIZES:
-        row = {"label": args.label, **rung(pf, specgen, oracle, DEEP, n)}
+        row = {"label": args.label,
+               **rung(pf, specgen, oracle, DEEP, SMALL, n)}
         print(json.dumps(row), flush=True)
         rows.append(row)
 
@@ -167,7 +178,8 @@ def main(argv=None) -> int:
         with open(args.out, encoding="utf-8") as fh:
             bench = json.load(fh)
     bench["what"] = (f"best of {REPEATS} wall seconds per stage, seed-0 "
-                     "generate_deep-shaped pipelines of N steps")
+                     "generate_deep-shaped pipelines of N steps "
+                     "(simulate_corpus: sweep_corpus-shaped)")
     bench["hardware"] = {"machine": platform.machine(),
                          "processor": cpu_model(),
                          "cpus": os.cpu_count(),

@@ -11,6 +11,16 @@ Each public call compiles its netlists once into straight-line Python
 statement with its widths and masks resolved to literals, and a cycle is a
 call of a few generated functions.
 
+Every slot holds a value within its net's width.  ``run`` masks each input
+to its port's width, as a Verilog port truncates, and the netlist's rule
+gives every cell the width its expression has, so each cell keeps it.  The
+compiled expressions rest on that and use the fewest operations that give
+each value: a run of k equal ``cat`` parts of width w is one product with
+``sum(1 << w*i for i in range(k))``; a ``mul`` needs no mask, as its width
+is the sum of its operands'; a ``not`` is one ``xor`` with the mask; a
+``slice`` up to its argument's top bit needs no mask, and from bit 0 it is
+its argument; and a shift by 0 is its argument.
+
 A netlist is checked once, when it is built (``Netlist``), so nothing here
 checks it again: each compilation reads the driver index, combinational
 order and FIFO and counter lists the netlist keeps.  Only the output cone
@@ -52,6 +62,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import groupby
 from operator import itemgetter
 from typing import Callable
 
@@ -66,8 +77,9 @@ from .terms import evaluate, output_terms
 @dataclass
 class Stimulus:
     cycles: int
-    # per-cycle input values; cycles past the list and missing ports read as
-    # 0 (in_valid defaults to 1 under ready/valid)
+    # per-cycle input values, each read masked to its port's width; cycles
+    # past the list and missing ports read as 0 (in_valid defaults to 1
+    # under ready/valid)
     inputs: list[dict] | None = None
     sink_ready: list[int] | None = None  # per cycle; None means always ready
     reset_cycles: int = 1
@@ -142,8 +154,8 @@ _CHUNK = 100
 # parenthesis depth past which a subexpression is assigned to a slot of its
 # own, far below CPython's nesting limit of 200
 _NEST = 50
-_MASKED = {"add": "+", "sub": "-", "mul": "*"}
-_BITWISE = {"xor": "^", "and": "&", "or": "|"}
+_MASKED = {"add": "+", "sub": "-"}
+_EXACT = {"mul": "*", "xor": "^", "and": "&", "or": "|"}
 
 
 def _mask(width: int) -> str:
@@ -154,12 +166,17 @@ class _Compiled:
     """A netlist compiled to straight-line Python, with its sequential state.
 
     Every net of the output cone (below) has a slot in the value list
-    ``v``.  Each combinational cell of the cone is one assignment with its
-    masks resolved to literals, and a wire needs none: it shares its
-    source's slot.  The statements are compiled as functions of at most
-    ``_CHUNK`` lines: the settle functions compute a cycle's values, the
-    update functions advance the state at the clock edge.  Net names enter
-    the generated source only as ``repr`` literals in error messages.
+    ``v``, and holds a value within its net's width.  Each combinational
+    cell of the cone is one assignment with its masks resolved to literals,
+    and a wire needs none: it shares its source's slot.  ``_expr`` compiles
+    an expression to the fewest operations that give its value while every
+    slot is in range: a mask that cannot change the value is left out, a
+    run of equal ``cat`` parts is one product, and a full-width slice or a
+    shift by 0 is its argument.  The statements are compiled as functions
+    of at most ``_CHUNK`` lines: the settle functions compute a cycle's
+    values, the update functions advance the state at the clock edge.  Net
+    names enter the generated source only as ``repr`` literals in error
+    messages.
 
     Every sequential cell shares the one global enable, so one count ``t``
     of enabled cycles since reset drives them all.  The delay lines of one
@@ -325,9 +342,10 @@ class _Compiled:
         return f"v[{self.slot[net]}]"
 
     def _expr(self, e: Expr, out: list[str]) -> tuple[str, int]:
-        """Python source for ``e`` and its parenthesis depth.  A subexpression
-        nested ``_NEST`` deep is first assigned to a new slot, by a statement
-        appended to ``out``."""
+        """Python source for ``e`` and its parenthesis depth, in the fewest
+        operations that give its value while every slot holds a value
+        within its net's width.  A subexpression nested ``_NEST`` deep is
+        first assigned to a new slot, by a statement appended to ``out``."""
         widths = self.netlist.nets
         if isinstance(e, Const):
             return hex(e.value), 0
@@ -337,18 +355,20 @@ class _Compiled:
             (a, da), (b, db) = self._expr(e.lhs, out), self._expr(e.rhs, out)
             if e.op in _MASKED:
                 src = f"({a} {_MASKED[e.op]} {b} & {_mask(e.width(widths))})"
-            else:
-                src = f"({a} {_BITWISE[e.op]} {b})"
+            else:  # a product fits the sum of its operands' widths
+                src = f"({a} {_EXACT[e.op]} {b})"
             return self._spill(src, max(da, db) + 1, out)
         if isinstance(e, Not):
             a, d = self._expr(e.arg, out)
-            return self._spill(f"(~{a} & {_mask(e.width(widths))})", d + 1, out)
+            return self._spill(f"({a} ^ {_mask(e.width(widths))})", d + 1, out)
         if isinstance(e, Shift):
             w = e.width(widths)
             # every bit shifts out; testing first keeps a huge shl from allocating
             if e.amount >= w:
                 return "0", 0
             a, d = self._expr(e.arg, out)
+            if not e.amount:
+                return a, d
             if e.op == "shl":
                 src = f"({a} << {e.amount} & {_mask(w)})"
             else:
@@ -360,17 +380,26 @@ class _Compiled:
             return self._spill(f"({a} if {s} else {b})",
                                max(ds, da, db) + 1, out)
         if isinstance(e, Slice):
-            mask = _mask(e.width(widths))
             a, d = self._expr(e.arg, out)
+            src = a
             if e.lo:
-                a = f"{a} >> {e.lo}"
-            return self._spill(f"({a} & {mask})", d + 1, out)
+                src = f"{src} >> {e.lo}"
+            if e.hi + 1 < e.arg.width(widths):  # not up to the top bit
+                src = f"{src} & {_mask(e.width(widths))}"
+            return (a, d) if src == a else self._spill(f"({src})", d + 1, out)
         if isinstance(e, Concat):
-            acc, d = self._expr(e.parts[0], out)
-            for p in e.parts[1:]:
+            acc, d = None, 0
+            for p, copies in groupby(e.parts):  # each run of equal parts
+                k, w = len(list(copies)), p.width(widths)
                 b, db = self._expr(p, out)
-                acc, d = self._spill(f"({acc} << {p.width(widths)} | {b})",
-                                     max(d, db) + 1, out)
+                if k > 1:  # k copies of a w-bit value never carry
+                    ones = hex(sum(1 << w * i for i in range(k)))
+                    b, db = self._spill(f"({b} * {ones})", db + 1, out)
+                if acc is None:
+                    acc, d = b, db
+                else:
+                    acc, d = self._spill(f"({acc} << {w * k} | {b})",
+                                         max(d, db) + 1, out)
             return acc, d
         raise TypeError(f"unknown expression node {e!r}")
 
@@ -400,7 +429,8 @@ class _Compiled:
         trace = Trace(ports, {p: nl.nets[p] for p in ports})
         slot = self.slot
         data_in, data_out = nl.data_ports()
-        data = [(p, slot[p]) for p, _ in data_in]
+        # each input masked to its port's width, as a Verilog port truncates
+        data = [(p, slot[p], (1 << w) - 1) for p, w in data_in]
         accepted_out = [p for p, _ in data_out]
         sample = _gather([slot[p] for p in ports])
         enable = None if nl.enable is None else slot[nl.enable]
@@ -412,10 +442,10 @@ class _Compiled:
         t = 0
         for cycle in range(stim.cycles):
             given = stim.input_at(cycle)
-            for p, i in data:
-                v[i] = given.get(p, 0)
+            for p, i, mask in data:
+                v[i] = given.get(p, 0) & mask
             if rv:
-                v[valid_in] = given.get("in_valid", 1)
+                v[valid_in] = given.get("in_valid", 1) & 1
                 v[ready_in] = stim.ready_at(cycle)
             for f in settle:
                 f(v, t)
@@ -428,7 +458,7 @@ class _Compiled:
             if rv:
                 if values["in_valid"] and values["in_ready"]:
                     trace.accepted_inputs.append(
-                        {p: values[p] for p, _ in data})
+                        {p: values[p] for p, _, _ in data})
                 if values["out_valid"] and values["out_ready"]:
                     trace.accepted_outputs.append(
                         {p: values[p] for p in accepted_out})

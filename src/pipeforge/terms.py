@@ -219,10 +219,12 @@ def _cat(width: int, widths: tuple[int, ...], *parts: int) -> int:
     return acc
 
 
-# each op's value from its width, parameters and argument values, as the
-# statement ``sim._Compiled`` emits for it computes it: masked after add,
-# sub, mul, not, shl and slice, unmasked after xor, and, or, shr, mux and
-# cat, and a constant is its raw value
+# each op's value from its width, parameters and argument values: masked
+# after add, sub, mul, not, shl and slice, unmasked after xor, and, or, shr,
+# mux and cat, and a constant is its raw value.  ``sim._Compiled`` leaves
+# out the masks that cannot change a value, as its slots stay within their
+# widths (after mul, whose product fits its width, and after a slice up to
+# its argument's top bit), so the two agree
 _EVAL = {
     "const": lambda w, p: p,
     "add": lambda w, p, a, b: (a + b) & _mask(w),

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import pytest
 
+import oracle
 import pipeforge as pf
 
 from conftest import build_running, golden_running
@@ -257,7 +258,9 @@ def _expr_netlist(expr, widths):
 
 
 def _random_expr(rng, widths, depth):
-    """A width-correct random expression over every operator."""
+    """A width-correct random expression over every operator, with the forms
+    the simulator compiles apart: runs of equal ``cat`` parts, alone and
+    mixed, shifts by 0 and slices up to the top bit."""
     names = sorted(widths)
     if depth == 0 or rng.random() < 0.2:
         if rng.random() < 0.3:
@@ -265,7 +268,8 @@ def _random_expr(rng, widths, depth):
             return pf.Const(rng.randrange(1 << w), w)
         return pf.Ref(rng.choice(names))
     kind = rng.choice(["add", "sub", "mul", "xor", "and", "or", "not",
-                       "shl", "shr", "mux", "slice", "cat"])
+                       "shl", "shr", "mux", "slice", "cat", "run", "mixed",
+                       "shift0", "top"])
     a = _random_expr(rng, widths, depth - 1)
     wa = a.width(widths)
     if kind in ("add", "sub", "mul", "xor", "and", "or"):
@@ -274,12 +278,21 @@ def _random_expr(rng, widths, depth):
         return pf.Not(a)
     if kind in ("shl", "shr"):
         return pf.Shift(kind, rng.randint(0, wa + 1), a)
+    if kind == "shift0":
+        return pf.Shift(rng.choice(("shl", "shr")), 0, a)
     if kind == "slice":
         lo = rng.randrange(wa)
         return pf.Slice(rng.randint(lo, wa - 1), lo, a)
+    if kind == "top":  # full width half the time
+        return pf.Slice(wa - 1, rng.choice((0, rng.randrange(wa))), a)
     if kind == "cat":
         return pf.Concat((a, _random_expr(rng, widths, depth - 1)))
+    if kind == "run":  # 2 to 40 copies, fewer of a wide part
+        return pf.Concat((a,) * rng.randint(2, max(2, min(40, 640 // wa))))
     b = _random_expr(rng, widths, depth - 1)
+    if kind == "mixed":  # such as cat(a, a, b, a)
+        return pf.Concat(tuple(rng.choice((a, b))
+                               for _ in range(rng.randint(3, 6))))
     wb = b.width(widths)
     if wa > wb:
         a = pf.Slice(wb - 1, 0, a)
@@ -291,17 +304,20 @@ def _random_expr(rng, widths, depth):
 
 
 def _check_against_eval(expr, widths, rng, cycles=12):
+    # Expr.eval and the benchmark's oracle, which never imports pipeforge,
+    # are the references
     inputs = [{n: rng.randrange(1 << w) for n, w in widths.items()}
               for _ in range(cycles)]
     trace = pf.simulate(_expr_netlist(expr, widths),
                         pf.Stimulus(cycles, inputs))
     for given, sample in zip(inputs, trace.samples):
         assert sample["o"] == expr.eval(given, widths), expr
+        assert sample["o"] == oracle._eval(expr.to_sexpr(), given, widths)
 
 
 def test_compiled_expressions_match_eval():
-    # the simulator compiles each cell on its own; Expr.eval is the
-    # reference, so a wrong operator or a dropped mask fails here
+    # the simulator compiles each cell on its own; a wrong operator, a
+    # dropped mask or a wrong rewrite fails here
     rng = random.Random(7)
     widths = {"a": 8, "b": 16, "c": 1, "d": 5}
     for _ in range(300):
@@ -321,8 +337,21 @@ def test_deep_expressions_simulate():
         muxes = pf.Mux(pf.Ref("s"), muxes, pf.Shift("shr", i % 3, pf.Ref("b")))
     wide = pf.Concat(tuple(pf.Slice(i % 8, i % 8, pf.Ref("a" if i % 3 else "b"))
                            for i in range(300)))
-    for expr in (chain, muxes, wide):
+    copies = pf.Concat((pf.Ref("s"),) * 4096)
+    for expr in (chain, muxes, wide, copies):
         _check_against_eval(expr, widths, rng)
+
+
+def test_inputs_are_masked_to_their_ports():
+    # a Verilog port keeps its low bits only, so the simulator does too
+    nl = _expr_netlist(pf.Concat((pf.Ref("x"), pf.Ref("x"))), {"x": 4})
+    sample, = pf.simulate(nl, pf.Stimulus(1, [{"x": 0x1f}])).samples
+    assert sample == {"x": 0xf, "o": 0xff}
+    rv = lowered(protocol=pf.Protocol.READY_VALID)
+    trace = pf.simulate(rv, pf.Stimulus(
+        cycles=4, inputs=[{"x": 3, "y": 5, "in_valid": 2}] * 4))
+    assert [s["in_valid"] for s in trace.samples] == [0] * 4
+    assert not trace.accepted_inputs
 
 
 HOSTILE = ["x'\"\\\n", "__import__('os')", "\"); raise SystemExit(3) #",
