@@ -27,13 +27,18 @@ ready/valid.  ``simulate_fifo`` and ``simulate_fifo_ready_valid`` time one
 ``simulate`` of ``SIM_CYCLES`` cycles of the direct-resolved netlist
 lowered under ``direct_fifo(2, 1)``, raw and ready/valid, on inputs seeded
 by the rung (the sink ready half the time under ready/valid).
+``simulate_ready_valid`` times the same of the direct-resolved netlist
+lowered ready/valid under ``direct_auto()``, which has no FIFO, so the
+cost of its stalled cycles shows apart from any FIFO's.
 ``simulate_corpus`` times one ``simulate`` of ``SIM_CYCLES`` cycles, on
 the same inputs, of the direct-resolved raw netlist under ``direct_auto()``
 of an N-step pipeline with ``sweep_corpus``'s shape
 (``perfbench/workloads.SMALL``, seed 0), whose steps widen their operands
 by ``cat`` of one part repeated.
 Each run appends its rows to ``--out`` under ``--label``, so alternating
-runs of two checkouts all land in one file.  ``--src`` names the pipeforge
+runs of two checkouts all land in one file, and rewrites the file's
+``summary``: per label, size and stage, the median, min and max seconds
+over that label's runs.  ``--src`` names the pipeforge
 source tree to import (default: this checkout's ``src``).
 """
 
@@ -44,6 +49,7 @@ import json
 import os
 import platform
 import random
+import statistics
 import sys
 import tempfile
 import time
@@ -126,6 +132,9 @@ def rung(pf, specgen, oracle, shape, corpus, n: int) -> dict:
                              "simulate_fifo_ready_valid")):
         fifo = pf.lower(d, pf.apply_protocol(d, protocol), pf.direct_fifo(2, 1))
         _, secs[stage] = best_of(pf.simulate, fifo, stimulus(pf, fifo, n))
+    stalled = pf.lower(d, pf.apply_protocol(d, pf.Protocol.READY_VALID), policy)
+    _, secs["simulate_ready_valid"] = best_of(pf.simulate, stalled,
+                                              stimulus(pf, stalled, n))
     small = pf.resolve_direct_backward(pf.balance_merges(pf.graph_from_spec(
         specgen.generate(f"small{n}", replace(corpus, steps=n), 0))), policy)
     small = pf.lower(small, pf.apply_protocol(small, pf.Protocol.RAW), policy)
@@ -140,6 +149,20 @@ def rung(pf, specgen, oracle, shape, corpus, n: int) -> dict:
     }
     return {"n": n, "seconds": {k: round(v, 5) for k, v in secs.items()},
             "counts": counts}
+
+
+def summary(rows: list[dict]) -> dict:
+    """``{label: {n: {stage: {"median", "min", "max"}}}}`` over ``rows``."""
+    runs: dict = {}
+    for row in rows:
+        for stage, secs in row["seconds"].items():
+            runs.setdefault(row["label"], {}).setdefault(
+                str(row["n"]), {}).setdefault(stage, []).append(secs)
+    return {label: {n: {stage: {"median": statistics.median(secs),
+                                "min": min(secs), "max": max(secs)}
+                        for stage, secs in stages.items()}
+                    for n, stages in sizes.items()}
+            for label, sizes in runs.items()}
 
 
 def cpu_model() -> str:
@@ -185,6 +208,7 @@ def main(argv=None) -> int:
                          "cpus": os.cpu_count(),
                          "python": platform.python_version()}
     bench["rows"] += rows
+    bench["summary"] = summary(bench["rows"])
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(bench, fh, indent=1)
         fh.write("\n")

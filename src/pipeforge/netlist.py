@@ -120,9 +120,11 @@ class Netlist:
 
     Widths live in ``nets`` only.  What the rule finds is kept, and every
     consumer reads it and checks nothing: ``drivers``, every net's driving
-    cell, stage nets and flags included; ``comb_order``, the combinational
-    cells in evaluation order (sequential outputs count as cycle-start
-    constants); ``fifos`` and ``counters``, in cell order.
+    cell, stage nets and flags included; ``stage_delays``, each stage net's
+    delay in enabled cycles from its line's input (the kth stage net k);
+    ``comb_order``, the combinational cells in evaluation order (sequential
+    outputs count as cycle-start constants); ``fifos`` and ``counters``, in
+    cell order.
     """
     name: str
     inputs: tuple[tuple[str, int], ...] = ()
@@ -132,6 +134,8 @@ class Netlist:
     protocol: Protocol = Protocol.RAW
     enable: str | None = None  # global clock-enable net (ready/valid only)
     drivers: Mapping[str, Cell] = field(init=False, repr=False, compare=False)
+    stage_delays: Mapping[str, int] = field(init=False, repr=False,
+                                            compare=False)
     comb_order: tuple[CombCell, ...] = field(init=False, repr=False, compare=False)
     fifos: tuple[FifoCell, ...] = field(init=False, repr=False, compare=False)
     counters: tuple[CounterCell, ...] = field(init=False, repr=False, compare=False)
@@ -162,6 +166,7 @@ class Netlist:
                 raise WidthMismatchError(f"port {name!r} width mismatch")
         # one pass over the cells, as a large netlist is slow to walk
         drivers: dict[str, Cell] = {}
+        stage_delays: dict[str, int] = {}
         combs, fifos, counters = [], [], []
         for c in cells:
             if isinstance(c, CombCell):
@@ -175,6 +180,8 @@ class Netlist:
                 if len(c.stages) != (0 if c.style == "srl" else c.depth - 1):
                     raise PipeforgeError("delay line stage nets do not match its depth")
                 driven = (*c.stages, c.out)
+                for k, n in enumerate(c.stages, 1):
+                    stage_delays[n] = k
                 w = nets.get(c.inp)
                 for n in driven:
                     if w is None or nets.get(n) != w:
@@ -236,6 +243,7 @@ class Netlist:
                 ("inputs", inputs), ("outputs", outputs),
                 ("nets", MappingProxyType(nets)), ("cells", cells),
                 ("drivers", MappingProxyType(drivers)),
+                ("stage_delays", MappingProxyType(stage_delays)),
                 ("comb_order", tuple(drivers[net] for net in order)),
                 ("fifos", tuple(fifos)), ("counters", tuple(counters))):
             object.__setattr__(self, key, value)  # frozen: set once, here
@@ -288,17 +296,18 @@ def postorder(nets: Sequence[str], sources: Callable[[str], Sequence[str]],
     return list(done)
 
 
-def feed(drivers: Mapping[str, Cell], net: str) -> tuple[Sequence[str], int]:
+def feed(netlist: Netlist, net: str) -> tuple[Sequence[str], int]:
     """The nets that ``net``'s driver reads to drive it, and the enabled
     cycles between them.  A FIFO's flag follows its occupancy: it reads
     what the enables read, less the flags.  References come sorted, so
     walks visit nets in the same order on every run."""
+    drivers = netlist.drivers
     cell = drivers.get(net)
     if isinstance(cell, CombCell):
         return sorted(cell.expr.refs()), 0
     if isinstance(cell, DelayCell):
         return (cell.inp,), (cell.depth if net == cell.out
-                             else cell.stages.index(net) + 1)
+                             else netlist.stage_delays[net])
     if isinstance(cell, FifoCell):
         if net == cell.out:
             return (cell.inp, cell.write_en, cell.read_en), cell.capacity + 1
@@ -488,8 +497,11 @@ def fifo_taps(fifo: FifoCell,
                          (fifo.read_en, fifo.empty)):
         cell = drivers.get(enable)
         e = cell.expr if isinstance(cell, CombCell) else None
-        if not (isinstance(e, E.BinOp) and isinstance(e.lhs, E.Ref)
-                and e == E.BinOp("and", e.lhs, E.Not(E.Ref(flag)))):
+        # matched field by field, as building the pattern to compare costs
+        # several times more, once per FIFO
+        if not (isinstance(e, E.BinOp) and e.op == "and"
+                and isinstance(e.lhs, E.Ref) and isinstance(e.rhs, E.Not)
+                and isinstance(e.rhs.arg, E.Ref) and e.rhs.arg.name == flag):
             return None
         taps.append(e.lhs.name)
     return taps[0], taps[1]

@@ -29,6 +29,18 @@ enable and the enables of every checked FIFO (below); one walk back from
 them over the driver index picks the cells to compile, and a cell no
 observed net reads costs nothing per cycle.
 
+A netlist with a global enable settles in two cones.  The input cone is
+every combinational cell that reads an input port at any depth, through
+wires too (``enable``, ``in_ready`` and ``valid_0`` are wires of input
+ports); the state cone is everything else: the ring and stage loads, FIFO
+outputs and flags, counter nets and every cell that reads only those.  The
+input cone settles every cycle, the state cone only when the state moves:
+before the first cycle, after a reset cycle and after an enabled cycle's
+update.  On a stalled cycle nothing the state cone reads has changed, so
+its slots already hold what it would compute (the selective
+trace of Ulrich, "Exclusive Simulation of Activity in Digital Networks",
+CACM 1969).  A netlist without an enable settles everything every cycle.
+
 A FIFO is compiled by the form of its enables, with the two recognizers
 the timed terms trust (``netlist.fifo_started`` and ``netlist.fifo_taps``).
 A started FIFO, written on every enabled cycle and read from a startup
@@ -36,11 +48,20 @@ counter of ``capacity - 1``, holds at most ``capacity - 1`` values, so it
 never fills, and it is first read once it holds one, so it never runs
 empty: it is the delay line of its capacity.  A tapped FIFO's enables are
 ``tap_w & ~full`` and ``tap_r & ~empty``, so it never writes while full or
-reads while empty: one update reads its taps, and its flags and enables are
-computed only where something else reads them.  Neither form can err.
-Every other FIFO is checked: it is simulated and counted, so its "read
-while empty" and "write while full" errors fire on the same cycles as if
-everything were compiled (one whose output nothing reads stores zeros).
+reads while empty.  Its taps are aligned where ``tap_r`` is ``tap_w``
+delayed by ``capacity - 1`` enabled cycles, both reached from one net
+through wires and delay lines (as ``lower`` taps the valid chain from
+``in_valid``).  Then each write is read ``capacity - 1`` cycles later, so
+the FIFO is never full or empty when an enable fires, and its output is
+``h`` of ``capacity`` enabled cycles before, where ``h`` holds the last
+write: an aligned FIFO whose flags nothing reads joins the delay ring of
+its capacity as the held value ``h = data if tap_w else h(t - 1)``.  Any
+other tapped FIFO keeps a queue, which one update advances from its taps.
+Neither form can err, and a FIFO's flags and enables are computed only
+where something else reads them.  Every other FIFO is checked: it is
+simulated and counted, so its "read while empty" and "write while full"
+errors fire on the same cycles as if everything were compiled (one whose
+output nothing reads stores zeros).
 
 ``measured_latency`` reads the latency off the timed terms where they
 decide (``terms.py`` states when), without compiling.  Elsewhere it
@@ -62,7 +83,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import groupby
+from itertools import chain, groupby, repeat
 from operator import itemgetter
 from typing import Callable
 
@@ -94,16 +115,6 @@ class Stimulus:
             raise SimulationError(
                 f"sink_ready lists {len(self.sink_ready)} of "
                 f"{self.cycles} cycles")
-
-    def input_at(self, cycle: int) -> dict:
-        if self.inputs is not None and cycle < len(self.inputs):
-            return self.inputs[cycle]
-        return {}
-
-    def ready_at(self, cycle: int) -> int:
-        if self.sink_ready is None:
-            return 1
-        return 1 if self.sink_ready[cycle] else 0
 
 
 def _vcd_id(i: int) -> str:
@@ -178,6 +189,15 @@ class _Compiled:
     names enter the generated source only as ``repr`` literals in error
     messages.
 
+    Under a global enable the settle statements form two lists, each in
+    topological order: ``input_cone``, the cells that read an input port
+    through cells or wires, and ``state_cone``, every other statement (a
+    spilled temporary goes with its cell).  No state-cone statement reads
+    an input, so ``run`` calls ``state_cone`` as soon as the state moves,
+    for the cycles that follow: before the first cycle, after a reset cycle
+    and after an enabled cycle's update.  Without an enable there is one
+    list, ``input_cone``, and ``state_cone`` is empty.
+
     Every sequential cell shares the one global enable, so one count ``t``
     of enabled cycles since reset drives them all.  The delay lines of one
     depth ``d`` form a group whose outputs take adjacent slots; the group
@@ -186,21 +206,27 @@ class _Compiled:
     cycles ago, so one slice assignment reads every output of the group and
     one gather ``G[j]`` overwrites the frame.  A started FIFO joins the
     group of its capacity, and its flags read ``full = 0`` and ``empty = 1``
-    at ``t = 0`` only.  Any other FIFO's output register is ``S[j]`` and
-    its contents the deque ``Q[j]``; a tapped FIFO's update is one
-    statement, ``w = tap_w and len(Q[j]) < capacity`` before the pop, then
-    a pop if ``tap_r`` and ``Q[j]``, then an append if ``w``, and a checked
-    FIFO's raises where its enables err.  A startup counter reads
+    at ``t = 0`` only.  A held FIFO (aligned, its flags unread) joins it
+    too, gathered from a slot of no net with one settle statement,
+    ``h = data if tap_w else R[j][t % c - 1][i]``: frame ``t % c - 1`` is
+    the last enabled cycle's, so ``h`` is the last write and the ring's
+    output ``h`` of ``c`` cycles before.  Any other FIFO's output register
+    is ``S[j]`` and its contents the deque ``Q[j]``; a tapped FIFO's update
+    is one statement, ``w = tap_w and len(Q[j]) < capacity`` before the
+    pop, then a pop if ``tap_r`` and ``Q[j]``, then an append if ``w``, and
+    a checked FIFO's raises where its enables err.  A startup counter reads
     ``max(init - t, 0)``.
 
     The walk back from the observed nets by ``feed``, over the netlist's
     driver index, reaches the nets that get slots and the cells that get
-    statements; a started FIFO's output reads its input only, and a tapped
-    FIFO's nets read its taps.  Every checked FIFO keeps its update, since
-    its enables are observed, and a tapped one keeps it where any of its
-    nets is reached; one whose output is not reached queues zeros.  Stage
-    nets, FIFO flags and enables and counter nets are only computed where
-    the walk reaches them.
+    statements; a started FIFO's output reads its input only, a tapped
+    FIFO's flags read its taps and its output its input and ``tap_w``, and
+    ``tap_r`` too unless it is aligned.  Every checked FIFO keeps its
+    update, since its enables are observed.  A tapped one keeps a queue
+    where any of its nets is reached and it is not held: where its taps
+    are not aligned, or a flag is reached (watched or read by a cell).  One
+    whose output is not reached queues zeros.  Stage nets, FIFO flags and
+    enables and counter nets are only computed where the walk reaches them.
     """
 
     def __init__(self, netlist: Netlist, watch: tuple[str, ...] = ()):
@@ -209,12 +235,16 @@ class _Compiled:
         # each FIFO by the form of its enables (see the module docstring)
         started: dict[str, DelayCell] = {}  # its delay line, by output
         tapped: dict[str, tuple[str, str]] = {}  # tap_w and tap_r, by output
+        aligned: set[str] = set()  # the tapped ones whose taps are aligned
         checked: list[FifoCell] = []
         for c in fifos:
             if fifo_started(c, drivers):
                 started[c.out] = DelayCell(c.out, c.inp, c.capacity, "srl")
             elif (taps := fifo_taps(c, drivers)) is not None:
                 tapped[c.out] = taps
+                w, r = (_delayed(netlist, tap) for tap in taps)
+                if w is not None and r == (w[0], w[1] + c.capacity - 1):
+                    aligned.add(c.out)
             else:
                 checked.append(c)
         # the observed nets and every net they read, walked backwards
@@ -237,28 +267,47 @@ class _Compiled:
             elif isinstance(c, FifoCell) and c.out in started:
                 continue  # a started FIFO's flags are constants
             elif isinstance(c, FifoCell) and c.out in tapped:
-                stack += tapped[c.out]
-                if net == c.out:
-                    stack.append(c.inp)
+                tap_w, tap_r = tapped[c.out]
+                if net == c.out:  # held where aligned, reading no tap_r
+                    stack += (c.inp, tap_w)
+                    if c.out not in aligned:
+                        stack.append(tap_r)
+                else:
+                    stack += (tap_w, tap_r)
             else:
-                stack += feed(drivers, net)[0]
-        groups: dict[int, list[DelayCell]] = {}
+                stack += feed(netlist, net)[0]
+        # an aligned FIFO whose flags nothing reads is held in its ring
+        held = {c.out: c for c in fifos if c.out in aligned
+                and c.out in reached and c.full not in reached
+                and c.empty not in reached}
+        groups: dict[int, list[DelayCell | FifoCell]] = {}
         for c in lines.values():
             groups.setdefault(c.depth, []).append(c)
+        for c in held.values():
+            groups.setdefault(c.capacity, []).append(c)
         # the FIFOs that keep a queue: every checked one, and a tapped one
-        # where any of its nets is reached
-        queued = [c for c in fifos if c.out not in started and (
-            c.out not in tapped
-            or any(n in reached for n in (c.out, c.full, c.empty)))]
+        # not held where any of its nets is reached
+        queued = [c for c in fifos if c.out not in started
+                  and c.out not in held and (c.out not in tapped or any(
+                      n in reached for n in (c.out, c.full, c.empty)))]
         # sequential outputs first, in state order, so slices copy them
         order = [c.out for group in groups.values() for c in group]
         order += [c.out for c in queued] + list(reached)
         self.slot = {net: i for i, net in enumerate(dict.fromkeys(order))}
         self.nslots = len(self.slot)
+        # each held FIFO's value, a slot of no net
+        hold = {out: self.nslots + k for k, out in enumerate(held)}
+        self.nslots += len(hold)
+        # under an enable, the input cone: every net that reads an input
+        # port through combinational cells, wires included
+        cone = netlist.enable is not None
+        live = {n for n, _ in netlist.inputs}
         cells: list[CombCell] = []
         for c in netlist.comb_order:
             if c.out not in reached:
                 continue
+            if cone and not live.isdisjoint(c.expr.refs()):
+                live.add(c.out)
             if isinstance(c.expr, Ref):
                 # in topological order, so a chain of wires ends at its
                 # first source
@@ -267,36 +316,39 @@ class _Compiled:
                 cells.append(c)
         self.rings = [[(0,) * len(group)] * depth
                       for depth, group in groups.items()]
-        gathers = [_gather([self.slot[c.inp] for c in group])
+        gathers = [_gather([self.slot[c.inp] if isinstance(c, DelayCell)
+                            else hold[c.out] for c in group])
                    for group in groups.values()]
         self.queues = [deque() for _ in queued]
         self.fifo_out = [0] * len(queued)
-        settle: list[str] = []
+        settle: list[str] = []  # the input cone, run every cycle
+        # the state cone, run when the state moves; one list without an enable
+        state: list[str] = [] if cone else settle
         update: list[str] = []
         ref = self._ref
         for j, (depth, group) in enumerate(groups.items()):
             first = self.slot[group[0].out]
-            settle.append(
+            state.append(
                 f"v[{first}:{first + len(group)}] = R[{j}][t % {depth}]")
-            settle += [f"{ref(net)} = R[{j}][t % {depth} - {k}][{i}]"
-                       for i, c in enumerate(group)
-                       for k, net in enumerate(c.stages, 1) if net in reached]
+            state += [f"{ref(net)} = R[{j}][t % {depth} - {k}][{i}]"
+                      for i, c in enumerate(group) if isinstance(c, DelayCell)
+                      for k, net in enumerate(c.stages, 1) if net in reached]
             update.append(f"R[{j}][t % {depth}] = G[{j}](v)")
         for c in fifos:  # a started FIFO holds min(t, capacity - 1) values
             if c.out in started:
                 if c.full in reached:
-                    settle.append(f"{ref(c.full)} = 0")
+                    state.append(f"{ref(c.full)} = 0")
                 if c.empty in reached:
-                    settle.append(f"{ref(c.empty)} = 1 if t == 0 else 0")
+                    state.append(f"{ref(c.empty)} = 1 if t == 0 else 0")
         if queued:
             first = self.slot[queued[0].out]
-            settle.append(f"v[{first}:{first + len(queued)}] = S")
+            state.append(f"v[{first}:{first + len(queued)}] = S")
         for j, c in enumerate(queued):
             if c.full in reached:
-                settle.append(f"{ref(c.full)} = "
-                              f"1 if len(Q[{j}]) >= {c.capacity} else 0")
+                state.append(f"{ref(c.full)} = "
+                             f"1 if len(Q[{j}]) >= {c.capacity} else 0")
             if c.empty in reached:
-                settle.append(f"{ref(c.empty)} = 0 if Q[{j}] else 1")
+                state.append(f"{ref(c.empty)} = 0 if Q[{j}] else 1")
             # an unread FIFO still counts, storing zeros
             data = ref(c.inp) if c.out in reached else "0"
             if c.out in tapped:
@@ -322,20 +374,34 @@ class _Compiled:
                        f"    Q[{j}].append({data})"]
         for c in netlist.counters:
             if c.count in reached:
-                settle.append(
+                state.append(
                     f"{ref(c.count)} = {c.init} - t if t < {c.init} else 0")
             if c.zero in reached:
-                settle.append(f"{ref(c.zero)} = 0 if t < {c.init} else 1")
+                state.append(f"{ref(c.zero)} = 0 if t < {c.init} else 1")
         for c in cells:
-            src, _ = self._expr(c.expr, settle)
-            settle.append(f"{ref(c.out)} = {src}")
+            out = settle if c.out in live else state
+            src, _ = self._expr(c.expr, out)
+            out.append(f"{ref(c.out)} = {src}")
+        # a held FIFO's value is its last write, and frame t % c - 1 holds
+        # the last enabled cycle's; only its ring's gather reads it, so it
+        # comes after every cell
+        for j, group in enumerate(groups.values() if held else ()):
+            for i, c in enumerate(group):
+                if isinstance(c, FifoCell):
+                    tap_w = tapped[c.out][0]
+                    out = state if live.isdisjoint((c.inp, tap_w)) else settle
+                    out.append(f"v[{hold[c.out]}] = {ref(c.inp)} if "
+                               f"{ref(tap_w)} else R[{j}][t % {c.capacity} - 1]"
+                               f"[{i}]")
         self.v = [0] * self.nslots
         # the code names nothing else: CPython interns each name a compile
         # meets and frees it with the code, and names per ring or per depth
         # made that churn grow the heap by about 15 KB per benchmark round
         namespace = {"R": self.rings, "G": gathers, "Q": self.queues,
                      "S": self.fifo_out, "SimulationError": SimulationError}
-        self.settle = _functions(settle, namespace)
+        self.input_cone = _functions(settle, namespace)
+        self.state_cone = [] if state is settle else _functions(state,
+                                                                 namespace)
         self.update = _functions(update, namespace)
 
     def _ref(self, net: str) -> str:
@@ -431,41 +497,55 @@ class _Compiled:
         data_in, data_out = nl.data_ports()
         # each input masked to its port's width, as a Verilog port truncates
         data = [(p, slot[p], (1 << w) - 1) for p, w in data_in]
-        accepted_out = [p for p, _ in data_out]
         sample = _gather([slot[p] for p in ports])
         enable = None if nl.enable is None else slot[nl.enable]
         if rv:
-            valid_in, ready_in = slot["in_valid"], slot["out_ready"]
-        v, settle, update = self.v, self.settle, self.update
+            valid_in, ready_in, ready_out, valid_out = (
+                slot[p] for p in ("in_valid", "out_ready", "in_ready",
+                                  "out_valid"))
+            taken_in = [p for p, _ in data_in]
+            taken_out = [p for p, _ in data_out]
+            get_in = _gather([slot[p] for p in taken_in])
+            get_out = _gather([slot[p] for p in taken_out])
+        v, update = self.v, self.update
+        state_cone, input_cone = self.state_cone, self.input_cone
         samples = trace.samples
+        accepted_in, accepted_out = trace.accepted_inputs, trace.accepted_outputs
+        given = chain((stim.inputs or [])[:stim.cycles], repeat({}))
+        ready = repeat(1) if stim.sink_ready is None else stim.sink_ready
+        # the state cone reads no input, so it settles as soon as the state
+        # moves (a reset or an enabled cycle) for the cycles that follow; on
+        # a stalled cycle its slots already hold what it would compute
         self.reset()
         t = 0
-        for cycle in range(stim.cycles):
-            given = stim.input_at(cycle)
+        for f in state_cone:
+            f(v, t)
+        for cycle, inputs, sink in zip(range(stim.cycles), given, ready):
             for p, i, mask in data:
-                v[i] = given.get(p, 0) & mask
+                v[i] = inputs.get(p, 0) & mask
             if rv:
-                v[valid_in] = given.get("in_valid", 1) & 1
-                v[ready_in] = stim.ready_at(cycle)
-            for f in settle:
+                v[valid_in] = inputs.get("in_valid", 1) & 1
+                v[ready_in] = 1 if sink else 0
+            for f in input_cone:
                 f(v, t)
-            values = dict(zip(ports, sample(v)))
-            samples.append(values)
+            samples.append(dict(zip(ports, sample(v))))
             if cycle < stim.reset_cycles:
                 self.reset()
                 t = 0
+                for f in state_cone:
+                    f(v, t)
                 continue
             if rv:
-                if values["in_valid"] and values["in_ready"]:
-                    trace.accepted_inputs.append(
-                        {p: values[p] for p, _, _ in data})
-                if values["out_valid"] and values["out_ready"]:
-                    trace.accepted_outputs.append(
-                        {p: values[p] for p in accepted_out})
+                if v[valid_in] and v[ready_out]:
+                    accepted_in.append(dict(zip(taken_in, get_in(v))))
+                if v[valid_out] and v[ready_in]:
+                    accepted_out.append(dict(zip(taken_out, get_out(v))))
             if enable is None or v[enable]:
                 for f in update:
                     f(v, t)
                 t += 1
+                for f in state_cone:
+                    f(v, t)
         return trace
 
 
@@ -476,6 +556,24 @@ def _gather(slots: list[int]) -> Callable[[list], tuple]:
         i, = slots
         return lambda v: (v[i],)
     return itemgetter(*slots) if slots else lambda v: ()
+
+
+def _delayed(netlist: Netlist, net: str) -> tuple[str, int] | None:
+    """The net that ``net`` is a delay of through wires and delay lines, and
+    the enabled cycles between them; None where the walk comes back to a
+    net, around a loop of delay lines."""
+    drivers, shift, seen = netlist.drivers, 0, set()
+    while net not in seen:
+        seen.add(net)
+        c = drivers.get(net)
+        if isinstance(c, DelayCell):
+            shift += feed(netlist, net)[1]
+            net = c.inp
+        elif isinstance(c, CombCell) and isinstance(c.expr, Ref):
+            net = c.expr.name
+        else:
+            return net, shift
+    return None
 
 
 def _functions(stmts: list[str], namespace: dict) -> list[Callable]:
@@ -518,13 +616,13 @@ def _settle_time(sim: _Compiled, nets: list[str]) -> int:
     too.  Walks only the nets that ``nets`` depend on, in one depth-first
     pass over the compiled netlist's driver index.
     """
-    drivers = sim.netlist.drivers
+    netlist = sim.netlist
     settle: dict[str, int] = {}
-    for net in postorder(nets, lambda n: feed(drivers, n)[0],
+    for net in postorder(nets, lambda n: feed(netlist, n)[0],
                          lambda n: SimulationError(
                              f"net {n!r} feeds back into itself, so it "
                              "never settles")):
-        srcs, delay = feed(drivers, net)
+        srcs, delay = feed(netlist, net)
         settle[net] = max((settle[n] for n in srcs), default=0) + delay
     return max((settle[n] for n in nets), default=0)
 

@@ -141,7 +141,7 @@ def _timed_terms(netlist: Netlist, nets: Sequence[str], cores: dict,
         cell = drivers.get(net)
         if isinstance(cell, FifoCell):  # a flag is not handled below
             return (cell.inp, *taps.get(net, ())) if net == cell.out else ()
-        return feed(drivers, net)[0]
+        return feed(netlist, net)[0]
 
     try:
         order = postorder([*nets, *(t for pair in taps.values() for t in pair)],
@@ -157,7 +157,7 @@ def _timed_terms(netlist: Netlist, nets: Sequence[str], cores: dict,
             terms[net] = _expr_term(cell.expr, terms, netlist.nets, cores)
         elif isinstance(cell, DelayCell):
             shift, core = terms[cell.inp]
-            terms[net] = shift + feed(drivers, net)[1], core
+            terms[net] = shift + feed(netlist, net)[1], core
         elif isinstance(cell, FifoCell) and net == cell.out:
             shift, core = terms[cell.inp]
             if net in taps:

@@ -482,6 +482,7 @@ def test_fifos_on_form_trace_like_checked_ones(random_corpus):
     # FIFO with an equal write enable off that form keeps them, and the two
     # must trace alike, on the ports and on every net, flags included
     from pipeforge.netlist import fifo_started, fifo_taps
+    from pipeforge.sim import _Compiled
     rng = random.Random(22)
     policies = [pf.direct_fifo(2, 1), pf.direct_fifo(4, 8)]
     fifos = 0
@@ -502,6 +503,10 @@ def test_fifos_on_form_trace_like_checked_ones(random_corpus):
                     assert all(form(c, nl.drivers) for c in nl.fifos)
                     assert not any(form(c, off.drivers) for c in off.fifos)
                     fifos += len(nl.fifos)
+                    if protocol is pf.Protocol.READY_VALID:
+                        # every lowered FIFO is aligned: unwatched, each
+                        # is held in a delay ring
+                        assert not _Compiled(nl).queues
                     ins, _ = nl.data_ports()
                     cycles = 2 * plan.total_latency + 20
                     stim = [{p: rng.randrange(1 << w) for p, w in ins}
@@ -516,6 +521,94 @@ def test_fifos_on_form_trace_like_checked_ones(random_corpus):
                         assert got.accepted_inputs == want.accepted_inputs
                         assert got.accepted_outputs == want.accepted_outputs
     assert fifos > 100
+
+
+def _settled_every_cycle(nl):
+    """``nl`` with every cell ``o = e`` rewritten ``o = e | (in_valid & 0)``:
+    the same value and width, and every cell in the input cone."""
+    from pipeforge.netlist import CombCell
+    nothing = pf.BinOp("and", pf.Ref("in_valid"), pf.Const(0, 1))
+    return replace(nl, cells=[
+        CombCell(c.out, pf.BinOp("or", c.expr, nothing))
+        if isinstance(c, CombCell) else c for c in nl.cells])
+
+
+def test_stalled_cycles_trace_like_settled_ones(random_corpus):
+    # a stalled ready/valid cycle re-settles only the input cone; the same
+    # netlist with every cell read into that cone re-settles everything
+    # every cycle, and the two must trace alike
+    from pipeforge.sim import _Compiled
+    rng = random.Random(25)
+    rv = pf.Protocol.READY_VALID
+    policies = [pf.direct_auto(), pf.direct_fifo(2, 1), pf.direct_fifo(4, 8)]
+    split = 0
+    for g in rng.sample(random_corpus, 8):
+        b = pf.balance_merges(g)
+        for resolver in (pf.resolve_direct_backward, pf.resolve_p2p_backward,
+                         pf.resolve_exhaustive_forward):
+            r = resolver(b)
+            plan = pf.apply_protocol(r, rv)
+            for policy in policies:
+                nl = pf.lower(r, plan, policy)
+                ref = _settled_every_cycle(nl)
+                split += bool(_Compiled(nl).state_cone)
+                ins, _ = nl.data_ports()
+                cycles = 4 * plan.total_latency + 40
+                stim = [{p: rng.randrange(1 << w) for p, w in ins}
+                        | {"in_valid": rng.randrange(2)}
+                        for _ in range(cycles)]
+                for duty in (0.1, 0.5, 0.9):
+                    ready = [int(rng.random() < duty) for _ in range(cycles)]
+                    for watch in ((), tuple(nl.nets)):
+                        want, got = (pf.simulate(x, pf.Stimulus(
+                            cycles, stim, ready, watch=watch))
+                            for x in (ref, nl))
+                        assert got.samples == want.samples
+                        assert got.accepted_inputs == want.accepted_inputs
+                        assert got.accepted_outputs == want.accepted_outputs
+    assert split > 50
+
+
+def _stalled_register():
+    """A ready/valid netlist whose output ``o = ~r`` reads only the
+    register ``r`` of ``x``: the state cone, 0xf in the reset state."""
+    from pipeforge.netlist import CombCell, DelayCell
+    widths = {"x": 4, "in_valid": 1, "out_ready": 1, "o": 4, "in_ready": 1,
+              "out_valid": 1, "enable": 1, "r": 4, "valid_0": 1}
+    cells = [CombCell("enable", pf.Ref("out_ready")),
+             CombCell("in_ready", pf.Ref("out_ready")),
+             CombCell("valid_0", pf.Ref("in_valid")),
+             DelayCell("out_valid", "valid_0", 1),
+             DelayCell("r", "x", 1),
+             CombCell("o", pf.Not(pf.Ref("r")))]
+    return pf.Netlist("stalled", inputs=[("x", 4), ("in_valid", 1),
+                                         ("out_ready", 1)],
+                      outputs=[("o", 4), ("in_ready", 1), ("out_valid", 1)],
+                      nets=widths, cells=cells,
+                      protocol=pf.Protocol.READY_VALID, enable="enable")
+
+
+def test_state_cone_settles_after_a_stalled_reset():
+    # three reset cycles with the sink stalled, then more stalls: each
+    # sample of o is ~x of the last enabled cycle after reset, 0xf before
+    from pipeforge.sim import _Compiled
+    nl = _stalled_register()
+    xs = [(5 * c + 3) % 16 for c in range(14)]
+    ready = [0, 0, 0, 0, 0, 1, 0, 0, 1, 1, 0, 1, 0, 0]
+    stim = pf.Stimulus(len(xs), [{"x": x} for x in xs], ready,
+                       reset_cycles=3, watch=("r",))
+    want, r = [], 0
+    for c, x in enumerate(xs):
+        want.append(r ^ 0xF)
+        if c >= 3 and ready[c]:
+            r = x
+    sim = _Compiled(nl, stim.watch)
+    assert sim.state_cone  # o is not re-settled on a stalled cycle
+    first = sim.run(stim)
+    assert [s["o"] for s in first.samples] == want
+    # a second run starts from the slots the first one left
+    assert sim.run(stim) == first
+    assert first == pf.simulate(_settled_every_cycle(nl), stim)
 
 
 def test_a_tapped_fifo_that_fills_traces_like_a_checked_one():
@@ -591,6 +684,8 @@ def test_cone_walks_every_edge_kind():
                                             watch=watch))
         assert [sample["o"] for sample in trace.samples] == want, watch
     assert pf.measured_latency(nl) == 4
+    # the rule keeps each stage net's delay from its line's input
+    assert dict(nl.stage_delays) == {"d1": 1, "d2": 2}
     # the settle-time walk reads the same index: a stage net k cycles after
     # the line's input, a FIFO capacity + 1 after its latest source
     from pipeforge.sim import _Compiled, _settle_time
