@@ -18,7 +18,10 @@ netlist of the rung.  ``netlist_rule`` and ``netlist_rule_exhaustive`` time
 re-constructing the direct and the exhaustive netlist from their fields
 (``dataclasses.replace``), which applies the netlist's rule once; on a
 checkout whose netlist is checked by a ``check()`` call instead, they time
-a plain copy.  ``measured_latency`` times the direct
+a plain copy.  ``output_terms_exhaustive`` times one
+``terms.output_terms`` of the exhaustive netlist into a fresh table, the
+walk a description check of every generated netlist would add at scale.
+``measured_latency`` times the direct
 netlist, ``check_equivalence`` compares it with the p2p-resolved raw
 netlist under the same policy,
 ``check_equivalence_exhaustive`` with the exhaustive-resolved one, and
@@ -112,6 +115,11 @@ def rung(pf, specgen, oracle, shape, corpus, n: int) -> dict:
     _, secs["emit_verilog_exhaustive"] = best_of(pf.emit_verilog, exhaustive)
     _, secs["netlist_rule"] = best_of(replace, nl)
     _, secs["netlist_rule_exhaustive"] = best_of(replace, exhaustive)
+    from pipeforge.terms import output_terms  # the checker's own, unexported
+    terms, secs["output_terms_exhaustive"] = best_of(
+        lambda: output_terms(exhaustive, {}))
+    if terms is None:
+        raise SystemExit(f"N={n}: the exhaustive netlist's terms do not decide")
     _, secs["emit_dot"] = best_of(pf.emit_dot, b)
     _, secs["measured_latency"] = best_of(pf.measured_latency, nl)
     verdict, secs["check_equivalence"] = best_of(pf.check_equivalence, nl, p2p)

@@ -122,9 +122,10 @@ class Netlist:
     consumer reads it and checks nothing: ``drivers``, every net's driving
     cell, stage nets and flags included; ``stage_delays``, each stage net's
     delay in enabled cycles from its line's input (the kth stage net k);
-    ``comb_order``, the combinational cells in evaluation order (sequential
-    outputs count as cycle-start constants); ``fifos`` and ``counters``, in
-    cell order.
+    ``reads``, the nets each combinational cell's expression reads, sorted,
+    by the cell's net; ``comb_order``, the combinational cells in evaluation
+    order (sequential outputs count as cycle-start constants); ``fifos`` and
+    ``counters``, in cell order.
     """
     name: str
     inputs: tuple[tuple[str, int], ...] = ()
@@ -136,6 +137,8 @@ class Netlist:
     drivers: Mapping[str, Cell] = field(init=False, repr=False, compare=False)
     stage_delays: Mapping[str, int] = field(init=False, repr=False,
                                             compare=False)
+    reads: Mapping[str, tuple[str, ...]] = field(init=False, repr=False,
+                                                 compare=False)
     comb_order: tuple[CombCell, ...] = field(init=False, repr=False, compare=False)
     fifos: tuple[FifoCell, ...] = field(init=False, repr=False, compare=False)
     counters: tuple[CounterCell, ...] = field(init=False, repr=False, compare=False)
@@ -179,13 +182,17 @@ class Netlist:
                     raise PipeforgeError(f"{c.style} delay lines are too short")
                 if len(c.stages) != (0 if c.style == "srl" else c.depth - 1):
                     raise PipeforgeError("delay line stage nets do not match its depth")
-                driven = (*c.stages, c.out)
-                for k, n in enumerate(c.stages, 1):
-                    stage_delays[n] = k
                 w = nets.get(c.inp)
-                for n in driven:
+                for n in (*c.stages, c.out):
                     if w is None or nets.get(n) != w:
                         need(n, need(c.inp))
+                # a line drives its stages before its output
+                for k, n in enumerate(c.stages, 1):
+                    if n in drivers:
+                        raise PipeforgeError(f"net {n!r} has multiple drivers")
+                    drivers[n] = c
+                    stage_delays[n] = k
+                driven = (c.out,)
             elif isinstance(c, FifoCell):
                 if c.capacity < 2:
                     raise PipeforgeError("FIFO cells have capacity >= 2")
@@ -218,10 +225,7 @@ class Netlist:
             need(next(n for n in drivers if n not in nets))
         if self.enable is not None:
             need(self.enable, 1)
-        # each cell's combinational sources, sorted; cells and sources go in
-        # reversed, as ``postorder`` takes the last first, so the order is
-        # the one a depth-first visit in cell and name order gives
-        sources: dict[str, list[str]] = {}
+        reads: dict[str, tuple[str, ...]] = {}  # each cell's, sorted
         for c in combs:
             refs = c.expr.refs()
             if not nets.keys() >= refs:
@@ -234,16 +238,24 @@ class Netlist:
                 raise WidthMismatchError(
                     f"net {c.out!r} is {nets[c.out]} bits but its expression "
                     f"has {got}")
-            sources[c.out] = [r for r in sorted(refs, reverse=True)
-                              if isinstance(drivers.get(r), CombCell)]
-        order = postorder([c.out for c in reversed(combs)],
-                          sources.__getitem__, lambda net: PipeforgeError(
+            reads[c.out] = tuple(sorted(refs))
+
+        def sources(net: str) -> list[str]:
+            return [r for r in reversed(reads[net])
+                    if isinstance(drivers.get(r), CombCell)]
+
+        # cells and sources go in reversed, as ``postorder`` takes the last
+        # first, so the order is the one a depth-first visit in cell and name
+        # order gives
+        order = postorder([c.out for c in reversed(combs)], sources,
+                          lambda net: PipeforgeError(
                               f"combinational cycle through net {net!r}"))
         for key, value in (
                 ("inputs", inputs), ("outputs", outputs),
                 ("nets", MappingProxyType(nets)), ("cells", cells),
                 ("drivers", MappingProxyType(drivers)),
                 ("stage_delays", MappingProxyType(stage_delays)),
+                ("reads", MappingProxyType(reads)),
                 ("comb_order", tuple(drivers[net] for net in order)),
                 ("fifos", tuple(fifos)), ("counters", tuple(counters))):
             object.__setattr__(self, key, value)  # frozen: set once, here
@@ -299,23 +311,23 @@ def postorder(nets: Sequence[str], sources: Callable[[str], Sequence[str]],
 def feed(netlist: Netlist, net: str) -> tuple[Sequence[str], int]:
     """The nets that ``net``'s driver reads to drive it, and the enabled
     cycles between them.  A FIFO's flag follows its occupancy: it reads
-    what the enables read, less the flags.  References come sorted, so
-    walks visit nets in the same order on every run."""
-    drivers = netlist.drivers
-    cell = drivers.get(net)
+    what the enables read, less the flags.  References come sorted, from
+    the netlist's ``reads``, so walks visit nets in the same order on every
+    run."""
+    cell = netlist.drivers.get(net)
     if isinstance(cell, CombCell):
-        return sorted(cell.expr.refs()), 0
+        return netlist.reads[net], 0
     if isinstance(cell, DelayCell):
         return (cell.inp,), (cell.depth if net == cell.out
                              else netlist.stage_delays[net])
     if isinstance(cell, FifoCell):
         if net == cell.out:
             return (cell.inp, cell.write_en, cell.read_en), cell.capacity + 1
-        reads: set[str] = set()
-        for enable in (cell.write_en, cell.read_en):
-            c = drivers.get(enable)
-            reads |= c.expr.refs() if isinstance(c, CombCell) else {enable}
-        return sorted(reads - {cell.full, cell.empty}), cell.capacity + 1
+        reads = netlist.reads
+        # an enable that no combinational cell drives reads itself
+        found = {*reads.get(cell.write_en, (cell.write_en,)),
+                 *reads.get(cell.read_en, (cell.read_en,))}
+        return sorted(found - {cell.full, cell.empty}), cell.capacity + 1
     if isinstance(cell, CounterCell):
         return (), cell.init
     return (), 0

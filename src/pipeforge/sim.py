@@ -306,7 +306,7 @@ class _Compiled:
         for c in netlist.comb_order:
             if c.out not in reached:
                 continue
-            if cone and not live.isdisjoint(c.expr.refs()):
+            if cone and not live.isdisjoint(netlist.reads[c.out]):
                 live.add(c.out)
             if isinstance(c.expr, Ref):
                 # in topological order, so a chain of wires ends at its
@@ -380,7 +380,7 @@ class _Compiled:
                 state.append(f"{ref(c.zero)} = 0 if t < {c.init} else 1")
         for c in cells:
             out = settle if c.out in live else state
-            src, _ = self._expr(c.expr, out)
+            src, _, _ = self._expr(c.expr, out)
             out.append(f"{ref(c.out)} = {src}")
         # a held FIFO's value is its last write, and frame t % c - 1 holds
         # the last enabled cycle's; only its ring's gather reads it, so it
@@ -407,57 +407,66 @@ class _Compiled:
     def _ref(self, net: str) -> str:
         return f"v[{self.slot[net]}]"
 
-    def _expr(self, e: Expr, out: list[str]) -> tuple[str, int]:
-        """Python source for ``e`` and its parenthesis depth, in the fewest
-        operations that give its value while every slot holds a value
-        within its net's width.  A subexpression nested ``_NEST`` deep is
-        first assigned to a new slot, by a statement appended to ``out``."""
-        widths = self.netlist.nets
-        if isinstance(e, Const):
-            return hex(e.value), 0
-        if isinstance(e, Ref):
-            return self._ref(e.name), 1
-        if isinstance(e, BinOp):
-            (a, da), (b, db) = self._expr(e.lhs, out), self._expr(e.rhs, out)
+    def _expr(self, e: Expr, out: list[str]) -> tuple[str, int, int]:
+        """Python source for ``e``, its parenthesis depth and its width, in
+        the fewest operations that give its value while every slot holds a
+        value within its net's width.  Each node's width is carried up from
+        its arguments'.  A subexpression nested ``_NEST`` deep is first
+        assigned to a new slot, by a statement appended to ``out``."""
+        t = type(e)
+        if t is Const:
+            return hex(e.value), 0, e.const_width
+        if t is Ref:
+            return self._ref(e.name), 1, self.netlist.nets[e.name]
+        if t is BinOp:
+            (a, da, wa), (b, db, wb) = (self._expr(e.lhs, out),
+                                        self._expr(e.rhs, out))
             if e.op in _MASKED:
-                src = f"({a} {_MASKED[e.op]} {b} & {_mask(e.width(widths))})"
+                w = max(wa, wb)
+                src = f"({a} {_MASKED[e.op]} {b} & {_mask(w)})"
             else:  # a product fits the sum of its operands' widths
+                w = wa + wb if e.op == "mul" else max(wa, wb)
                 src = f"({a} {_EXACT[e.op]} {b})"
-            return self._spill(src, max(da, db) + 1, out)
-        if isinstance(e, Not):
-            a, d = self._expr(e.arg, out)
-            return self._spill(f"({a} ^ {_mask(e.width(widths))})", d + 1, out)
-        if isinstance(e, Shift):
-            w = e.width(widths)
-            # every bit shifts out; testing first keeps a huge shl from allocating
+            return self._spill(src, max(da, db) + 1, out) + (w,)
+        if t is Not:
+            a, d, w = self._expr(e.arg, out)
+            return self._spill(f"({a} ^ {_mask(w)})", d + 1, out) + (w,)
+        if t is Shift:
+            w = e.arg.width(self.netlist.nets)
+            # every bit shifts out; testing first keeps a huge shl from
+            # allocating, and compiles nothing of the argument
             if e.amount >= w:
-                return "0", 0
-            a, d = self._expr(e.arg, out)
+                return "0", 0, w
+            a, d, _ = self._expr(e.arg, out)
             if not e.amount:
-                return a, d
+                return a, d, w
             if e.op == "shl":
                 src = f"({a} << {e.amount} & {_mask(w)})"
             else:
                 src = f"({a} >> {e.amount})"
-            return self._spill(src, d + 1, out)
-        if isinstance(e, Mux):
-            (s, ds), (a, da), (b, db) = (self._expr(x, out)
-                                         for x in (e.sel, e.then, e.other))
+            return self._spill(src, d + 1, out) + (w,)
+        if t is Mux:
+            (s, ds, _), (a, da, w), (b, db, _) = (
+                self._expr(x, out) for x in (e.sel, e.then, e.other))
             return self._spill(f"({a} if {s} else {b})",
-                               max(ds, da, db) + 1, out)
-        if isinstance(e, Slice):
-            a, d = self._expr(e.arg, out)
+                               max(ds, da, db) + 1, out) + (w,)
+        if t is Slice:
+            a, d, wa = self._expr(e.arg, out)
+            w = e.hi - e.lo + 1
             src = a
             if e.lo:
                 src = f"{src} >> {e.lo}"
-            if e.hi + 1 < e.arg.width(widths):  # not up to the top bit
-                src = f"{src} & {_mask(e.width(widths))}"
-            return (a, d) if src == a else self._spill(f"({src})", d + 1, out)
-        if isinstance(e, Concat):
-            acc, d = None, 0
+            if e.hi + 1 < wa:  # not up to the top bit
+                src = f"{src} & {_mask(w)}"
+            if src == a:
+                return a, d, w
+            return self._spill(f"({src})", d + 1, out) + (w,)
+        if t is Concat:
+            acc, d, total = None, 0, 0
             for p, copies in groupby(e.parts):  # each run of equal parts
-                k, w = len(list(copies)), p.width(widths)
-                b, db = self._expr(p, out)
+                k = len(list(copies))
+                b, db, w = self._expr(p, out)
+                total += w * k
                 if k > 1:  # k copies of a w-bit value never carry
                     ones = hex(sum(1 << w * i for i in range(k)))
                     b, db = self._spill(f"({b} * {ones})", db + 1, out)
@@ -466,7 +475,7 @@ class _Compiled:
                 else:
                     acc, d = self._spill(f"({acc} << {w * k} | {b})",
                                          max(d, db) + 1, out)
-            return acc, d
+            return acc, d, total
         raise TypeError(f"unknown expression node {e!r}")
 
     def _spill(self, src: str, depth: int, out: list[str]) -> tuple[str, int]:

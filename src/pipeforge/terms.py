@@ -23,6 +23,11 @@ hash-consed in a table shared by one comparison, so terms compare with ``==``.
 - Anything else is not handled: a FIFO off its pattern, a read of a FIFO's
   or counter's flags, and a net that feeds back into itself.
 
+The terms are found in one walk back from the nets asked for and every
+FIFO's taps, over the netlist's ``drivers`` and kept ``reads``: a net's term
+is interned as soon as its sources have theirs, and each node's width is
+carried up from its arguments' rather than asked of the expression again.
+
 The data outputs' terms decide equivalence (``output_terms``) where all are
 handled and aligned (no delay node, no handshake port), those that read an
 input (at least one) share one shift and the others settle by then.  Under
@@ -45,10 +50,9 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .errors import SimulationError
 from .expr import BinOp, Concat, Const, Expr, Mux, Not, Ref, Shift, Slice
-from .netlist import (CombCell, DelayCell, FifoCell, Netlist, feed,
-                      fifo_started, fifo_taps, postorder)
+from .netlist import (CombCell, DelayCell, FifoCell, Netlist, fifo_started,
+                      fifo_taps)
 from .protocol import Protocol
 
 # A core is ``(id, reads_input, aligned)``: ``id`` numbers it in the table
@@ -66,10 +70,11 @@ def _core(cores: dict, op: str, width: int | None, params,
     key = (op, width, params, args)
     core = cores.get(key)
     if core is None:
-        core = cores[key] = (len(cores),
-                             op == "in" or any(a[1] for a in args),
-                             op not in ("delay", "handshake")
-                             and all(a[2] for a in args))
+        reads_input, aligned = op == "in", op not in ("delay", "handshake")
+        for _, arg_reads_input, arg_aligned in args:
+            reads_input = reads_input or arg_reads_input
+            aligned = aligned and arg_aligned
+        core = cores[key] = (len(cores), reads_input, aligned)
     return core
 
 
@@ -79,53 +84,77 @@ def _handshake(cores: dict, port: str) -> Core:
 
 
 def _aligned(cores: dict, op: str, width: int, params,
-             args: list[tuple[int, Core]]) -> tuple[int, Core]:
-    """The term of ``op`` over the terms ``args``, aligned.  An argument
-    that reads no input and settles by the shift is a constant there and
-    needs no delay node."""
-    reading = [shift for shift, core in args if core[1]]
-    at = min(reading) if reading else max(shift for shift, _ in args)
+             args: list[tuple[int, Core, int]]) -> tuple[int, Core, int]:
+    """The term of ``op`` over the terms ``args``, aligned, and its width.
+    An argument that reads no input and settles by the shift is a constant
+    there and needs no delay node."""
+    latest, at = args[0][0], None  # at: the earliest input-reading shift
+    for shift, core, _ in args:
+        if shift > latest:
+            latest = shift
+        if core[1] and (at is None or shift < at):
+            at = shift
+    if at is None:
+        at = latest
+    if latest <= at:
+        return at, _core(cores, op, width, params,
+                         tuple(arg[1] for arg in args)), width
     return at, _core(cores, op, width, params, tuple(
         core if shift <= at else _core(cores, "delay", None, shift - at, (core,))
-        for shift, core in args))
+        for shift, core, _ in args)), width
 
 
 def _expr_term(e: Expr, terms: dict, widths: dict[str, int],
-               cores: dict) -> tuple[int, Core]:
-    """The term of ``e`` over the terms of the nets it reads."""
-    if isinstance(e, Ref):
-        return terms[e.name]
-    w = e.width(widths)
-    if isinstance(e, Const):
-        return 0, _core(cores, "const", w, e.value, ())
-    if isinstance(e, Shift) and e.amount >= w:
-        return 0, _core(cores, "const", w, 0, ())  # every bit shifts out
-    if isinstance(e, BinOp):
-        op, params, parts = e.op, None, (e.lhs, e.rhs)
-    elif isinstance(e, Not):
-        op, params, parts = "not", None, (e.arg,)
-    elif isinstance(e, Shift):
-        op, params, parts = e.op, e.amount, (e.arg,)
-    elif isinstance(e, Mux):
-        op, params, parts = "mux", None, (e.sel, e.then, e.other)
-    elif isinstance(e, Slice):
-        op, params, parts = "slice", (e.hi, e.lo), (e.arg,)
-    elif isinstance(e, Concat):
-        op, params = "cat", tuple(p.width(widths) for p in e.parts)
-        parts = e.parts
-    else:
-        raise TypeError(f"unknown expression node {e!r}")
-    return _aligned(cores, op, w, params,
-                    [_expr_term(p, terms, widths, cores) for p in parts])
+               cores: dict) -> tuple[int, Core, int]:
+    """The term of ``e`` over the terms of the nets it reads, and its width,
+    carried up from its arguments'."""
+    t = type(e)
+    if t is Ref:
+        shift, core = terms[e.name]
+        return shift, core, widths[e.name]
+    if t is Const:
+        w = e.const_width
+        return 0, _core(cores, "const", w, e.value, ()), w
+    if t is BinOp:
+        lhs = _expr_term(e.lhs, terms, widths, cores)
+        rhs = _expr_term(e.rhs, terms, widths, cores)
+        w = lhs[2] + rhs[2] if e.op == "mul" else max(lhs[2], rhs[2])
+        return _aligned(cores, e.op, w, None, [lhs, rhs])
+    if t is Mux:
+        args = [_expr_term(a, terms, widths, cores)
+                for a in (e.sel, e.then, e.other)]
+        return _aligned(cores, "mux", args[1][2], None, args)
+    if t is Concat:
+        args = [_expr_term(p, terms, widths, cores) for p in e.parts]
+        params = tuple(w for _, _, w in args)
+        return _aligned(cores, "cat", sum(params), params, args)
+    # one argument: the node sits at its shift and needs no delay node
+    if t is Shift:
+        w = e.arg.width(widths)
+        if e.amount >= w:  # every bit shifts out, and the argument is unread
+            return 0, _core(cores, "const", w, 0, ()), w
+        shift, core, _ = _expr_term(e.arg, terms, widths, cores)
+        return shift, _core(cores, e.op, w, e.amount, (core,)), w
+    if t is Not:
+        shift, core, w = _expr_term(e.arg, terms, widths, cores)
+        return shift, _core(cores, "not", w, None, (core,)), w
+    if t is Slice:
+        shift, core, _ = _expr_term(e.arg, terms, widths, cores)
+        w = e.hi - e.lo + 1
+        return shift, _core(cores, "slice", w, (e.hi, e.lo), (core,)), w
+    raise TypeError(f"unknown expression node {e!r}")
 
 
 def _timed_terms(netlist: Netlist, nets: Sequence[str], cores: dict,
                  ) -> dict[str, tuple[int, Core]] | None:
     """Each of ``nets`` as a timed term, by the rules above, interned in
-    ``cores``; None where any net they read is not handled.  One
-    ``postorder`` pass over the netlist's driver index, from ``nets`` and
-    every FIFO's taps."""
-    drivers, fifos = netlist.drivers, netlist.fifos
+    ``cores``; None where any net they read is not handled.  One depth-first
+    walk kept on a stack, from ``nets`` and every FIFO's taps, over the
+    netlist's driver index and kept ``reads``: a net's term is interned as
+    soon as its sources have theirs.  Like ``netlist.postorder`` it takes
+    the last net and the last source first, so one netlist interns its
+    cores in one order."""
+    drivers, fifos, reads = netlist.drivers, netlist.fifos, netlist.reads
     taps: dict[str, tuple[str, str]] = {}  # by FIFO output, ready/valid only
     if netlist.protocol is Protocol.RAW:
         if not all(fifo_started(c, drivers) for c in fifos):
@@ -136,29 +165,44 @@ def _timed_terms(netlist: Netlist, nets: Sequence[str], cores: dict,
             if found is None:
                 return None
             taps[c.out] = found
-
-    def sources(net: str) -> Sequence[str]:
-        cell = drivers.get(net)
-        if isinstance(cell, FifoCell):  # a flag is not handled below
-            return (cell.inp, *taps.get(net, ())) if net == cell.out else ()
-        return feed(netlist, net)[0]
-
-    try:
-        order = postorder([*nets, *(t for pair in taps.values() for t in pair)],
-                          sources, SimulationError)
-    except SimulationError:  # a net feeds back into itself
-        return None
     inputs = dict(netlist.inputs)
     data = dict(netlist.data_ports()[0])
+    widths, stage_delays = netlist.nets, netlist.stage_delays
     terms: dict[str, tuple[int, Core]] = {}
-    for net in order:
+    entered: set[str] = set()  # on the stack below its unfinished sources
+    stack = [*nets, *(t for pair in taps.values() for t in pair)]
+    while stack:
+        net = stack[-1]
+        if net in terms:
+            stack.pop()
+            continue
         cell = drivers.get(net)
-        if isinstance(cell, CombCell):
-            terms[net] = _expr_term(cell.expr, terms, netlist.nets, cores)
-        elif isinstance(cell, DelayCell):
+        kind = type(cell)
+        if net not in entered:
+            entered.add(net)
+            if kind is CombCell:
+                sources = reads[net]
+            elif kind is DelayCell:
+                sources = cell.inp,
+            elif kind is FifoCell and net == cell.out:
+                sources = cell.inp, *taps.get(net, ())
+            else:  # a leaf, or a flag or counter net, not handled below
+                sources = ()
+            todo = [n for n in sources if n not in terms]
+            if todo:
+                if not entered.isdisjoint(todo):
+                    return None  # a net feeds back into itself
+                stack += todo
+                continue
+        stack.pop()
+        if kind is CombCell:
+            shift, core, _ = _expr_term(cell.expr, terms, widths, cores)
+            terms[net] = shift, core
+        elif kind is DelayCell:
             shift, core = terms[cell.inp]
-            terms[net] = shift + feed(netlist, net)[1], core
-        elif isinstance(cell, FifoCell) and net == cell.out:
+            terms[net] = shift + (cell.depth if net == cell.out
+                                  else stage_delays[net]), core
+        elif kind is FifoCell and net == cell.out:
             shift, core = terms[cell.inp]
             if net in taps:
                 at = terms[taps[net][0]][0]

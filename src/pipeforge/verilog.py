@@ -33,6 +33,10 @@ class EmitOptions:
     header: str = ""
 
 
+_BINOPS = {"add": "+", "sub": "-", "mul": "*", "xor": "^", "and": "&",
+           "or": "|"}
+
+
 def _decl(width: int) -> str:
     return f"[{width - 1}:0] " if width > 1 else ""
 
@@ -55,33 +59,44 @@ class _ExprEmitter:
         self.lines.append(f"  wire {_decl(width)}{name} = {rhs};")
         return name
 
-    def operand(self, e: E.Expr) -> str:
-        if isinstance(e, E.Ref):
-            return e.name
-        rhs = self.rhs(e)
-        return self._temp(e.width(self.widths), rhs)
+    def operand(self, e: E.Expr) -> tuple[str, int]:
+        """The name that holds ``e``, a net or a new temporary, and its
+        width."""
+        if type(e) is E.Ref:
+            return e.name, self.widths[e.name]
+        rhs, width = self.rhs(e)
+        return self._temp(width, rhs), width
 
-    def rhs(self, e: E.Expr) -> str:
-        if isinstance(e, E.Ref):
-            return e.name
-        if isinstance(e, E.Const):
-            return f"{e.const_width}'d{e.value}"
-        if isinstance(e, E.BinOp):
-            op = {"add": "+", "sub": "-", "mul": "*",
-                  "xor": "^", "and": "&", "or": "|"}[e.op]
-            return f"{self.operand(e.lhs)} {op} {self.operand(e.rhs)}"
-        if isinstance(e, E.Not):
-            return f"~{self.operand(e.arg)}"
-        if isinstance(e, E.Shift):
-            op = "<<" if e.op == "shl" else ">>"
-            return f"{self.operand(e.arg)} {op} {e.amount}"
-        if isinstance(e, E.Mux):
-            return (f"{self.operand(e.sel)} ? {self.operand(e.then)}"
-                    f" : {self.operand(e.other)}")
-        if isinstance(e, E.Slice):
-            return f"{self.operand(e.arg)}[{e.hi}:{e.lo}]"
-        if isinstance(e, E.Concat):
-            return "{" + ", ".join(self.operand(p) for p in e.parts) + "}"
+    def rhs(self, e: E.Expr) -> tuple[str, int]:
+        """The right-hand side that computes ``e`` from its operands'
+        temporaries, and its width, carried up from its operands'."""
+        t = type(e)
+        if t is E.Ref:
+            return e.name, self.widths[e.name]
+        if t is E.BinOp:
+            (a, wa), (b, wb) = self.operand(e.lhs), self.operand(e.rhs)
+            return (f"{a} {_BINOPS[e.op]} {b}",
+                    wa + wb if e.op == "mul" else max(wa, wb))
+        if t is E.Slice:
+            a, _ = self.operand(e.arg)
+            return f"{a}[{e.hi}:{e.lo}]", e.hi - e.lo + 1
+        if t is E.Const:
+            return f"{e.const_width}'d{e.value}", e.const_width
+        if t is E.Not:
+            a, w = self.operand(e.arg)
+            return f"~{a}", w
+        if t is E.Shift:
+            a, w = self.operand(e.arg)
+            return f"{a} {'<<' if e.op == 'shl' else '>>'} {e.amount}", w
+        if t is E.Mux:
+            (s, _), (a, w), (b, _) = (self.operand(e.sel),
+                                      self.operand(e.then),
+                                      self.operand(e.other))
+            return f"{s} ? {a} : {b}", w
+        if t is E.Concat:
+            parts = [self.operand(p) for p in e.parts]
+            return ("{" + ", ".join(a for a, _ in parts) + "}",
+                    sum(w for _, w in parts))
         raise TypeError(f"unknown expression node {e!r}")
 
 
@@ -205,7 +220,7 @@ def emit_verilog(netlist: Netlist, options: EmitOptions = EmitOptions()) -> str:
     en_port = en or "1'b1"  # helper modules always take an enable
     for c in netlist.cells:
         if isinstance(c, CombCell):
-            rhs = emitter.rhs(c.expr)
+            rhs, _ = emitter.rhs(c.expr)
             tgt = f"assign {c.out} = {rhs};"
             body.extend(emitter.lines)
             emitter.lines = []

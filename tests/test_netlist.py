@@ -1,3 +1,4 @@
+import random
 from dataclasses import FrozenInstanceError, replace
 
 import pytest
@@ -138,6 +139,24 @@ def test_comb_order_respects_dependencies():
                 assert pos[ref] < pos[c.out]
 
 
+def test_reads_are_each_combinational_cells_sorted_refs(random_corpus):
+    # the rule keeps, by net, what each combinational cell reads, sorted,
+    # and nothing for any other cell
+    rng = random.Random(27)
+    policies = [pf.direct_auto(), pf.direct_fifo(2, 1), pf.direct_force_srl()]
+    for g in rng.sample(random_corpus, 12):
+        b = pf.balance_merges(g)
+        for resolver in (pf.resolve_direct_backward, pf.resolve_p2p_backward,
+                         pf.resolve_exhaustive_forward):
+            r = resolver(b)
+            for protocol in pf.Protocol:
+                nl = pf.lower(r, pf.apply_protocol(r, protocol),
+                              rng.choice(policies))
+                assert dict(nl.reads) == {
+                    c.out: tuple(sorted(c.expr.refs())) for c in nl.cells
+                    if isinstance(c, CombCell)}, g.name
+
+
 def test_a_deep_combinational_chain_listed_output_first():
     # 3,000 adders in a row, the output's cell first: ordering them is one
     # walk kept on a stack, not a call per cell
@@ -228,13 +247,15 @@ def test_the_rule_rejects_each_shape_when_built():
         with pytest.raises(pf.PipeforgeError, match="^port 'x' is listed twice$"):
             replace(good, **ports)
     for name in ("name", "inputs", "nets", "cells", "enable", "drivers",
-                 "comb_order"):
+                 "reads", "comb_order"):
         with pytest.raises(FrozenInstanceError):
             setattr(good, name, getattr(good, name))
     with pytest.raises(TypeError):
         good.nets["x"] = 8
     with pytest.raises(TypeError):
         good.drivers["x"] = good.cells[0]
+    with pytest.raises(TypeError):
+        good.reads["s"] = ()
     for cell in good.cells:
         with pytest.raises(FrozenInstanceError):
             setattr(cell, "out" if hasattr(cell, "out") else "init", 3)

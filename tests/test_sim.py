@@ -698,6 +698,79 @@ def test_cone_walks_every_edge_kind():
     assert [shift for shift, _ in terms.values()] == [0, 1, 2, 3, 1, 4]
 
 
+def test_terms_intern_their_cores_in_walk_order(random_corpus):
+    # the walk takes the last net and the last source first, as
+    # ``netlist.postorder`` does, so a netlist interns its cores in one
+    # order, id for id
+    from pipeforge.terms import _timed_terms
+
+    def reading(i):
+        return i, True, True
+
+    cores = {}
+    _timed_terms(_through_every_edge(), ["s", "d1", "d2", "d", "m", "o"], cores)
+    assert list(cores) == [
+        ("in", 8, "x", ()), ("const", 8, 3, ()),
+        ("add", 8, None, (reading(0), (1, False, True))),
+        ("not", 8, None, (reading(2),))]
+    g = pf.resolve_direct_backward(pf.balance_merges(random_corpus[2]))
+    nl = pf.lower(g, pf.apply_protocol(g, pf.Protocol.READY_VALID),
+                  pf.direct_fifo(2, 1))
+    assert len(nl.fifos) == 3
+    cores = {}
+    outs = [n for n, _ in nl.data_ports()[1]]
+    assert _timed_terms(nl, outs + ["out_valid", "in_ready", "enable"],
+                        cores) is not None
+    assert list(cores) == [
+        ("handshake", 1, "in_valid", ()), ("handshake", 1, "out_ready", ()),
+        ("in", 7, "in0", ()), ("in", 3, "in2", ()), ("in", 2, "in1", ()),
+        ("cat", 4, (2, 2), (reading(4), reading(4))),
+        ("slice", 3, (2, 0), (reading(5),)),
+        ("xor", 3, None, (reading(6), reading(3))),
+        ("slice", 2, (1, 0), (reading(3),)),
+        ("slice", 2, (2, 1), (reading(7),)),
+        ("mul", 4, None, (reading(8), reading(9))),
+        ("slice", 2, (1, 0), (reading(10),)),
+        ("cat", 9, (3, 3, 3), (reading(7),) * 3),
+        ("slice", 7, (6, 0), (reading(12),)),
+        ("shl", 7, 2, (reading(13),)),
+        ("cat", 8, (2, 2, 2, 2), (reading(11),) * 4),
+        ("slice", 7, (6, 0), (reading(15),)),
+        ("xor", 7, None, (reading(14), reading(16)))]
+
+
+def test_terms_do_not_handle_a_loop_a_flag_or_a_counter():
+    # each netlist is built, so it keeps the rule, and the terms give up on
+    # it without raising: the walk comes back to a net through a delay
+    # line, or reaches a FIFO's flag or a startup counter's count
+    from pipeforge.netlist import CombCell, CounterCell, DelayCell, FifoCell
+    from pipeforge.terms import _timed_terms
+    x = pf.Ref("x")
+    # a FIFO of 2 started by a counter of 1: the delay line of its capacity
+    fifo = [CounterCell("cnt", "zero", 1), CombCell("we", pf.Const(1, 1)),
+            CombCell("re", pf.Ref("zero")),
+            FifoCell("f", "x", 2, "we", "re", "full", "empty")]
+    fifo_nets = dict.fromkeys(("cnt", "zero", "we", "re", "f", "full",
+                               "empty"), 1)
+
+    def netlist(nets, cells, o):
+        return pf.Netlist("unhandled", inputs=[("x", 1)], outputs=[("o", 1)],
+                          nets={"x": 1, "o": 1, **nets},
+                          cells=[*cells, CombCell("o", o)])
+
+    loop = netlist({"a": 1, "d": 1},
+                   [CombCell("a", pf.BinOp("xor", x, pf.Ref("d"))),
+                    DelayCell("d", "a", 1)], pf.Ref("a"))
+    flag = netlist(fifo_nets, fifo, pf.BinOp("xor", pf.Ref("f"),
+                                             pf.Ref("full")))
+    counter = netlist(fifo_nets, fifo, pf.BinOp("xor", x, pf.Ref("cnt")))
+    for nl in (loop, flag, counter):
+        assert _timed_terms(nl, ["o"], {}) is None
+    # the started FIFO alone is handled, x two cycles on
+    assert _timed_terms(netlist(fifo_nets, fifo, pf.Ref("f")), ["o"],
+                        {})["o"] == (2, (0, True, True))
+
+
 def _unread_fifo(read_en):
     """``o`` is ``~x``; a FIFO written every cycle and read when
     ``read_en`` says feeds nothing."""
